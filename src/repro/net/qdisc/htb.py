@@ -23,18 +23,25 @@ TensorLights' standard configuration (built by
 leaf per priority band with a tiny guaranteed rate, ``ceil`` = link rate
 and ``prio`` = band index — which behaves as a work-conserving strict
 priority scheduler with starvation protection.
+
+The datapath runs once per PS-egress segment, so :meth:`HTBQdisc.dequeue`
+is one pass over the leaves with the token-bucket refills inlined.  Which
+buckets are refilled at which instant decides the float rounding of every
+token count, and with it the fixed-seed content hashes: every backlogged
+leaf is refilled on every dequeue, exactly as a walk of the class tree
+would, never lazily.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
-from typing import Deque, Dict, Optional
+from collections import deque
+from typing import Deque, Dict, List, Optional
 
 from repro.errors import QdiscError
 from repro.net.packet import Segment
 from repro.net.qdisc.base import Qdisc
 from repro.net.qdisc.filters import FlowFilter
-from repro.net.qdisc.tbf import TokenBucket
+from repro.net.qdisc.tbf import TOKEN_EPSILON, TokenBucket
 
 #: Default burst sizing: allow ~this much time of full-rate accumulation.
 DEFAULT_BURST_SECONDS = 0.002
@@ -48,6 +55,7 @@ class HTBClass:
     __slots__ = (
         "classid",
         "parent",
+        "path",
         "children",
         "rate",
         "ceil",
@@ -78,6 +86,10 @@ class HTBClass:
             raise QdiscError(f"class {classid}: ceil ({ceil}) < rate ({rate})")
         self.classid = classid
         self.parent = parent
+        #: ancestors, nearest first.  Fixed for the class's lifetime: a
+        #: class is never re-parented and a parent with children cannot
+        #: be deleted.
+        self.path: tuple = (parent,) + parent.path if parent is not None else ()
         self.children: list[HTBClass] = []
         self.rate = rate
         self.ceil = ceil
@@ -97,12 +109,6 @@ class HTBClass:
     @property
     def is_leaf(self) -> bool:
         return not self.children
-
-    def ancestors(self):
-        node = self.parent
-        while node is not None:
-            yield node
-            node = node.parent
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
@@ -132,9 +138,12 @@ class HTBQdisc(Qdisc):
         #: leaves in classid-insertion order — dequeue scans this instead
         #: of filtering the whole class tree per packet
         self._leaves: list[HTBClass] = []
+        #: classid -> leaf, so enqueue resolves its class in one lookup
+        self._leaf_by_id: Dict[int, HTBClass] = {}
 
     def _rebuild_leaves(self) -> None:
         self._leaves = [c for c in self.classes.values() if c.is_leaf]
+        self._leaf_by_id = {c.classid: c for c in self._leaves}
 
     # -- configuration (tc class add/change/del) ---------------------------
 
@@ -198,16 +207,29 @@ class HTBQdisc(Qdisc):
             cls.prio = prio
 
     def del_class(self, classid: int) -> None:
-        """``tc class del ...`` — queued packets of the class are dropped."""
+        """``tc class del ...`` — queued packets of the class are dropped.
+
+        Each dropped segment counts in ``drops`` and is reported through
+        ``on_drop``, as a head drop (see :class:`~repro.net.qdisc.base.Qdisc`),
+        so the NIC releases the transport's window slot for it.
+        """
         cls = self._get(classid)
         if cls.children:
             raise QdiscError(f"class {classid} still has children")
         if cls.parent is not None:
             cls.parent.children.remove(cls)
-        self._len -= len(cls.queue)
-        self._bytes -= cls.queued_bytes
         del self.classes[classid]
+        self._last_served.pop(classid, None)
         self._rebuild_leaves()
+        dropped = list(cls.queue)
+        cls.queue.clear()
+        self._len -= len(dropped)
+        self._bytes -= cls.queued_bytes
+        cls.queued_bytes = 0
+        for seg in dropped:
+            self._note_drop()
+            if self.on_drop is not None:
+                self.on_drop(seg)
 
     def _get(self, classid: int) -> HTBClass:
         cls = self.classes.get(classid)
@@ -217,143 +239,158 @@ class HTBQdisc(Qdisc):
 
     # -- datapath -----------------------------------------------------------
 
-    def _leaf_for(self, seg: Segment) -> Optional[HTBClass]:
+    def enqueue(self, seg: Segment, now: float) -> bool:
         classid = self.filter.classify(seg) if self.filter is not None else None
         if classid is None:
             classid = self.default_classid
-        if classid is None:
-            return None
-        cls = self.classes.get(classid)
-        if cls is None or not cls.is_leaf:
-            cls = (
-                self.classes.get(self.default_classid)
-                if self.default_classid is not None
-                else None
-            )
-        if cls is None or not cls.is_leaf:
-            return None
-        return cls
-
-    def enqueue(self, seg: Segment, now: float) -> bool:
-        leaf = self._leaf_for(seg)
+        leaf = self._leaf_by_id.get(classid)
         if leaf is None:
-            self._note_drop()
-            return False
+            # unknown or interior class: fall back to the default leaf
+            leaf = self._leaf_by_id.get(self.default_classid)
+            if leaf is None:
+                self._note_drop()
+                return False
         leaf.queue.append(seg)
         leaf.queued_bytes += seg.size
         self._len += 1
         self._bytes += seg.size
         return True
 
-    def _green(self, leaf: HTBClass, size: int, now: float) -> bool:
-        """Leaf can send within its own guaranteed rate (and its ceil)."""
-        return leaf.bucket.can_consume(size, now) and leaf.cbucket.can_consume(size, now)
+    def _drr(self, peers: List[HTBClass]) -> HTBClass:
+        """DRR among equal-priority peers.
 
-    def _lender(self, leaf: HTBClass, size: int, now: float) -> Optional[HTBClass]:
-        """Nearest ancestor whose rate bucket can cover ``size``.
-
-        Every hop on the way up (including the lender) must have ceil
-        headroom; otherwise that subtree is capped and cannot borrow
-        through it.
+        Of the peers whose deficit covers their head segment, pick the one
+        served longest ago; when no peer has deficit, replenish all by
+        quantum.
         """
-        if not leaf.cbucket.can_consume(size, now):
-            return None
-        for anc in leaf.ancestors():
-            if not anc.cbucket.can_consume(size, now):
-                return None
-            if anc.bucket.can_consume(size, now):
-                return anc
-        return None
-
-    def _charge(self, leaf: HTBClass, lender: Optional[HTBClass], size: int, now: float) -> None:
-        """Consume tokens after a send.
-
-        The rate bucket of the sender (green) or the lender (yellow) is
-        charged; ceil buckets are charged along the whole path so every
-        level's cap holds.
-        """
-        if lender is None:
-            leaf.bucket.consume(size, now)
-        else:
-            lender.bucket.consume(size, now)
-        leaf.cbucket.consume(size, now)
-        for anc in leaf.ancestors():
-            anc.cbucket.consume(size, now)
-            if anc is lender:
-                break
-        leaf.sent_bytes += size
-
-    def _select(self, candidates: list[HTBClass]) -> HTBClass:
-        """Priority first; DRR (deficit + quantum) among equal priorities.
-
-        Fairness among peers uses a least-recently-served rotation: of the
-        peers whose deficit covers their head segment, pick the one served
-        longest ago; when no peer has deficit, replenish all by quantum.
-        """
-        best_prio = min(c.prio for c in candidates)
-        peers = [c for c in candidates if c.prio == best_prio]
-        if len(peers) == 1:
-            chosen = peers[0]
-        else:
-            chosen = None
-            while chosen is None:
-                ready = [c for c in peers if c.deficit >= c.queue[0].size]
-                if ready:
-                    chosen = min(
-                        ready, key=lambda c: (self._last_served.get(c.classid, -1), c.classid)
-                    )
-                else:
-                    for cls in peers:
-                        cls.deficit += cls.quantum
-        self._serve_seq += 1
-        self._last_served[chosen.classid] = self._serve_seq
-        return chosen
+        while True:
+            ready = [c for c in peers if c.deficit >= c.queue[0].size]
+            if ready:
+                return min(
+                    ready, key=lambda c: (self._last_served.get(c.classid, -1), c.classid)
+                )
+            for cls in peers:
+                cls.deficit += cls.quantum
 
     def dequeue(self, now: float) -> Optional[Segment]:
+        # Every inlined refill below is TokenBucket.refill: the same
+        # ``min(burst, tokens + (now - last_update) * rate)`` under the same
+        # ``now > last_update`` guard, and a bucket passes when
+        # ``tokens >= size - TOKEN_EPSILON`` (TokenBucket.can_consume).
         if self._len == 0:
             return None
-        backlogged = [c for c in self._leaves if c.queue]
-        if not backlogged:
-            return None
 
-        green = [c for c in backlogged if self._green(c, c.queue[0].size, now)]
-        if green:
-            leaf = self._select(green)
-            lender = None
-        else:
-            lenders = {
-                c.classid: self._lender(c, c.queue[0].size, now) for c in backlogged
-            }
-            yellow = [c for c in backlogged if lenders[c.classid] is not None]
-            if not yellow:
+        # Green: a leaf sends on its own rate bucket and its ceil bucket.
+        # The ceil bucket is refilled only when the rate bucket passes.
+        backlogged = []
+        cands = []
+        for leaf in self._leaves:
+            queue = leaf.queue
+            if not queue:
+                continue
+            backlogged.append(leaf)
+            need = queue[0].size - TOKEN_EPSILON
+            b = leaf.bucket
+            if now > b.last_update:
+                b.tokens = min(b.burst, b.tokens + (now - b.last_update) * b.rate)
+                b.last_update = now
+            if b.tokens >= need:
+                b = leaf.cbucket
+                if now > b.last_update:
+                    b.tokens = min(b.burst, b.tokens + (now - b.last_update) * b.rate)
+                    b.last_update = now
+                if b.tokens >= need:
+                    cands.append(leaf)
+
+        lenders: Optional[List[HTBClass]] = None
+        if not cands:
+            # Yellow: each backlogged leaf borrows from its nearest ancestor
+            # whose rate bucket covers the head segment; the leaf's ceil and
+            # every hop's ceil up to the lender must cover it too.
+            lenders = []
+            for leaf in backlogged:
+                need = leaf.queue[0].size - TOKEN_EPSILON
+                b = leaf.cbucket
+                if now > b.last_update:
+                    b.tokens = min(b.burst, b.tokens + (now - b.last_update) * b.rate)
+                    b.last_update = now
+                if b.tokens < need:
+                    continue
+                for anc in leaf.path:
+                    b = anc.cbucket
+                    if now > b.last_update:
+                        b.tokens = min(b.burst, b.tokens + (now - b.last_update) * b.rate)
+                        b.last_update = now
+                    if b.tokens < need:
+                        break
+                    b = anc.bucket
+                    if now > b.last_update:
+                        b.tokens = min(b.burst, b.tokens + (now - b.last_update) * b.rate)
+                        b.last_update = now
+                    if b.tokens >= need:
+                        cands.append(leaf)
+                        lenders.append(anc)
+                        break
+            if not cands:
                 return None
-            leaf = self._select(yellow)
-            lender = lenders[leaf.classid]
+
+        # Priority first; DRR among equal priorities.
+        it = iter(cands)
+        leaf = next(it)
+        best = leaf.prio
+        tie = False
+        for c in it:
+            if c.prio < best:
+                leaf, best, tie = c, c.prio, False
+            elif c.prio == best:
+                tie = True
+        if tie:
+            leaf = self._drr([c for c in cands if c.prio == best])
+        self._serve_seq += 1
+        self._last_served[leaf.classid] = self._serve_seq
 
         seg = leaf.queue.popleft()
-        leaf.queued_bytes -= seg.size
-        leaf.deficit = max(0.0, leaf.deficit - seg.size)
+        size = seg.size
+        leaf.queued_bytes -= size
+        leaf.deficit = max(0.0, leaf.deficit - size)
         self._len -= 1
-        self._bytes -= seg.size
-        self._charge(leaf, lender, seg.size, now)
+        self._bytes -= size
+
+        # Charge (TokenBucket.consume).  The scan above already refilled at
+        # ``now`` every bucket charged here except the ancestors' ceil
+        # buckets on the green path, and a second refill at the same
+        # instant is a no-op.
+        leaf.cbucket.tokens -= size
+        if lenders is None:
+            leaf.bucket.tokens -= size
+            for anc in leaf.path:
+                b = anc.cbucket
+                if now > b.last_update:
+                    b.tokens = min(b.burst, b.tokens + (now - b.last_update) * b.rate)
+                    b.last_update = now
+                b.tokens -= size
+        else:
+            lender = lenders[cands.index(leaf)]
+            lender.bucket.tokens -= size
+            for anc in leaf.path:
+                anc.cbucket.tokens -= size
+                if anc is lender:
+                    break
+        leaf.sent_bytes += size
         return seg
 
     def next_ready_time(self, now: float) -> Optional[float]:
         """Earliest time any backlogged leaf could become green or yellow."""
         best: Optional[float] = None
-        for leaf in self.classes.values():
-            if not leaf.is_leaf or not leaf.queue:
+        for leaf in self._leaves:
+            if not leaf.queue:
                 continue
             size = leaf.queue[0].size
             # Time to green: own rate bucket and own ceil bucket.
-            t_green = max(
-                leaf.bucket.time_until(size, now),
-                leaf.cbucket.time_until(size, now),
-            )
-            candidate = t_green
-            # Time to yellow through the nearest ancestor (hop ceils apply).
             t_path = leaf.cbucket.time_until(size, now)
-            for anc in leaf.ancestors():
+            candidate = max(leaf.bucket.time_until(size, now), t_path)
+            # Time to yellow through the nearest ancestor (hop ceils apply).
+            for anc in leaf.path:
                 t_hop = anc.cbucket.time_until(size, now)
                 t_lend = max(t_path, t_hop, anc.bucket.time_until(size, now))
                 candidate = min(candidate, t_lend)
@@ -393,5 +430,5 @@ class HTBQdisc(Qdisc):
         return len(self._get(classid).queue)
 
     def __repr__(self) -> str:  # pragma: no cover
-        leaves = {c.classid: len(c.queue) for c in self.classes.values() if c.is_leaf}
+        leaves = {c.classid: len(c.queue) for c in self._leaves}
         return f"HTBQdisc(leaves={leaves})"

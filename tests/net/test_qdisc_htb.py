@@ -1,9 +1,14 @@
 """Unit tests for the HTB qdisc — the discipline TensorLights configures."""
 
+import itertools
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import QdiscError
 from repro.net.qdisc import HTBQdisc, PortFilter
+from repro.net.qdisc.tbf import TOKEN_EPSILON
 from repro.units import gbps
 
 from tests.net.helpers import seg
@@ -69,10 +74,22 @@ def test_change_class_prio_and_rates():
 
 def test_del_class():
     htb, _ = tls_style_htb()
-    htb.enqueue(seg(100, sport=5000), 0.0)
+    dropped = []
+    htb.on_drop = dropped.append
+    a, b, c = (seg(size, sport=5000) for size in (100, 200, 300))
+    other = seg(400, sport=5001)
+    for s in (a, b, c, other):
+        htb.enqueue(s, 0.0)
+    assert htb.dequeue(0.0) is a  # leaves a _last_served entry for 100
     htb.del_class(100)
     assert 100 not in htb.classes
-    assert len(htb) == 0
+    assert 100 not in htb._last_served
+    # the queued segments are head drops: counted and reported in order
+    assert dropped == [b, c]
+    assert htb.drops == 2
+    assert len(htb) == 1
+    assert htb.backlog_bytes == 400
+    assert htb.dequeue(0.0) is other
     with pytest.raises(QdiscError):
         htb.del_class(1)  # has children
 
@@ -198,6 +215,48 @@ def test_ceil_caps_a_class():
     from repro.net.qdisc.htb import MIN_BURST_BYTES
 
     assert sent_bytes <= MIN_BURST_BYTES + 200.0 * horizon + size
+
+
+@settings(max_examples=40)
+@given(
+    rate=st.floats(1e3, 1e9),
+    sizes=st.lists(st.integers(500, 9000), min_size=1, max_size=6),
+    burst_segments=st.integers(1, 8),
+    horizon_segments=st.floats(0.0, 60.0),
+    nested=st.booleans(),
+)
+def test_capped_class_conforms_to_token_bucket_envelope(
+    rate, sizes, burst_segments, horizon_segments, nested
+):
+    """Closed-form oracle: a continuously backlogged class with
+    ``rate == ceil == R`` and burst ``B`` dequeues between
+    ``B + R*T - max_segment`` and ``B + R*T`` bytes over ``[0, T]``."""
+    max_segment = max(sizes)
+    burst = float(burst_segments * max_segment)
+    horizon = horizon_segments * max_segment / rate
+    htb = HTBQdisc(default_classid=10)
+    if nested:
+        # the capped leaf under a faster root that the rate_control hook builds
+        htb.add_class(1, rate=4 * rate, ceil=4 * rate)
+        htb.add_class(10, rate=rate, ceil=rate, parent=1, burst=burst, cburst=burst)
+    else:
+        htb.add_class(10, rate=rate, ceil=rate, burst=burst, cburst=burst)
+    feed = itertools.cycle(sizes)
+    now, sent = 0.0, 0
+    while True:
+        while len(htb) < 2:
+            htb.enqueue(seg(next(feed)), now)
+        s = htb.dequeue(now)
+        if s is not None:
+            sent += s.size
+            continue
+        ready = htb.next_ready_time(now)
+        if ready > horizon:
+            break
+        now = max(ready, math.nextafter(now, math.inf))
+    envelope = burst + rate * horizon
+    slack = TOKEN_EPSILON + 1e-9 * envelope  # float rounding of the refills
+    assert envelope - max_segment - slack <= sent <= envelope + slack
 
 
 def test_next_ready_time_none_when_empty():
