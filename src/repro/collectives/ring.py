@@ -105,6 +105,19 @@ class RingAllReduceTask:
         self.chunks_sent = 0
         self.bytes_sent = 0
         self._received: Dict[Tuple[int, int], Message] = {}
+        # Endpoints, successor and port ranges are fixed for the run, so
+        # every chunk's flow and size are resolved once, here: chunk
+        # ``step`` travels on channel ``step % n_channels``.
+        successor = self.successor
+        self._flows: List[FlowKey] = [
+            FlowKey(
+                endpoint.host_id, port,
+                successor.host_id,
+                successor.ports[channel % successor.n_channels],
+            )
+            for channel, port in enumerate(endpoint.ports)
+        ]
+        self._chunk_bytes = spec.ring_chunk_bytes
 
     @property
     def n_members(self) -> int:
@@ -118,19 +131,13 @@ class RingAllReduceTask:
 
     def _chunk_flow(self, step: int) -> FlowKey:
         """The flow chunk ``step`` travels on (striped over channels)."""
-        channel = step % self.endpoint.n_channels
-        return FlowKey(
-            self.endpoint.host_id,
-            self.endpoint.ports[channel],
-            self.successor.host_id,
-            self.successor.ports[channel % self.successor.n_channels],
-        )
+        return self._flows[step % len(self._flows)]
 
     def _send_chunk(self, iteration: int, step: int) -> None:
         """Hand one chunk for ``(iteration, step)`` to the transport."""
         chunk = Message(
-            flow=self._chunk_flow(step),
-            size=self.spec.ring_chunk_bytes,
+            flow=self._flows[step % len(self._flows)],
+            size=self._chunk_bytes,
             kind=RING_CHUNK,
             meta={"job": self.spec.job_id, "member": self.member_index,
                   "iteration": iteration, "step": step},

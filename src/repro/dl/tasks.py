@@ -23,7 +23,7 @@ worker exits the barrier when all shards of the iteration have arrived.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, TYPE_CHECKING
+from typing import Callable, Dict, Iterable, List, Optional, Set, TYPE_CHECKING
 
 from repro.dl.job import JobSpec
 from repro.dl.metrics import JobMetrics
@@ -91,19 +91,19 @@ class WorkerTask:
         endpoint.host.transport.listen(endpoint.port, self.inbox.put)
         self.local_step = 0
         self._wait_seq = 0
-
-    def _gradient_flow(self, ps: TaskEndpoint) -> FlowKey:
-        return FlowKey(
-            self.endpoint.host_id, self.endpoint.port,
-            ps.host_id, ps.port,
-        )
+        # One flow per PS, built once: endpoints are fixed for the run.
+        self._gradient_flows: List[FlowKey] = [
+            FlowKey(endpoint.host_id, endpoint.port, ps.host_id, ps.port)
+            for ps in self.ps_endpoints
+        ]
+        self._shard_bytes = spec.shard_bytes
 
     def _send_gradient(self, iteration: int) -> None:
         """Send this iteration's gradient shard to every PS."""
-        for ps in self.ps_endpoints:
+        for flow in self._gradient_flows:
             gradient = Message(
-                flow=self._gradient_flow(ps),
-                size=self.spec.shard_bytes,
+                flow=flow,
+                size=self._shard_bytes,
                 kind=GRADIENT_UPDATE,
                 meta={"job": self.spec.job_id, "worker": self.worker_index,
                       "iteration": iteration},
@@ -263,27 +263,29 @@ class PSTask:
         self.crash_iteration = 0
         self._iteration = 0
         self._wait_seq = 0
-
-    def _model_flow(self, worker: TaskEndpoint) -> FlowKey:
-        return FlowKey(
-            self.endpoint.host_id, self.endpoint.port,
-            worker.host_id, worker.port,
-        )
+        # One flow per worker (indexed like ``worker_endpoints``), built
+        # once: endpoints are fixed for the run.
+        self._model_flows: List[FlowKey] = [
+            FlowKey(endpoint.host_id, endpoint.port, w.host_id, w.port)
+            for w in worker_endpoints
+        ]
+        self._shard_bytes = spec.shard_bytes
 
     def _broadcast(
-        self,
-        iteration: int,
-        only: Optional[TaskEndpoint] = None,
-        targets: Optional[List[TaskEndpoint]] = None,
+        self, iteration: int, workers: Optional[Iterable[int]] = None
     ) -> None:
-        """Send model-shard updates; the burst that contends at the NIC."""
-        if targets is None:
-            targets = [only] if only is not None else self.worker_endpoints
-        for worker in targets:
+        """Send model-shard updates; the burst that contends at the NIC.
+
+        ``workers`` selects recipients by worker index (default: all).
+        """
+        flows = self._model_flows
+        if workers is not None:
+            flows = [flows[w] for w in workers]
+        for flow in flows:
             self.endpoint.host.transport.send_message(
                 Message(
-                    flow=self._model_flow(worker),
-                    size=self.spec.shard_bytes,
+                    flow=flow,
+                    size=self._shard_bytes,
                     kind=MODEL_UPDATE,
                     meta={"job": self.spec.job_id, "iteration": iteration,
                           "shard": self.shard_index},
@@ -367,9 +369,8 @@ class PSTask:
                         return
                     # The model update may have died with a crashed queue;
                     # re-broadcast to the workers still missing.
-                    self._broadcast(iteration, targets=[
-                        ep for w, ep in enumerate(self.worker_endpoints)
-                        if w not in got
+                    self._broadcast(iteration, workers=[
+                        w for w in range(n) if w not in got
                     ])
                     continue
                 if msg.kind != GRADIENT_UPDATE:
@@ -440,8 +441,7 @@ class PSTask:
             widx = msg.meta["worker"]
             steps_by_worker[widx] += 1
             if steps_by_worker[widx] < per_worker_cap:
-                self._broadcast(steps_by_worker[widx],
-                                only=self.worker_endpoints[widx])
+                self._broadcast(steps_by_worker[widx], workers=(widx,))
         if self.shard_index == 0:
             self.metrics.iterations_done = self.global_step // spec.n_workers
         self._finish(sim)

@@ -9,6 +9,7 @@ from repro.collectives import AllReduceApplication, RingEndpoint
 from repro.dl import JobSpec
 from repro.dl.model_zoo import ModelSpec, get_model
 from repro.errors import PlacementError, WorkloadError
+from repro.net.addressing import FlowKey
 from repro.net.link import Link
 from repro.sim import Simulator
 
@@ -138,6 +139,35 @@ def test_channels_stripe_chunks_over_the_range():
     app.launch()
     sim.run()
     assert app.metrics.finished
+
+
+@pytest.mark.parametrize("channels", [1, 2, 3])
+@pytest.mark.parametrize("n_members", [2, 3, 5])
+def test_chunk_flow_table_matches_per_step_formula(n_members, channels):
+    spec = ring_spec(n_members=n_members)
+    sim, cluster, app = deploy(spec, channels=channels)
+    for member in app.members:
+        ep, succ = member.endpoint, member.successor
+        for step in range(3 * channels):
+            channel = step % ep.n_channels
+            expected = FlowKey(
+                ep.host_id, ep.ports[channel],
+                succ.host_id, succ.ports[channel % succ.n_channels],
+            )
+            assert member._chunk_flow(step) == expected
+            # every step of one channel shares one key object
+            assert member._chunk_flow(step) is member._chunk_flow(channel)
+
+
+def test_running_a_ring_builds_no_flow_keys(record_flow_keys):
+    spec = ring_spec(n_members=3, iterations=2)
+    sim, cluster, app = deploy(spec, channels=2)
+    app.launch()
+    built = record_flow_keys()
+    sim.run()
+    assert app.metrics.finished
+    assert sum(m.chunks_sent for m in app.members) == 3 * 2 * 2 * 2
+    assert built == []
 
 
 # ---------------------------------------------------------------- metrics

@@ -5,7 +5,10 @@ default 200 ms deadline, and wall-time deadlines are flaky on shared CI
 machines — disable them and cap example counts for a fast suite.
 """
 
+import pytest
 from hypothesis import HealthCheck, settings
+
+from repro.net.addressing import FlowKey
 
 settings.register_profile(
     "repro",
@@ -14,3 +17,25 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("repro")
+
+
+@pytest.fixture
+def record_flow_keys(monkeypatch):
+    """Call to start recording ``FlowKey`` constructions.
+
+    Returns the list that each later construction appends its arguments
+    to, so a test can assert that a phase builds no keys.
+    """
+
+    def start():
+        built = []
+        original = FlowKey.__init__
+
+        def recording_init(self, *args):
+            built.append(args)
+            original(self, *args)
+
+        monkeypatch.setattr(FlowKey, "__init__", recording_init)
+        return built
+
+    return start

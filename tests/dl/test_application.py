@@ -7,6 +7,7 @@ from repro.cluster import Cluster
 from repro.dl import DLApplication, JobSpec
 from repro.dl.model_zoo import ModelSpec, get_model
 from repro.errors import PlacementError
+from repro.net.addressing import FlowKey
 from repro.net.link import Link
 from repro.sim import Simulator
 
@@ -217,3 +218,23 @@ def test_compressed_job_moves_fewer_bytes():
     expected = 2 * 3 * spec.shard_bytes  # 2 iterations x 3 workers
     assert ps_tx == expected
     assert ps_tx < 2 * 3 * model.update_bytes / 3  # well under uncompressed
+
+
+@pytest.mark.parametrize("sync", [True, False])
+def test_running_ps_tasks_builds_no_flow_keys(record_flow_keys, sync):
+    # Every PS<->worker flow is built once, when the tasks are constructed.
+    sim = Simulator(seed=1)
+    cluster = make_cluster(sim)
+    app = make_app(sim, cluster, n_workers=3, steps=12, sync=sync)
+    ps = app.ps_tasks[0]
+    assert ps._model_flows == [
+        FlowKey(ps.endpoint.host_id, ps.endpoint.port, w.host_id, w.port)
+        for w in app.worker_endpoints
+    ]
+    for wk in app.workers:
+        assert wk._gradient_flows == [ps._model_flows[wk.worker_index].reversed()]
+    app.launch()
+    built = record_flow_keys()
+    sim.run()
+    assert app.metrics.finished
+    assert built == []

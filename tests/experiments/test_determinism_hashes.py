@@ -52,6 +52,24 @@ GOLDEN = [
         "065dc55288967dd135d6f2ab484fa3d421c3ce25e3ce9fe848e1e3ea6449fa46",
         id="collectives-mixed",
     ),
+    # Multi-channel rings stripe chunks over distinct flows, so these pin
+    # the per-step channel/port arithmetic the single-channel cases above
+    # cannot see (captured at commit 5d1bb7a).
+    pytest.param(
+        ExperimentConfig.tiny(
+            architecture=Architecture.ALLREDUCE, allreduce_channels=3
+        ),
+        "7c115bdeed508399cbf0af1d1fa056cd2bc228104b802e007c0cf8927ce4e613",
+        id="collectives-ring-3ch",
+    ),
+    pytest.param(
+        ExperimentConfig.tiny(
+            architecture=Architecture.MIXED, policy=Policy.TLS_RR,
+            allreduce_channels=2,
+        ),
+        "9964d1c8e5a56896bf9adbb24d9500145469c79fcd4234f8abe9ddadab965b79",
+        id="collectives-mixed-tls-rr-2ch",
+    ),
 ]
 
 
