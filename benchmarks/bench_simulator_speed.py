@@ -71,7 +71,6 @@ def run_big_demo(n_hosts: int = 500, n_jobs: int = 1000) -> dict:
     cluster = Cluster(
         sim, n_hosts=n_hosts, cores_per_host=8, link=Link(rate=gbps(10)),
         segment_bytes=256 * 1024, switch_buffer_bytes=4e6,
-        fast_path=True,
     )
     # tiny synthetic model: ~1 MB updates, 10 ms/step of compute
     model = ModelSpec("bench_demo", n_params=250_000,

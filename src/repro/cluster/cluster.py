@@ -50,7 +50,6 @@ class Cluster:
         window_jitter: float = 0.0,
         switch_buffer_bytes: Optional[float] = None,
         rto: float = 0.2,
-        fast_path: bool = False,
     ) -> None:
         if n_hosts < 2:
             raise PlacementError(f"cluster needs >= 2 hosts, got {n_hosts}")
@@ -65,7 +64,6 @@ class Cluster:
             window_jitter=window_jitter,
             switch_buffer_bytes=switch_buffer_bytes,
             rto=rto,
-            fast_path=fast_path,
         )
         self.hosts: Dict[str, Host] = {}
         for hid in host_ids:

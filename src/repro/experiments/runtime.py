@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import os
 import time
+import warnings
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Union
@@ -289,28 +290,19 @@ def materialize(
             cluster/apps/controller.  Same contract as ``metrics``: an
             observation switch whose heartbeat self-compensates the step
             counter, so result content hashes are unchanged.
-        fast_path: flow-granularity fabric fast path.  ``None`` (default)
-            enables it automatically — unless ``$REPRO_FAST_PATH`` is
-            ``0``/``off``/``false``, or the scenario configures faults or
-            netem impairment (crashes strand in-flight segments and netem
-            reorders arrivals, both of which need packet granularity).
-            ``True``/``False`` force the mode (the automatic fault/netem
-            fallback still applies).  Byte-identical results either way —
-            the determinism hash tests pin exactly this.
+        fast_path: deprecated, ignored.  The fabric always runs its
+            final-hop ports at flow granularity, which is byte-identical
+            to packet granularity for every scenario, faults and netem
+            included; passing the keyword emits a ``DeprecationWarning``.
     """
     config = scenario.config
-
-    if fast_path is None:
-        env = os.environ.get(FAST_PATH_ENV)
-        fast_path = env is None or env.strip().lower() not in (
-            "0", "off", "false", "no",
+    if fast_path is not None:
+        warnings.warn(
+            "materialize(fast_path=...) is deprecated and has no effect: "
+            "results are identical at either fabric granularity",
+            DeprecationWarning,
+            stacklevel=2,
         )
-    fast_path = (
-        fast_path
-        and scenario.faults is None
-        and config.netem_loss == 0
-        and config.netem_delay == 0
-    )
 
     # Resolve the scenario's declarative build hooks up front: an unknown
     # hook name must fail before any simulator state exists, and at most
@@ -345,7 +337,6 @@ def materialize(
         window_jitter=config.window_jitter,
         switch_buffer_bytes=config.switch_buffer_bytes,
         rto=config.rto,
-        fast_path=fast_path,
     )
     if on_cluster is not None:
         on_cluster(cluster)
@@ -553,11 +544,6 @@ def materialize(
 #: pool workers, so ``REPRO_WATCHDOG=warn tensorlights ...`` watches a
 #: whole parallel sweep without any call-site plumbing.
 WATCHDOG_ENV = "REPRO_WATCHDOG"
-
-#: Kill switch for the flow-granularity fabric fast path:
-#: ``REPRO_FAST_PATH=0`` forces packet granularity everywhere (an A/B
-#: escape hatch; results are byte-identical either way).
-FAST_PATH_ENV = "REPRO_FAST_PATH"
 
 
 def execute_scenario(

@@ -319,12 +319,12 @@ class NIC:
             self.on_receive(seg)
 
     def settle_rx(self) -> None:
-        """Flush deliveries the fast-path fabric has deferred lazily.
+        """Flush deliveries the flow-level fabric port has deferred lazily.
 
         Mid-run readers of the RX counters (host samplers, invariant
         checks, scrapes) call this first; it matures exactly the
         deliveries packet granularity would have executed by now, so
-        sampled series stay byte-identical between the two modes.
+        sampled series stay byte-identical to packet granularity.
         """
         settle = self._rx_settle
         if settle is not None:

@@ -19,12 +19,12 @@ class Qdisc:
       qdisc is shaping; the caller should retry at ``next_ready_time(now)``.
     * A work-conserving qdisc never returns ``None`` while backlogged.
 
-    Interaction with the flow-level fast path: the fabric's granularity
-    switch (``VirtualOutputPort`` vs ``OutputPort``) lives entirely
+    Interaction with the flow-level fast path: the fabric's port
+    granularity (``VirtualOutputPort`` vs ``OutputPort``) lives entirely
     *behind* the NIC serializer, so qdiscs never see it — every segment
     still passes through ``enqueue``/``dequeue`` at its real timestamps
-    and HTB/TBF token buckets accrue and spend identically in both
-    modes.  This is load-bearing for exactness: shaped qdiscs carry
+    and HTB/TBF token buckets accrue and spend identically at either
+    granularity.  This is load-bearing for exactness: shaped qdiscs carry
     continuous token state, and any fast-path shortcut that skipped (or
     batched) dequeues would de-synchronize that state from the packet-
     granularity timeline the content hashes pin.

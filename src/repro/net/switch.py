@@ -5,22 +5,27 @@ port's link rate.  The switch is deliberately *not* priority-aware: the
 paper's whole point is that end-host scheduling alone suffices, so the
 fabric stays vanilla.
 
-Two port granularities share one behaviour:
+Two port granularities share one behaviour, and the fabric's structure
+— never an option — picks between them:
 
+* :class:`VirtualOutputPort` — flow granularity, used for every port
+  that delivers to a host (star egress ports, two-tier leaf->host
+  ports).  Because every link into a port has the same propagation
+  latency, segments arrive in the order their senders finished
+  serializing them, so the whole FIFO service schedule — queueing, tail
+  drops, departure times — is computable *at admission time*.  The port
+  advances bytes analytically and schedules real events only where the
+  outside world must observe something: one completion event per
+  message (which lazily delivers the segments that matured before it)
+  and one notification event per tail drop (so RTO timers and window
+  halving fire at the exact packet-granularity times).  The elided
+  events are credited back to ``sim._steps``, keeping ``sim_events`` —
+  and therefore the pinned result content hashes — byte-identical to
+  packet granularity.
 * :class:`OutputPort` — packet granularity: every segment costs an
-  ingress event, a serialization-done event and a delivery event.
-* :class:`VirtualOutputPort` — flow granularity (the fast path): because
-  every link into a port has the same propagation latency, segments
-  arrive in the order their senders finished serializing them, so the
-  whole FIFO service schedule — queueing, tail drops, departure times —
-  is computable *at admission time*.  The port advances bytes
-  analytically and schedules real events only where the outside world
-  must observe something: one completion event per message (which lazily
-  delivers the segments that matured before it) and one notification
-  event per tail drop (so RTO timers and window halving fire at the
-  exact packet-granularity times).  The elided events are credited back
-  to ``sim._steps``, keeping ``sim_events`` — and therefore the pinned
-  result content hashes — byte-identical to packet granularity.
+  ingress event, a serialization-done event and a delivery event.  Kept
+  for the two-tier middle hops (leaf uplinks, spine downlinks), whose
+  deliveries feed the *next* port's admission order.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from repro.net.link import Link
 from repro.net.packet import Segment
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.nic import NIC
     from repro.sim.kernel import Simulator
 
 
@@ -153,7 +159,7 @@ class OutputPort:
 class VirtualOutputPort(OutputPort):
     """Flow-granularity egress port: analytic FIFO service at admission.
 
-    Exactness argument (the fast path must be *exact*, not approximate):
+    Exactness argument (flow granularity must be *exact*, not approximate):
     all links into a port share one propagation latency ``L``, so the
     order in which senders finish serializing equals the order segments
     reach the port — admissions are made in arrival order, and FIFO
@@ -368,15 +374,11 @@ class Switch:
         name: str = "sw0",
         buffer_bytes: Optional[float] = None,
         on_drop: Optional[Callable[[Segment], None]] = None,
-        fast_path: bool = False,
     ) -> None:
         self.sim = sim
         self.name = name
         self.buffer_bytes = buffer_bytes
         self.on_drop = on_drop
-        #: flow-granularity egress ports (see VirtualOutputPort); the
-        #: topology builder turns this on, never the scenario itself
-        self.fast_path = fast_path
         self._ports: Dict[str, OutputPort] = {}
         self.segments_forwarded = 0
 
@@ -385,17 +387,32 @@ class Switch:
         host_id: str,
         link: Link,
         deliver: Callable[[Segment], None],
-    ) -> OutputPort:
+    ) -> VirtualOutputPort:
         """Create the egress port toward ``host_id``."""
         if host_id in self._ports:
             raise NetworkError(f"host {host_id} already attached to {self.name}")
-        port_cls = VirtualOutputPort if self.fast_path else OutputPort
-        port = port_cls(
+        port = VirtualOutputPort(
             self.sim, host_id, link, deliver,
             buffer_bytes=self.buffer_bytes,
             on_drop=self.on_drop,
         )
         self._ports[host_id] = port
+        return port
+
+    def attach_nic(self, nic: "NIC", link: Link) -> VirtualOutputPort:
+        """Wire a host NIC to the switch over ``link``, both directions.
+
+        The NIC admits each serialized segment straight into its
+        destination's port, one link latency ahead (``NIC._tx_done``
+        inlines the routing); the port toward the NIC delivers into its
+        RX counters inline.
+        """
+        port = self.attach(nic.host_id, link, nic.receive)
+        nic.attach_link(self.ingress, link.latency)
+        nic._fab_switch = self
+        nic._fab_ports = self._ports
+        nic._rx_settle = port.settle
+        port._rx_nic = nic
         return port
 
     @property
@@ -415,18 +432,6 @@ class Switch:
             )
         self.segments_forwarded += 1
         port.enqueue(seg)
-
-    def admit(self, seg: Segment, arrival: float) -> None:
-        """Fast-path ingress: the sender NIC routes the segment at
-        serialization end, one link latency before it reaches the fabric
-        (requires ``fast_path`` ports)."""
-        port = self._ports.get(seg.flow.dst_host)
-        if port is None:
-            raise NetworkError(
-                f"switch {self.name}: no port for destination {seg.flow.dst_host!r}"
-            )
-        self.segments_forwarded += 1
-        port.admit(seg, arrival)
 
     def port(self, host_id: str) -> Optional[OutputPort]:
         return self._ports.get(host_id)

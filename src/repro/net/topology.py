@@ -53,22 +53,18 @@ class StarNetwork:
         window_jitter: float = 0.0,
         switch_buffer_bytes: float | None = None,
         rto: float = 0.2,
-        fast_path: bool = False,
     ) -> None:
-        """``fast_path`` switches the fabric to flow-granularity ports
+        """The switch's egress ports run at flow granularity
         (:class:`~repro.net.switch.VirtualOutputPort`): sender NICs admit
         serialized segments straight into their egress port, eliding the
         per-segment ingress/serialization/delivery events while staying
-        byte-identical to packet granularity.  An observation-level
-        switch like metrics/watchdog — it must never change results."""
+        byte-identical to packet granularity."""
         self.sim = sim
         self.link = link if link is not None else Link(rate=gbps(10))
-        self.fast_path = fast_path
         self.switch = Switch(
             sim,
             buffer_bytes=switch_buffer_bytes,
             on_drop=self._notify_sender_of_drop,
-            fast_path=fast_path,
         )
         self.nics: Dict[str, NIC] = {}
         self.transports: Dict[str, Transport] = {}
@@ -89,13 +85,7 @@ class StarNetwork:
         if host_id in self.nics:
             raise NetworkError(f"duplicate host id {host_id!r}")
         nic = NIC(self.sim, host_id, rate=self.link.rate)
-        nic.attach_link(self.switch.ingress, self.link.latency)
-        port = self.switch.attach(host_id, self.link, nic.receive)
-        if self.fast_path:
-            nic._fab_switch = self.switch
-            nic._fab_ports = self.switch._ports
-            nic._rx_settle = port.settle
-            port._rx_nic = nic
+        self.switch.attach_nic(nic, self.link)
         transport = Transport(
             self.sim, nic, segment_bytes=self._segment_bytes,
             window_segments=self._window_segments,

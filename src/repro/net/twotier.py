@@ -44,7 +44,6 @@ class LeafSwitch:
         uplink: Link,
         buffer_bytes: Optional[float],
         on_drop: Optional[Callable[[Segment], None]],
-        fast_path: bool = False,
     ) -> None:
         self.sim = sim
         self.name = name
@@ -52,19 +51,28 @@ class LeafSwitch:
         self.uplink_link = uplink
         self.buffer_bytes = buffer_bytes
         self.on_drop = on_drop
-        #: flow-granularity *final-hop* ports (see TwoTierNetwork docs)
-        self.fast_path = fast_path
         self._host_ports: Dict[str, OutputPort] = {}
         self.uplink: Optional[OutputPort] = None  # wired by the topology
         self.local_hosts: set[str] = set()
 
-    def attach_host(self, host_id: str, deliver: Callable[[Segment], None]) -> None:
-        port_cls = VirtualOutputPort if self.fast_path else OutputPort
-        self._host_ports[host_id] = port_cls(
-            self.sim, host_id, self.host_link, deliver,
+    def attach_host(self, nic: NIC) -> VirtualOutputPort:
+        """Wire a local host's NIC to this leaf, both directions.
+
+        The NIC's segments reach :meth:`ingress` after a real link
+        latency event; the final-hop port toward the NIC delivers into
+        its RX counters inline.
+        """
+        host_id = nic.host_id
+        port = VirtualOutputPort(
+            self.sim, host_id, self.host_link, nic.receive,
             buffer_bytes=self.buffer_bytes, on_drop=self.on_drop,
         )
+        nic.attach_link(self.ingress, self.host_link.latency)
+        nic._rx_settle = port.settle
+        port._rx_nic = nic
+        self._host_ports[host_id] = port
         self.local_hosts.add(host_id)
+        return port
 
     def ingress(self, seg: Segment) -> None:
         """From a local host or from the spine."""
@@ -130,18 +138,16 @@ class TwoTierNetwork:
         window_jitter: float = 0.0,
         buffer_bytes: Optional[float] = None,
         rto: float = 0.2,
-        fast_path: bool = False,
     ) -> None:
-        """``fast_path`` runs the *final-hop* (leaf host) ports at flow
-        granularity (:class:`~repro.net.switch.VirtualOutputPort`):
-        admission happens inside the segment's real arrival event (the
-        zero-lookahead ``enqueue`` path), so it is exact regardless of
-        how many hops and latencies the segment crossed, and the
-        serialization + delivery events of the last hop are elided.
-        Middle hops (leaf uplinks, spine downlinks) stay at packet
-        granularity: their deliveries feed the *next* port's admission
-        order, which a lazily-settling port cannot guarantee.  Like all
-        observation-level switches, this must never change results."""
+        """The *final-hop* (leaf host) ports run at flow granularity
+        (:class:`~repro.net.switch.VirtualOutputPort`): admission happens
+        inside the segment's real arrival event (the zero-lookahead
+        ``enqueue`` path), so it is exact regardless of how many hops and
+        latencies the segment crossed, and the serialization + delivery
+        events of the last hop are elided.  Middle hops (leaf uplinks,
+        spine downlinks) stay at packet granularity: their deliveries
+        feed the *next* port's admission order, which a lazily-settling
+        port cannot guarantee."""
         if n_leaves < 1:
             raise NetworkError("need >= 1 leaf")
         if len(host_ids) < n_leaves:
@@ -150,7 +156,6 @@ class TwoTierNetwork:
             raise NetworkError("oversubscription must be >= 1")
         self.sim = sim
         self.link = link if link is not None else Link(rate=1.25e9)
-        self.fast_path = fast_path
         self.nics: Dict[str, NIC] = {}
         self.transports: Dict[str, Transport] = {}
         self._delivery_taps: List[DeliveryTap] = []
@@ -171,19 +176,13 @@ class TwoTierNetwork:
                 sim, f"leaf{li}", self.link,
                 Link(rate=uplink_rate, latency=self.link.latency),
                 buffer_bytes, drop_to_sender,
-                fast_path=fast_path,
             )
             self.leaves.append(leaf)
             for hid in hosts:
                 if hid in self.nics:
                     raise NetworkError(f"duplicate host id {hid!r}")
                 nic = NIC(sim, hid, rate=self.link.rate)
-                nic.attach_link(leaf.ingress, self.link.latency)
-                leaf.attach_host(hid, nic.receive)
-                if fast_path:
-                    port = leaf._host_ports[hid]
-                    nic._rx_settle = port.settle
-                    port._rx_nic = nic
+                leaf.attach_host(nic)
                 self.nics[hid] = nic
                 self.transports[hid] = Transport(
                     sim, nic, segment_bytes=segment_bytes,

@@ -6,6 +6,7 @@ from repro.errors import NetworkError
 from repro.net import Link, StarNetwork, Switch
 from repro.net.addressing import FlowKey
 from repro.net.packet import Message
+from repro.net.switch import OutputPort, VirtualOutputPort
 from repro.sim import Simulator
 
 from tests.net.helpers import seg
@@ -56,42 +57,65 @@ def test_switch_duplicate_attach_raises():
         sw.attach("a", Link(rate=1000.0), lambda s: None)
 
 
+#: Host-facing ports run at flow granularity; the event-driven serializer
+#: stays for two-tier middle hops.  Each port test below runs against
+#: both in one test body, so the test ids stay stable.
+PORT_CLASSES = (OutputPort, VirtualOutputPort)
+
+
+def _port(sim, port_cls, host_id, rate, deliver):
+    return port_cls(sim, host_id, Link(rate=rate, latency=0.0), deliver)
+
+
 def test_switch_port_serializes_at_link_rate():
     """Two segments to the same host arrive separated by tx time."""
-    sim = Simulator()
-    sw = Switch(sim)
-    arrivals = []
-    sw.attach("b", Link(rate=1000.0, latency=0.0), lambda s: arrivals.append(sim.now))
-    sw.ingress(seg(500, dst="b"))
-    sw.ingress(seg(500, dst="b"))
-    sim.run()
-    assert arrivals == [pytest.approx(0.5), pytest.approx(1.0)]
+    for port_cls in PORT_CLASSES:
+        sim = Simulator()
+        arrivals = []
+        port = _port(sim, port_cls, "b", 1000.0, lambda s: arrivals.append(sim.now))
+        port.enqueue(seg(500, dst="b"))
+        port.enqueue(seg(500, dst="b"))
+        sim.run()
+        assert arrivals == [pytest.approx(0.5), pytest.approx(1.0)], port_cls
 
 
 def test_switch_ports_are_independent():
     """Congestion toward one host does not delay another."""
-    sim = Simulator()
-    sw = Switch(sim)
-    t_b, t_c = [], []
-    sw.attach("b", Link(rate=1000.0, latency=0.0), lambda s: t_b.append(sim.now))
-    sw.attach("c", Link(rate=1000.0, latency=0.0), lambda s: t_c.append(sim.now))
-    for _ in range(5):
-        sw.ingress(seg(1000, dst="b"))
-    sw.ingress(seg(1000, dst="c"))
-    sim.run()
-    assert t_c == [pytest.approx(1.0)]
-    assert t_b[-1] == pytest.approx(5.0)
+    for port_cls in PORT_CLASSES:
+        sim = Simulator()
+        t_b, t_c = [], []
+        b = _port(sim, port_cls, "b", 1000.0, lambda s: t_b.append(sim.now))
+        c = _port(sim, port_cls, "c", 1000.0, lambda s: t_c.append(sim.now))
+        for _ in range(5):
+            b.enqueue(seg(1000, dst="b"))
+        c.enqueue(seg(1000, dst="c"))
+        sim.run()
+        assert t_c == [pytest.approx(1.0)], port_cls
+        assert t_b[-1] == pytest.approx(5.0), port_cls
 
 
 def test_output_port_backlog_stats():
-    sim = Simulator()
-    sw = Switch(sim)
-    sw.attach("b", Link(rate=1.0, latency=0.0), lambda s: None)
-    for _ in range(3):
-        sw.ingress(seg(100, dst="b"))
-    port = sw.port("b")
-    assert port.backlog == 2  # one in the serializer
-    assert port.max_backlog >= 2
+    for port_cls in PORT_CLASSES:
+        sim = Simulator()
+        port = _port(sim, port_cls, "b", 1.0, lambda s: None)
+        for _ in range(3):
+            port.enqueue(seg(100, dst="b"))
+        assert port.backlog == 2, port_cls  # one in the serializer
+        assert port.max_backlog >= 2, port_cls
+
+
+def test_port_tail_drops_when_buffer_full():
+    for port_cls in PORT_CLASSES:
+        sim = Simulator()
+        dropped = []
+        port = port_cls(sim, "b", Link(rate=1.0, latency=0.0), lambda s: None,
+                        buffer_bytes=250, on_drop=dropped.append)
+        segs = [seg(100, dst="b") for _ in range(4)]
+        for s in segs:
+            port.enqueue(s)
+        # one in service, two queued (200 B), the fourth overflows 250 B
+        assert dropped == [segs[3]], port_cls
+        assert (port.drops, port.dropped_bytes) == (1, 100), port_cls
 
 
 # ---------------------------------------------------------------- StarNetwork
