@@ -1,8 +1,7 @@
 """Ablations A1-A10 plus the declarative study engine timings.
 
-The A-tables come from :mod:`repro.experiments.study.ablations` (the
-legacy ``repro.experiments.ablations`` names are deprecation shims onto
-the same code); the trailing benchmarks time the study engine itself —
+The A-tables come from :mod:`repro.experiments.study.ablations`; the
+trailing benchmarks time the study engine itself —
 grid generation from the component registry, and the ranked
 component-impact study end to end through one campaign.
 """

@@ -40,12 +40,11 @@ from repro.experiments import (
     ResultCache,
     Scenario,
     SerialExecutor,
-    run_experiment,
 )
 from repro.sim import Simulator
 from repro.tensorlights import TensorLights, TLMode
 
-__version__ = "1.4.0"
+__version__ = "1.5.0"
 
 __all__ = [
     "Campaign",
@@ -68,6 +67,5 @@ __all__ = [
     "TensorLights",
     "get_model",
     "placement_by_index",
-    "run_experiment",
     "__version__",
 ]

@@ -30,7 +30,6 @@ from repro.experiments.campaign import (
     SerialExecutor,
 )
 from repro.experiments.config import Architecture, ExperimentConfig, Policy
-from repro.experiments.runner import run_experiment
 from repro.experiments.runtime import ExperimentResult, execute_scenario, materialize
 from repro.experiments.scenario import Scenario, scenario_grid
 
@@ -50,6 +49,5 @@ __all__ = [
     "SerialExecutor",
     "execute_scenario",
     "materialize",
-    "run_experiment",
     "scenario_grid",
 ]

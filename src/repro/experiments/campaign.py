@@ -28,7 +28,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import signal
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -276,13 +275,13 @@ class ExecutionOutcome:
 
 
 class _ScenarioTimeout(Exception):
-    """Internal: raised by the SIGALRM handler inside a guarded run."""
+    """Internal: injected into a guarded run when its wall budget expires."""
 
 
 def _find_timeout(exc: Optional[BaseException]) -> Optional[_ScenarioTimeout]:
     """The :class:`_ScenarioTimeout` in ``exc``'s cause chain, if any.
 
-    The alarm can fire while the simulator is stepping a process
+    The timer can fire while the simulator is stepping a process
     generator, in which case the kernel re-raises it wrapped in a
     ``ProcessError`` — still a timeout, not a simulation bug.
     """
@@ -295,18 +294,23 @@ def _find_timeout(exc: Optional[BaseException]) -> Optional[_ScenarioTimeout]:
     return None
 
 
-def _run_with_timer_timeout(
-    scenario: Scenario, timeout: float, observe: Dict[str, Any]
+def _run_with_wall_timeout(
+    scenario: Scenario,
+    timeout: float,
+    observe: Optional[Dict[str, Any]] = None,
 ) -> ExperimentResult:
-    """Portable wall-clock guard: ``threading.Timer`` + async-exception.
+    """Run one scenario under a wall-clock budget.
 
-    Used where SIGALRM cannot (no POSIX signals, or off the main
-    thread).  A daemon timer injects :class:`_ScenarioTimeout` into the
-    running thread via ``PyThreadState_SetAsyncExc`` — delivery lands at
-    the next bytecode boundary, which the pure-Python simulator crosses
+    A daemon ``threading.Timer`` injects :class:`_ScenarioTimeout` into
+    the running thread via ``PyThreadState_SetAsyncExc``, so the guard
+    holds on any thread (pool worker, serial caller, or a thread of its
+    own) and on every platform CPython supports.  Delivery lands at the
+    next bytecode boundary, which the pure-Python simulator crosses
     constantly.  A lock plus done-flag closes the finish-line race, and
     a fired-but-undelivered injection is cleared best-effort on the way
-    out.
+    out.  An injection that surfaces wrapped in the kernel's
+    ``ProcessError`` is unwrapped (:func:`_find_timeout`), so a timeout
+    always leaves as one bare :class:`_ScenarioTimeout`.
     """
     import ctypes
 
@@ -326,8 +330,10 @@ def _run_with_timer_timeout(
     timer.daemon = True
     timer.start()
     try:
-        result = execute_scenario(scenario, **observe)
-    except _ScenarioTimeout:
+        result = execute_scenario(scenario, **(observe or {}))
+    except Exception as exc:
+        if _find_timeout(exc) is None:
+            raise
         raise _ScenarioTimeout(
             f"exceeded {timeout:g}s wall-clock budget"
         ) from None
@@ -339,39 +345,6 @@ def _run_with_timer_timeout(
         if state["fired"] and not already_done:
             set_async_exc(tid, None)  # clear a pending, undelivered raise
     return result
-
-
-def _run_with_wall_timeout(
-    scenario: Scenario,
-    timeout: float,
-    observe: Optional[Dict[str, Any]] = None,
-) -> ExperimentResult:
-    """Run one scenario under a wall-clock budget.
-
-    SIGALRM-based where possible (POSIX main thread — inside a pool
-    worker the scenario IS the main thread's only work, so the guard
-    holds exactly where it matters); everywhere else the portable
-    :func:`_run_with_timer_timeout` fallback keeps the budget
-    enforceable instead of silently dropping it.
-    """
-    observe = observe or {}
-    can_alarm = (
-        hasattr(signal, "SIGALRM")
-        and threading.current_thread() is threading.main_thread()
-    )
-    if not can_alarm:
-        return _run_with_timer_timeout(scenario, timeout, observe)
-
-    def on_alarm(signum, frame):
-        raise _ScenarioTimeout(f"exceeded {timeout:g}s wall-clock budget")
-
-    old_handler = signal.signal(signal.SIGALRM, on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, timeout)
-    try:
-        return execute_scenario(scenario, **observe)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, old_handler)
 
 
 #: set by the pool initializer so the chaos hook only ever fires in a
@@ -442,11 +415,6 @@ def _guarded_execute(
     except _ScenarioTimeout as exc:
         return ExecutionOutcome(status="timeout", detail=str(exc), pid=pid)
     except Exception as exc:  # noqa: BLE001 - the whole point is containment
-        timeout_exc = _find_timeout(exc)
-        if timeout_exc is not None:
-            return ExecutionOutcome(
-                status="timeout", detail=str(timeout_exc), pid=pid
-            )
         return ExecutionOutcome(
             status="error",
             detail=f"{type(exc).__name__}: {exc}",
@@ -459,8 +427,8 @@ def _guarded_execute(
 class SerialExecutor:
     """Run scenarios one after another in this process (the default).
 
-    Deterministic and dependency-free — byte-identical to the historical
-    ``for cfg in grid: run_experiment(cfg)`` loop.
+    Deterministic and dependency-free — byte-identical to calling
+    ``execute_scenario`` on each scenario in turn.
     """
 
     max_workers = 1

@@ -13,6 +13,7 @@ becomes a row in the failure section instead of aborting the sweep.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -120,15 +121,8 @@ def generate(
     """Run the robustness sweep (always in failure-report mode)."""
     grid = scenarios(base, losses, policies, ps_crash, crash_at,
                      crash_recover, **overrides)
-    src = campaign if campaign is not None else Campaign()
-    camp = src if src.on_failure == "report" else Campaign(
-        executor=src.executor,
-        cache=src.cache,
-        progress=src.progress,
-        scenario_timeout=src.scenario_timeout,
-        max_attempts=src.max_attempts,
-        on_failure="report",
-    )
+    camp = copy.copy(campaign) if campaign is not None else Campaign()
+    camp.on_failure = "report"
     outcome = camp.run(grid)
     results: Dict[Tuple[Policy, float, bool], ExperimentResult] = {}
     for scenario, result in zip(grid, outcome.results):

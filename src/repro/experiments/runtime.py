@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import os
 import time
-import warnings
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Union
@@ -262,7 +261,6 @@ def materialize(
     ] = None,
     metrics: bool = False,
     watchdog: Optional[str] = None,
-    fast_path: Optional[bool] = None,
 ) -> Runtime:
     """Build the live simulation a scenario describes (without running it).
 
@@ -290,19 +288,8 @@ def materialize(
             cluster/apps/controller.  Same contract as ``metrics``: an
             observation switch whose heartbeat self-compensates the step
             counter, so result content hashes are unchanged.
-        fast_path: deprecated, ignored.  The fabric always runs its
-            final-hop ports at flow granularity, which is byte-identical
-            to packet granularity for every scenario, faults and netem
-            included; passing the keyword emits a ``DeprecationWarning``.
     """
     config = scenario.config
-    if fast_path is not None:
-        warnings.warn(
-            "materialize(fast_path=...) is deprecated and has no effect: "
-            "results are identical at either fabric granularity",
-            DeprecationWarning,
-            stacklevel=2,
-        )
 
     # Resolve the scenario's declarative build hooks up front: an unknown
     # hook name must fail before any simulator state exists, and at most

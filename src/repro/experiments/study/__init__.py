@@ -20,8 +20,7 @@ declarative layers:
   components by JCT impact with bootstrap confidence intervals.
 
 :mod:`~repro.experiments.study.ablations` re-implements the legacy
-A1–A10 tables on top of these layers; ``repro.experiments.ablations``
-now forwards there through deprecation shims.
+A1–A10 tables on top of these layers.
 """
 
 from repro.experiments.study.components import (

@@ -1,8 +1,8 @@
 """The A1–A10 ablation tables, rebuilt on the declarative study engine.
 
 Same tables, same titles, same rows as the legacy hand-written grid
-functions in :mod:`repro.experiments.ablations` (which now forwards here
-through deprecation shims) — but every grid comes from a
+functions (byte-identity pinned by ``tests/experiments/test_study_shims``)
+— but every grid comes from a
 :class:`~repro.experiments.study.spec.StudySpec` over registered
 components, and the two ablations that used to bypass the Scenario layer
 (A6's rate-limiting qdiscs, A10's alternative controllers) now run

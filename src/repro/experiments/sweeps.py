@@ -23,6 +23,7 @@ and the CSV export can never disagree on headers or formatting.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -99,11 +100,6 @@ class SweepResult:
         return self._table().to_csv()
 
 
-def _fmt(v: Any) -> str:
-    """Back-compat alias for :func:`format_axis_value`."""
-    return format_axis_value(v)
-
-
 def sweep(
     base: ExperimentConfig,
     axes: Mapping[str, Sequence[Any]],
@@ -145,11 +141,8 @@ def sweep(
             if chained is not None:
                 chained(event)
 
-        camp = Campaign(executor=camp.executor, cache=camp.cache,
-                        progress=adapter,
-                        scenario_timeout=camp.scenario_timeout,
-                        max_attempts=camp.max_attempts,
-                        on_failure=camp.on_failure)
+        camp = copy.copy(camp)
+        camp.progress = adapter
 
     full = camp.run(scenarios).results
     points: List[SweepPoint] = []

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster import SchedulingPolicy
 from repro.experiments import ExperimentConfig
-from repro.experiments import ablations
+from repro.experiments.study import ablations
 
 TINY = ExperimentConfig(n_jobs=4, n_workers=4, iterations=4,
                         launch_stagger=0.01, tls_interval=0.5)

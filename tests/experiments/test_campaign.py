@@ -11,7 +11,7 @@ from repro.experiments import (
     ResultCache,
     Scenario,
     SerialExecutor,
-    run_experiment,
+    execute_scenario,
 )
 from repro.experiments.campaign import CampaignEvent
 
@@ -39,7 +39,7 @@ def _assert_bit_equal(a, b):
 def test_serial_campaign_matches_run_experiment():
     results = Campaign().run(_scenarios()).results
     for scenario, res in zip(_scenarios(), results):
-        _assert_bit_equal(res, run_experiment(scenario.config))
+        _assert_bit_equal(res, execute_scenario(scenario))
 
 
 def test_parallel_executor_bit_equal_to_serial():

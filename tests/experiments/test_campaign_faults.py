@@ -20,7 +20,7 @@ from repro.faults import FaultPlan, PSCrash
 MICRO = ExperimentConfig.tiny(n_jobs=2, n_workers=2, iterations=3)
 
 #: Big enough that the simulation cannot finish inside any timeout used
-#: below; the SIGALRM guard must cut it short.
+#: below; the wall-clock guard must cut it short.
 GLACIAL = MICRO.replace(iterations=200_000, seed=11)
 
 
@@ -201,39 +201,38 @@ def test_cache_truncated_entry_counts_as_miss_and_quarantine(tmp_path):
     assert len(cache) == 0                     # .corrupt leaves the namespace
 
 
-# -- portable wall-timeout fallback ------------------------------------------
+# -- the threading.Timer wall-clock guard -------------------------------------
 
 
 def test_timer_timeout_cuts_glacial_scenario():
-    """The ``threading.Timer`` fallback (no-SIGALRM platforms / non-main
-    threads) enforces the same budget as the signal path."""
+    """The ``threading.Timer`` guard cuts a run that exceeds its budget."""
     from repro.experiments.campaign import (
-        _find_timeout,
-        _run_with_timer_timeout,
+        _ScenarioTimeout,
+        _run_with_wall_timeout,
     )
 
     start = time.monotonic()
-    # The injected exception may surface bare or wrapped in the kernel's
-    # ProcessError, depending on which bytecode boundary it lands at —
-    # exactly the chain _guarded_execute unwinds with _find_timeout.
-    with pytest.raises(Exception) as info:
-        _run_with_timer_timeout(Scenario(config=GLACIAL), 1.0, {})
-    assert _find_timeout(info.value) is not None
+    # The injected exception may land bare or wrapped in the kernel's
+    # ProcessError, depending on which bytecode boundary it hits; the
+    # guard unwinds both into one bare, budget-naming _ScenarioTimeout.
+    with pytest.raises(_ScenarioTimeout, match="wall-clock budget"):
+        _run_with_wall_timeout(Scenario(config=GLACIAL), 1.0)
     assert time.monotonic() - start < 30.0
 
 
 def test_timer_timeout_returns_result_when_fast_enough():
-    from repro.experiments.campaign import _run_with_timer_timeout
+    from repro.experiments.campaign import _run_with_wall_timeout
 
-    result = _run_with_timer_timeout(Scenario(config=MICRO), 60.0, {})
+    result = _run_with_wall_timeout(Scenario(config=MICRO), 60.0)
     assert result.makespan > 0
 
 
 def test_wall_timeout_off_main_thread_uses_timer_fallback():
-    """``_run_with_wall_timeout`` must stay enforceable where SIGALRM
-    cannot be armed: any thread that is not the main thread."""
-    from repro.experiments.campaign import _run_with_wall_timeout
-    from repro.experiments.campaign import _find_timeout, _ScenarioTimeout
+    """The guard holds off the main thread too."""
+    from repro.experiments.campaign import (
+        _ScenarioTimeout,
+        _run_with_wall_timeout,
+    )
 
     box = {}
 
@@ -247,9 +246,7 @@ def test_wall_timeout_off_main_thread_uses_timer_fallback():
     t.start()
     t.join(timeout=60.0)
     assert not t.is_alive()
-    assert _find_timeout(box["exc"]) is not None or isinstance(
-        box["exc"], _ScenarioTimeout
-    )
+    assert isinstance(box["exc"], _ScenarioTimeout)
 
 
 # -- retry policy / backoff ---------------------------------------------------

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.errors import ConfigError
-from repro.experiments import ExperimentConfig, Policy, run_experiment
+from repro.experiments import ExperimentConfig, Policy, Scenario, execute_scenario
 from repro.experiments.export import (
     CSV_COLUMNS,
     SCHEMA_VERSION,
@@ -23,7 +23,7 @@ TINY = ExperimentConfig.tiny()
 
 @pytest.fixture(scope="module")
 def result():
-    return run_experiment(TINY.replace(policy=Policy.TLS_ONE))
+    return execute_scenario(Scenario(config=TINY.replace(policy=Policy.TLS_ONE)))
 
 
 def test_config_to_dict_is_json_safe(result):

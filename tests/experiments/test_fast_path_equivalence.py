@@ -17,7 +17,6 @@ them to make the flow path pass would defeat the test.
 """
 
 import contextlib
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -191,16 +190,6 @@ def test_generated_scenarios_match_packet_oracle(sc):
     flow, packet = _run_both(sc, watchdog="raise")
     assert result_content_hash(flow) == result_content_hash(packet)
     assert flow.sim_events == packet.sim_events
-
-
-def test_materialize_fast_path_keyword_only_warns():
-    sc = Scenario(config=_T())
-    with pytest.warns(DeprecationWarning, match="fast_path"):
-        forced = materialize(sc, fast_path=False).run()
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        default = materialize(sc).run()
-    assert result_content_hash(forced) == result_content_hash(default)
 
 
 def _run_contention_window(packet):

@@ -3,8 +3,10 @@ not of the physics; the benchmarks assert the paper shapes at full scale)."""
 
 import pytest
 
-from repro.experiments import ExperimentConfig, Policy
-from repro.experiments.figures import fig2, fig3, fig4, fig5a, fig5b, fig6, table1, table2
+from repro.experiments import Campaign, ExperimentConfig, Policy
+from repro.experiments.figures import (
+    fig2, fig3, fig4, fig5a, fig5b, fig6, robustness, table1, table2,
+)
 
 TINY = ExperimentConfig.tiny()
 
@@ -133,3 +135,12 @@ def test_fig1_workflow_protocol():
     result.verify_protocol()
     assert len(result.events) == 2 * 3 * 3
     assert "workflow trace" in result.render()
+
+
+def test_robustness_report_mode_keeps_every_campaign_setting():
+    """Forcing failure-report mode must not drop the campaign's settings."""
+    camp = Campaign(observe_metrics=True)
+    result = robustness.generate(TINY, losses=(0.0,), policies=(Policy.FIFO,),
+                                 campaign=camp)
+    assert result.results[(Policy.FIFO, 0.0, False)].metrics_snapshot
+    assert camp.on_failure == "raise"  # the caller's campaign is left alone

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.experiments import ExperimentConfig, run_experiment
+from repro.experiments import ExperimentConfig, Scenario, execute_scenario
 from repro.experiments.export import (
     result_from_full_dict,
     result_to_full_dict,
@@ -30,7 +30,7 @@ def _round_trip(result):
 
 
 def test_round_trip_preserves_summary_stats():
-    res = run_experiment(MICRO)
+    res = execute_scenario(Scenario(config=MICRO))
     back = _round_trip(res)
     assert back.config == res.config
     assert back.jcts == res.jcts
@@ -43,7 +43,7 @@ def test_round_trip_preserves_summary_stats():
 
 
 def test_round_trip_preserves_barrier_stats():
-    res = run_experiment(MICRO)
+    res = execute_scenario(Scenario(config=MICRO))
     back = _round_trip(res)
     np.testing.assert_array_equal(back.barrier_wait_means(),
                                   res.barrier_wait_means())
@@ -55,9 +55,9 @@ def test_round_trip_preserves_barrier_stats():
 
 
 def test_round_trip_preserves_utilization_queries():
-    res = run_experiment(
-        MICRO.replace(sample_hosts=True, sample_interval=0.02)
-    )
+    res = execute_scenario(Scenario(
+        config=MICRO.replace(sample_hosts=True, sample_interval=0.02)
+    ))
     back = _round_trip(res)
     assert set(back.samplers) == set(res.samplers)
     window = ActiveWindow(0.1 * res.makespan, 0.9 * res.makespan)
@@ -67,14 +67,14 @@ def test_round_trip_preserves_utilization_queries():
 
 
 def test_round_trip_preserves_worker_only_hosts():
-    res = run_experiment(MICRO)
+    res = execute_scenario(Scenario(config=MICRO))
     back = _round_trip(res)
     assert back.worker_only_hosts() == res.worker_only_hosts()
     assert back.ps_hosts == res.ps_hosts
 
 
 def test_round_trip_without_samplers_still_rejects_utilization():
-    res = run_experiment(MICRO)  # sample_hosts=False
+    res = execute_scenario(Scenario(config=MICRO))  # sample_hosts=False
     back = _round_trip(res)
     window = ActiveWindow(0.0, res.makespan)
     with pytest.raises(ConfigError):
@@ -82,7 +82,7 @@ def test_round_trip_without_samplers_still_rejects_utilization():
 
 
 def test_full_dict_rejects_unknown_version():
-    res = run_experiment(MICRO)
+    res = execute_scenario(Scenario(config=MICRO))
     data = result_to_full_dict(res)
     data["full_schema_version"] = 999
     with pytest.raises(ConfigError):

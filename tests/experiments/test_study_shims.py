@@ -1,20 +1,17 @@
-"""Pin the deprecated ablation shims byte-identical to the old tables.
+"""Pin the study-engine ablation tables byte-identical to the old ones.
 
 The legacy hand-rolled A1/A2/A4 grid code is reproduced inline here
 (frozen as it stood before the study-engine migration) and its rendered
-tables compared byte-for-byte against what the shims — now forwarding to
-:mod:`repro.experiments.study.ablations` — emit for the same fixed-seed
+tables compared byte-for-byte against what
+:mod:`repro.experiments.study.ablations` emits for the same fixed-seed
 inputs.  Any drift in titles, headers, row values, or formatting fails.
 """
 
-import warnings
-
 import numpy as np
-import pytest
 
 from repro.experiments import Campaign, ExperimentConfig, Policy, Scenario
-from repro.experiments import ablations
 from repro.experiments.report import TextTable
+from repro.experiments.study import ablations
 
 TINY = ExperimentConfig.tiny()
 
@@ -107,49 +104,23 @@ def _legacy_fair_queue(base):
 # -- byte-identity pins -------------------------------------------------------
 
 
-def _shimmed(fn, *args, **kwargs):
-    with pytest.warns(DeprecationWarning, match="deprecated"):
-        return fn(*args, **kwargs)
-
-
 def test_bands_shim_byte_identical():
-    result = _shimmed(ablations.bands, TINY, band_counts=(1, 4))
+    result = ablations.bands(TINY, band_counts=(1, 4))
     assert result.render() == _legacy_bands(TINY, (1, 4))
 
 
 def test_interval_shim_byte_identical():
-    result = _shimmed(ablations.interval, TINY, intervals=(0.5, 2.0))
+    result = ablations.interval(TINY, intervals=(0.5, 2.0))
     assert result.render() == _legacy_interval(TINY, (0.5, 2.0))
 
 
 def test_fair_queue_shim_byte_identical():
-    result = _shimmed(ablations.fair_queue, TINY)
+    result = ablations.fair_queue(TINY)
     assert result.render() == _legacy_fair_queue(TINY)
 
 
-def test_every_shim_warns_and_forwards():
-    from repro.experiments.study import ablations as study_ablations
-
-    for name in ("bands", "interval", "transport", "fair_queue", "ps_aware",
-                 "rate_control", "async_mode", "multi_ps", "compression",
-                 "adaptive"):
-        shim = getattr(ablations, name)
-        assert shim.__wrapped__ is getattr(study_ablations, name)
-
-
 def test_ablation_result_csv_matches_render_cells():
-    result = _shimmed(ablations.fair_queue, TINY)
+    result = ablations.fair_queue(TINY)
     csv_lines = result.to_csv().splitlines()
     assert csv_lines[0] == ",".join(result.headers)
     assert len(csv_lines) == 1 + len(result.rows)
-
-
-def test_shim_module_import_is_silent():
-    # Importing the legacy module must not warn; only calls do.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        import importlib
-
-        import repro.experiments.ablations as mod
-
-        importlib.reload(mod)

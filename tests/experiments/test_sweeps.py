@@ -6,7 +6,7 @@ import io
 import pytest
 
 from repro.errors import ConfigError
-from repro.experiments import ExperimentConfig, Policy
+from repro.experiments import Campaign, ExperimentConfig, Policy
 from repro.experiments.sweeps import sweep
 
 TINY = ExperimentConfig.tiny()
@@ -56,6 +56,15 @@ def test_sweep_progress_callback():
           progress=lambda i, n, ov: seen.append((i, n, dict(ov))))
     assert seen[0] == (0, 2, {"placement_index": 1})
     assert seen[1][0] == 1
+
+
+def test_sweep_progress_keeps_every_campaign_setting():
+    """Wrapping the campaign for ``progress`` must not drop its settings."""
+    camp = Campaign(observe_metrics=True)
+    result = sweep(TINY, axes={"placement_index": [1]}, keep_results=True,
+                   progress=lambda i, n, ov: None, campaign=camp)
+    assert result.results[0].metrics_snapshot
+    assert camp.progress is None  # the caller's campaign is left alone
 
 
 def test_sweep_render_and_csv():

@@ -1,13 +1,13 @@
-"""The stable surface: repro.api exports and the runner deprecation shim."""
+"""The stable surface: repro.api exports, and the removed shims stay gone."""
 
+import importlib
 import inspect
-import warnings
 
 import pytest
 
 import repro.api as api
+import repro.experiments
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runtime import ExperimentResult
 
 
 def test_every_name_in_all_resolves():
@@ -69,24 +69,16 @@ def test_facade_classes_have_docstrings():
             assert obj.__doc__, f"{name} has no docstring"
 
 
-def test_run_experiment_warns_and_forwards():
-    from repro.experiments.runner import run_experiment
-
-    cfg = ExperimentConfig.tiny()
-    with pytest.warns(DeprecationWarning, match="run_experiment is deprecated"):
-        res = run_experiment(cfg)
-    assert isinstance(res, ExperimentResult)
-    assert res.config == cfg
+@pytest.mark.parametrize("module", ["repro.experiments.runner",
+                                    "repro.experiments.ablations"])
+def test_removed_shim_modules_are_gone(module):
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module(module)
 
 
-def test_run_experiment_matches_pipeline():
-    """The shim is byte-equivalent to the Scenario/Runtime pipeline."""
-    from repro.experiments.export import result_content_hash
-    from repro.experiments.runner import run_experiment
-
-    cfg = ExperimentConfig.tiny()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = run_experiment(cfg)
-    modern = api.execute_scenario(api.Scenario(config=cfg))
-    assert result_content_hash(legacy) == result_content_hash(modern)
+def test_removed_names_are_gone():
+    assert not hasattr(repro, "run_experiment")
+    assert not hasattr(repro.experiments, "run_experiment")
+    with pytest.raises(TypeError):
+        api.materialize(api.Scenario(config=ExperimentConfig.tiny()),
+                        fast_path=False)

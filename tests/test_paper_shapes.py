@@ -9,7 +9,7 @@ scale versions live in benchmarks/.
 import numpy as np
 import pytest
 
-from repro.experiments import ExperimentConfig, Policy, run_experiment
+from repro.experiments import ExperimentConfig, Policy, Scenario, execute_scenario
 
 MID = ExperimentConfig(
     n_jobs=8,
@@ -27,9 +27,9 @@ def results():
     out = {}
     for placement in (1, 8):
         for policy in (Policy.FIFO, Policy.TLS_ONE, Policy.TLS_RR):
-            out[(placement, policy)] = run_experiment(
-                MID.replace(placement_index=placement, policy=policy)
-            )
+            out[(placement, policy)] = execute_scenario(Scenario(
+                config=MID.replace(placement_index=placement, policy=policy)
+            ))
     return out
 
 

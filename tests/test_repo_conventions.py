@@ -2,12 +2,14 @@
 
 Cheap meta-tests that keep the public surface documented and the imports
 clean as the library grows: every module has a docstring, every public
-class and function is documented, and declared ``__all__`` names exist.
+class and function is documented, declared ``__all__`` names exist, and
+no documented deprecation outlives its removal release.
 """
 
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -69,3 +71,26 @@ def test_every_subpackage_reachable_from_root():
 
 def test_version_string():
     assert repro.__version__.count(".") == 2
+
+
+def _release(text):
+    """``"1.5"`` / ``"1.5.0"`` -> ``(1, 5, 0)``."""
+    parts = [int(part) for part in text.split(".")]
+    return tuple(parts + [0] * (3 - len(parts)))
+
+
+def test_no_deprecation_is_overdue():
+    """Every row of docs/api.md's "Currently deprecated" table must name
+    a removal release newer than this one: a shim is deleted when due."""
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "api.md").read_text()
+    assert "## Currently deprecated" in doc
+    section = doc.split("## Currently deprecated", 1)[1].split("\n## ", 1)[0]
+    rows = [line.strip().strip("|").split("|")
+            for line in section.splitlines() if line.startswith("|")]
+    current = _release(repro.__version__)
+    overdue = [
+        cells[0].strip()
+        for cells in rows[2:]  # past the header and separator rows
+        if cells[-1].strip() and _release(cells[-1].strip()) <= current
+    ]
+    assert not overdue, f"due for removal by {repro.__version__}: {overdue}"

@@ -144,7 +144,12 @@ def test_nic_utilization_accounting_exact():
 
 def test_work_conservation_identity_across_policies():
     """Same workload under FIFO vs priorities: identical total bytes."""
-    from repro.experiments import ExperimentConfig, Policy, run_experiment
+    from repro.experiments import (
+        ExperimentConfig,
+        Policy,
+        Scenario,
+        execute_scenario,
+    )
 
     tiny = ExperimentConfig.tiny()
     expected = (
@@ -154,7 +159,7 @@ def test_work_conservation_identity_across_policies():
                   target_global_steps=tiny.target_global_steps).shard_bytes * 2
     )
     for policy in (Policy.FIFO, Policy.TLS_ONE):
-        res = run_experiment(tiny.replace(policy=policy))
+        res = execute_scenario(Scenario(config=tiny.replace(policy=policy)))
         # conservation asserted indirectly: all jobs hit their step target
         for m in res.metrics.values():
             assert m.global_steps == tiny.target_global_steps
