@@ -35,7 +35,10 @@ def _run(cfg, policy, noisy=False, lossy=False):
         switch_buffer_bytes=cfg.switch_buffer_bytes, rto=cfg.rto,
     )
     scheduler = ClusterScheduler(cluster.host_ids)
-    ps_hosts = scheduler.ps_hosts_for_placement(cfg.placement())
+    placement = cfg.placement()
+    ps_hosts = scheduler.ps_hosts_for_assignment(
+        [placement.ps_host_of_job(j) for j in range(placement.n_jobs)]
+    )
     model = get_model(cfg.model)
     controller = None
     if policy == Policy.TLS_ONE:

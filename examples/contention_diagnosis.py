@@ -1,9 +1,10 @@
 #!/usr/bin/env python
-"""Diagnosing contention with queue telemetry.
+"""Diagnosing contention with flow telemetry.
 
-An operator's view: you suspect a host is a PS hotspot.  Sample its NIC
-backlog and the flow completion times, compare FIFO against TensorLights,
-and render the evidence as ASCII charts — no plotting stack required.
+An operator's view: you suspect a host is a PS hotspot.  Collect the flow
+completion times and job completion times, read the switch's peak
+backlog toward the host, compare FIFO against TensorLights, and render
+the evidence as ASCII charts — no plotting stack required.
 
 Run:  python examples/contention_diagnosis.py
 """
@@ -14,7 +15,6 @@ from repro import Cluster, DLApplication, JobSpec, Simulator, TensorLights, TLMo
 from repro.analysis import Bar, render_barchart
 from repro.dl.model_zoo import get_model
 from repro.net.link import Link
-from repro.telemetry import QueueDepthSampler
 from repro.telemetry.flows import FlowCollector
 
 
@@ -23,8 +23,6 @@ def run(tls: bool, seed: int = 6):
     cluster = Cluster(sim, n_hosts=9, link=Link(rate=2.5e9 / 8),
                       window_jitter=0.5, switch_buffer_bytes=2e6, rto=0.02)
     flows = FlowCollector.install(cluster.network)
-    sampler = QueueDepthSampler(cluster.host("h00"), interval=0.02)
-    sampler.start()
     controller = TensorLights(cluster, mode=TLMode.ONE) if tls else None
     model = get_model("resnet32_cifar10")
     workers = [f"h{i:02d}" for i in range(1, 9)]
@@ -38,39 +36,33 @@ def run(tls: bool, seed: int = 6):
         apps.append(app)
         app.launch()
 
-    def stop_sampling():
-        from repro.sim.primitives import AllOf
-
-        yield AllOf([a.done for a in apps])
-        sampler.stop()
-
-    sim.spawn(stop_sampling(), name="stop-sampling")
     sim.run()
     jct = float(np.mean([a.metrics.jct for a in apps]))
-    return jct, sampler, flows
+    # gradient incast into the PS host queues at its switch egress port
+    backlog = cluster.network.switch.port("h00").max_backlog
+    return jct, backlog, flows
 
 
 def main() -> None:
     results = {}
     for label, tls in (("fifo", False), ("tls-one", True)):
-        jct, sampler, flows = run(tls)
+        jct, backlog, flows = run(tls)
         results[label] = dict(
             jct=jct,
-            peak_mb=sampler.peak_backlog() / 1e6,
-            busy=sampler.busy_fraction(threshold_bytes=1e6),
+            backlog=backlog,
             p50=flows.percentile("model_update", 50),
             p99=flows.percentile("model_update", 99),
         )
 
     print("Diagnosis of the suspected PS hotspot (h00), 5 colocated jobs:\n")
-    for metric, title, scale in (
-        ("peak_mb", "peak NIC backlog (MB)", 1.0),
-        ("busy", "fraction of time backlog > 1 MB", 1.0),
-        ("p50", "median model-update FCT (s)", 1.0),
-        ("jct", "average JCT (s)", 1.0),
+    for metric, title in (
+        ("backlog", "peak switch backlog toward h00 (segments)"),
+        ("p50", "median model-update FCT (s)"),
+        ("p99", "p99 model-update FCT (s)"),
+        ("jct", "average JCT (s)"),
     ):
         print(render_barchart(
-            [Bar(label, results[label][metric] * scale) for label in results],
+            [Bar(label, results[label][metric]) for label in results],
             width=40, title=title,
         ))
         print()
@@ -78,8 +70,8 @@ def main() -> None:
     f, t = results["fifo"], results["tls-one"]
     print(f"TensorLights cut the median model-update FCT "
           f"{f['p50'] / t['p50']:.1f}x and average JCT by "
-          f"{100 * (1 - t['jct'] / f['jct']):.0f}% — same bytes, same peak "
-          "backlog, different drain *order*.")
+          f"{100 * (1 - t['jct'] / f['jct']):.0f}% — same bytes, different "
+          "drain *order* at the PS NIC.")
 
 
 if __name__ == "__main__":

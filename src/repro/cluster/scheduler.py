@@ -2,14 +2,15 @@
 
 The baseline scheduler mimics YARN/Borg as described in the paper §II: it
 is *agnostic of task functionality* (PS vs worker), so PS colocation
-occurs naturally.  Policies:
+occurs naturally.  Table I placements and the contention-aware
+placement policies (:mod:`repro.placement.policies`) hand the scheduler
+a ready host-index assignment (:meth:`ClusterScheduler.ps_hosts_for_assignment`);
+otherwise a policy picks each PS host online:
 
-* ``explicit`` — reproduce a Table I :class:`PlacementSpec` exactly (used
-  by every paper experiment);
 * ``random`` — place each PS on a uniformly random host (what an
   oblivious scheduler effectively does);
 * ``pack`` — fill hosts in order (bin-packing by request count);
-* ``spread`` — least-loaded host first;
+* ``spread`` — least-loaded host first (the default);
 * ``ps_aware`` — the paper's §VII future-work extension: like ``spread``
   but counts only *PS* tasks when balancing, guaranteeing minimal PS
   colocation.
@@ -20,7 +21,6 @@ from __future__ import annotations
 import enum
 from typing import Dict, List, Optional, Sequence, TYPE_CHECKING
 
-from repro.cluster.placement import PlacementSpec
 from repro.errors import PlacementError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -30,7 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover
 class SchedulingPolicy(str, enum.Enum):
     """How the cluster scheduler picks a PS host (see module docstring)."""
 
-    EXPLICIT = "explicit"
     RANDOM = "random"
     PACK = "pack"
     SPREAD = "spread"
@@ -43,7 +42,7 @@ class ClusterScheduler:
     def __init__(
         self,
         host_ids: Sequence[str],
-        policy: SchedulingPolicy = SchedulingPolicy.EXPLICIT,
+        policy: SchedulingPolicy = SchedulingPolicy.SPREAD,
         rng: Optional["RandomStreams"] = None,
     ) -> None:
         if not host_ids:
@@ -62,26 +61,12 @@ class ClusterScheduler:
 
     # -- PS host selection ------------------------------------------------
 
-    def ps_hosts_for_placement(self, spec: PlacementSpec) -> List[str]:
-        """PS host id for each job index under an explicit placement."""
-        if spec.n_ps_hosts > len(self.host_ids):
-            raise PlacementError(
-                f"placement needs {spec.n_ps_hosts} PS hosts, cluster has "
-                f"{len(self.host_ids)}"
-            )
-        hosts = []
-        for job_idx in range(spec.n_jobs):
-            host = self.host_ids[spec.ps_host_of_job(job_idx)]
-            hosts.append(host)
-            self._account_ps(host)
-        return hosts
-
     def ps_hosts_for_assignment(self, assignment: Sequence[int]) -> List[str]:
         """PS host id per job for a placement-policy host-index assignment.
 
         ``assignment[j]`` is an index into ``host_ids`` (the form
         :meth:`repro.placement.policies.PlacementPolicy.assign` returns);
-        loads are accounted exactly as for an explicit placement.
+        each PS counts towards its host's task and PS load.
         """
         hosts = []
         for job_idx, host_idx in enumerate(assignment):
@@ -96,11 +81,7 @@ class ClusterScheduler:
         return hosts
 
     def pick_ps_host(self) -> str:
-        """Choose a PS host under the dynamic (non-explicit) policies."""
-        if self.policy == SchedulingPolicy.EXPLICIT:
-            raise PlacementError(
-                "explicit policy requires ps_hosts_for_placement(spec)"
-            )
+        """Choose a PS host under the scheduler's policy."""
         if self.policy == SchedulingPolicy.RANDOM:
             if self.rng is None:
                 raise PlacementError("random policy requires an rng")

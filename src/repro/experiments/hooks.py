@@ -15,10 +15,11 @@ through parallel executors and the on-disk cache like any other.
 
 Three hooks ship built in:
 
-* ``tl_controller`` — construct the TensorLights controller explicitly
-  (static or adaptive variant, optional non-work-conserving HTB), the
-  declarative form of A10 and the ``htb_borrowing``/``adaptive``
-  component knockouts.
+* ``tl_controller`` — the one place a TensorLights controller is built:
+  static or adaptive variant, optional non-work-conserving HTB.  With no
+  parameters it is the controller ``materialize`` gives TLs-One/TLs-RR
+  runs; with parameters it is the declarative form of A10 and the
+  ``htb_borrowing``/``adaptive`` component knockouts.
 * ``rate_control`` — A6's centralized sender rate allocation: static
   non-work-conserving HTB shares at each contended PS host.
 * ``slow_start`` — toggle the transport's slow-start ramp on every host.

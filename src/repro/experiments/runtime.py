@@ -33,7 +33,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 import numpy as np
 
 from repro.cluster import Cluster, ClusterScheduler, default_host_ids
-from repro.cluster.scheduler import SchedulingPolicy
 from repro.collectives import AllReduceApplication
 from repro.dl import DLApplication, JobSpec
 from repro.dl.metrics import JobMetrics
@@ -48,7 +47,7 @@ from repro.net.qdisc.netem import NetemQdisc
 from repro.sim import Simulator
 from repro.telemetry import ActiveWindow, HostSampler, window_mean
 from repro.telemetry.sampler import SampleSeries
-from repro.tensorlights import TensorLights, TLMode
+from repro.tensorlights import TensorLights
 
 
 @dataclass
@@ -252,6 +251,48 @@ class Runtime:
         )
 
 
+def _assign_ps_hosts(scenario: Scenario, host_ids: List[str]) -> List[int]:
+    """One PS host index per job from the config's placement policy.
+
+    The policy sees the Table I baseline (the scenario's placement
+    override, else the config's) and, if it wants them, job fingerprints
+    — profiled once per shape via the process store, and a deterministic
+    function of the shape, so the assignment stays content-addressable.
+    """
+    from repro.placement.policies import (
+        PlacementContext,
+        PlacementJob,
+        get_placement_policy,
+    )
+    from repro.placement.store import FingerprintStore
+
+    config = scenario.config
+    policy = get_placement_policy(config.placement_policy)
+    fingerprint = (
+        FingerprintStore.default().get_or_profile(config)
+        if policy.needs_fingerprints else None
+    )
+    ctx = PlacementContext(
+        host_ids=tuple(host_ids),
+        jobs=tuple(
+            PlacementJob(
+                index=j,
+                arrival_time=j * config.launch_stagger,
+                fingerprint=fingerprint,
+            )
+            for j in range(config.n_jobs)
+        ),
+        baseline=scenario.placement or config.placement(),
+    )
+    assignment = policy.assign(ctx)
+    if len(assignment) != config.n_jobs:
+        raise ConfigError(
+            f"policy {policy.name!r} assigned {len(assignment)} jobs, "
+            f"config has {config.n_jobs}"
+        )
+    return assignment
+
+
 def materialize(
     scenario: Scenario,
     trace_kinds: Optional[Iterable[str]] = None,
@@ -328,58 +369,14 @@ def materialize(
     if on_cluster is not None:
         on_cluster(cluster)
     arch = Architecture(config.architecture)
-    explicit_ps_hosts: List[str] = []
-    if arch == Architecture.PS and config.placement_policy == "oblivious":
-        spec = scenario.placement if scenario.placement is not None else config.placement()
-        if spec.n_jobs != config.n_jobs:
-            raise ConfigError(
-                f"placement covers {spec.n_jobs} jobs, config has {config.n_jobs}"
-            )
-        scheduler = ClusterScheduler(cluster.host_ids)
-        explicit_ps_hosts = scheduler.ps_hosts_for_placement(spec)
-    elif arch == Architecture.PS:
-        # Contention-aware placement: resolve the policy, fingerprint the
-        # job shape if the policy wants one (profiled once per shape via
-        # the process store), and turn the policy's host indices into PS
-        # hosts.  Fingerprints are a deterministic function of the shape,
-        # so the assignment — and the run — stays content-addressable.
-        from repro.placement.policies import (
-            PlacementContext,
-            PlacementJob,
-            get_placement_policy,
-        )
-        from repro.placement.store import FingerprintStore
-
-        placement_policy = get_placement_policy(config.placement_policy)
-        fingerprint = (
-            FingerprintStore.default().get_or_profile(config)
-            if placement_policy.needs_fingerprints else None
-        )
-        ctx = PlacementContext(
-            host_ids=tuple(cluster.host_ids),
-            jobs=tuple(
-                PlacementJob(
-                    index=j,
-                    arrival_time=j * config.launch_stagger,
-                    fingerprint=fingerprint,
-                )
-                for j in range(config.n_jobs)
-            ),
-            baseline=config.placement(),
-        )
-        assignment = placement_policy.assign(ctx)
-        if len(assignment) != config.n_jobs:
-            raise ConfigError(
-                f"policy {placement_policy.name!r} assigned "
-                f"{len(assignment)} jobs, config has {config.n_jobs}"
-            )
-        scheduler = ClusterScheduler(cluster.host_ids)
-        explicit_ps_hosts = scheduler.ps_hosts_for_assignment(assignment)
-    else:
-        # Ring architectures have no Table I analogue: members (and any
-        # mixed-in PS jobs) are placed by the load-balancing scheduler.
-        scheduler = ClusterScheduler(
-            cluster.host_ids, policy=SchedulingPolicy.SPREAD
+    # Ring members (and any mixed-in PS jobs) are placed by the
+    # load-balancing scheduler; PS-architecture jobs take their hosts from
+    # the placement policy, Table I's oblivious one included.
+    scheduler = ClusterScheduler(cluster.host_ids)
+    assigned_ps_hosts: List[str] = []
+    if arch == Architecture.PS:
+        assigned_ps_hosts = scheduler.ps_hosts_for_assignment(
+            _assign_ps_hosts(scenario, cluster.host_ids)
         )
 
     model = get_model(config.model)
@@ -388,18 +385,14 @@ def materialize(
             f"{model.name}*{config.model_compute_factor:g}",
             compute_factor=config.model_compute_factor,
         )
-    controller: Optional[TensorLights]
-    if controller_factory is not None:
-        controller = controller_factory(cluster, config)
-    elif config.policy in (Policy.TLS_ONE, Policy.TLS_RR):
-        controller = TensorLights(
-            cluster,
-            mode=TLMode.ONE if config.policy == Policy.TLS_ONE else TLMode.RR,
-            interval=config.tls_interval,
-            max_bands=config.max_bands,
-        )
-    else:
-        controller = None
+    if controller_factory is None and config.policy in (
+        Policy.TLS_ONE, Policy.TLS_RR
+    ):
+        controller_factory = get_build_hook("tl_controller").controller({})
+    controller = (
+        controller_factory(cluster, config)
+        if controller_factory is not None else None
+    )
 
     recovery = scenario.faults.recovery if scenario.faults is not None else None
     if scenario.faults is not None and (config.n_ps != 1 or not config.sync):
@@ -434,7 +427,7 @@ def materialize(
                 channels=config.allreduce_channels,
             )
         else:
-            ps_host = (explicit_ps_hosts[j] if arch == Architecture.PS
+            ps_host = (assigned_ps_hosts[j] if arch == Architecture.PS
                        else scheduler.pick_ps_host())
             worker_hosts = scheduler.worker_hosts(ps_host, config.n_workers)
             app = DLApplication(job_spec, cluster, ps_host, worker_hosts,

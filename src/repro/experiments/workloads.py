@@ -25,10 +25,12 @@ from repro.collectives import AllReduceApplication
 from repro.dl import DLApplication, JobSpec
 from repro.dl.model_zoo import ModelSpec, get_model
 from repro.errors import WorkloadError
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.hooks import get_build_hook
 from repro.net.link import Link
 from repro.sim import Simulator
 from repro.sim.process import Timeout
-from repro.tensorlights import TensorLights, TLMode
+from repro.tensorlights import TLMode
 
 
 @dataclass(frozen=True)
@@ -157,8 +159,12 @@ def run_dynamic_cluster(
     scheduler = ClusterScheduler(
         cluster.host_ids, policy=scheduler_policy, rng=sim.rng
     )
+    # The controller hook reads only tls_interval and max_bands from the
+    # config once the mode is given.
     controller = (
-        TensorLights(cluster, mode=tensorlights, interval=tls_interval)
+        get_build_hook("tl_controller").controller(
+            {"mode": tensorlights.value}
+        )(cluster, ExperimentConfig(tls_interval=tls_interval))
         if tensorlights is not None
         else None
     )

@@ -83,7 +83,7 @@ class NIC:
         self.loss_tolerant = False
         self.on_segment_sent: Optional[Callable[[Segment], None]] = None
         self.on_receive: Optional[Callable[[Segment], None]] = None
-        #: fired when the egress qdisc AQM-drops an accepted segment
+        #: fired when the egress qdisc head-drops an accepted segment
         self.on_segment_dropped: Optional[Callable[[Segment], None]] = None
         self.qdisc.on_drop = self._handle_qdisc_drop
         self._deliver: Optional[Callable[[Segment], None]] = None
@@ -274,7 +274,7 @@ class NIC:
         events._live += 1
 
     def _handle_qdisc_drop(self, seg: Segment) -> None:
-        """An AQM head drop: notify the local transport."""
+        """A qdisc head drop (HTB ``del_class``): notify the local transport."""
         if self.sim.trace.enabled:
             self.sim.trace.record(
                 "aqm_drop", host=self.host_id, flow=str(seg.flow),

@@ -21,14 +21,11 @@ from repro.net.qdisc.fifo import PFifo
 from repro.net.qdisc.prio import PrioQdisc
 from repro.net.qdisc.tbf import TokenBucketFilter
 from repro.net.qdisc.htb import HTBClass, HTBQdisc
-from repro.net.qdisc.codel import CoDelQdisc
 from repro.net.qdisc.drr import DRRQdisc
-from repro.net.qdisc.sfq import SFQQdisc
 from repro.net.qdisc.netem import NetemQdisc
 from repro.net.qdisc.filters import FlowFilter, PortFilter
 
 __all__ = [
-    "CoDelQdisc",
     "DRRQdisc",
     "FlowFilter",
     "HTBClass",
@@ -38,6 +35,5 @@ __all__ = [
     "PortFilter",
     "PrioQdisc",
     "Qdisc",
-    "SFQQdisc",
     "TokenBucketFilter",
 ]

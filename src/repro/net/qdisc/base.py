@@ -77,10 +77,11 @@ class Qdisc:
     drops: int = 0
 
     #: Optional callback fired when a qdisc drops a segment it had
-    #: previously *accepted* (AQM head drops).  The NIC wires this to the
-    #: local transport's loss handler so the flow's window slot is
-    #: released and the segment retransmitted.  Tail drops at enqueue are
-    #: reported through the ``enqueue -> False`` return instead.
+    #: previously *accepted* (head drops, e.g. HTB ``del_class``).  The
+    #: NIC wires this to the local transport's loss handler so the flow's
+    #: window slot is released and the segment retransmitted.  Tail drops
+    #: at enqueue are reported through the ``enqueue -> False`` return
+    #: instead.
     on_drop = None
 
     def _note_drop(self) -> None:

@@ -323,7 +323,7 @@ class Transport:
         sim.schedule_fire(self.rto, self._retransmit, (seg,))
 
     def _on_local_drop(self, seg: Segment) -> None:
-        """The local egress qdisc AQM-dropped an accepted segment.
+        """The local egress qdisc head-dropped an accepted segment.
 
         Unlike a switch drop (where the segment had already left the NIC),
         a local drop still holds a window slot — release it, then treat

@@ -134,10 +134,9 @@ def _require_fingerprints(ctx: PlacementContext, name: str) -> None:
 class ObliviousPolicy(PlacementPolicy):
     """Reproduce the baseline Table I placement exactly.
 
-    Exists so the policy layer is total — the runtime's oblivious fast
-    path never constructs it, but studies that enumerate policies (and
-    the equivalence tests pinning byte-identical behaviour) go through
-    the same interface as every other policy.
+    The default policy: ``materialize`` places every PS-architecture run
+    through it unless the config names another, with the scenario's
+    placement override (else the config's Table I index) as baseline.
     """
 
     name = OBLIVIOUS

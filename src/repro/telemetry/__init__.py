@@ -16,7 +16,6 @@ from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.telemetry.queues import QueueDepthSampler
 from repro.telemetry.sampler import HostSampler, SampleSeries
 from repro.telemetry.scrape import scrape_cluster
 from repro.telemetry.window import ActiveWindow, window_mean
@@ -28,7 +27,6 @@ __all__ = [
     "Histogram",
     "HostSampler",
     "MetricsRegistry",
-    "QueueDepthSampler",
     "SampleSeries",
     "scrape_cluster",
     "to_csv",

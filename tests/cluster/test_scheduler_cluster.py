@@ -17,10 +17,15 @@ def test_scheduler_needs_hosts():
         ClusterScheduler([])
 
 
+def _table1_assignment(spec):
+    """The host-index assignment of a Table I placement, job by job."""
+    return [spec.ps_host_of_job(j) for j in range(spec.n_jobs)]
+
+
 def test_explicit_placement_maps_jobs_to_hosts():
     sched = ClusterScheduler(HOSTS)
     spec = PlacementSpec((2, 3))
-    hosts = sched.ps_hosts_for_placement(spec)
+    hosts = sched.ps_hosts_for_assignment(_table1_assignment(spec))
     assert hosts == ["h00", "h00", "h01", "h01", "h01"]
     assert sched.colocation_profile() == [2, 3]
 
@@ -28,13 +33,15 @@ def test_explicit_placement_maps_jobs_to_hosts():
 def test_explicit_placement_too_many_groups():
     sched = ClusterScheduler(["a", "b"])
     with pytest.raises(PlacementError):
-        sched.ps_hosts_for_placement(PlacementSpec((1, 1, 1)))
+        sched.ps_hosts_for_assignment(
+            _table1_assignment(PlacementSpec((1, 1, 1)))
+        )
 
 
-def test_explicit_policy_rejects_dynamic_pick():
-    sched = ClusterScheduler(HOSTS, policy=SchedulingPolicy.EXPLICIT)
-    with pytest.raises(PlacementError):
-        sched.pick_ps_host()
+def test_default_policy_is_spread():
+    sched = ClusterScheduler(HOSTS)
+    assert sched.policy == SchedulingPolicy.SPREAD
+    assert [sched.pick_ps_host() for _ in range(5)] == HOSTS
 
 
 def test_random_policy_requires_rng():
@@ -142,7 +149,7 @@ def test_host_task_registry():
 
 def test_colocation_profile_matches_table1_notation():
     sched = ClusterScheduler(HOSTS)
-    sched.ps_hosts_for_placement(PlacementSpec((2, 3)))
+    sched.ps_hosts_for_assignment(_table1_assignment(PlacementSpec((2, 3))))
     assert sched.colocation_profile() == [2, 3]
 
 

@@ -22,33 +22,35 @@ optimization pass.
 
 import pytest
 
+from repro.cluster.placement import PlacementSpec
 from repro.experiments.config import Architecture, ExperimentConfig, Policy
 from repro.experiments.export import result_content_hash
 from repro.experiments.runtime import execute_scenario
 from repro.experiments.scenario import Scenario
 
-#: (config, sha256 of the lossless result dict minus wall_seconds);
+#: (scenario, sha256 of the lossless result dict minus wall_seconds);
 #: captured at commit 8e4837a, before the fast-path kernel landed.
 GOLDEN = [
     pytest.param(
-        ExperimentConfig.tiny(),
+        Scenario(config=ExperimentConfig.tiny()),
         "49f5e3d75035eac61f827d5e1f81a835e35320c4c0043916e6c684ac6afffb8f",
         id="fig1-fifo",
     ),
     pytest.param(
-        ExperimentConfig.tiny(policy=Policy.TLS_ONE),
+        Scenario(config=ExperimentConfig.tiny(policy=Policy.TLS_ONE)),
         "91640d163a1e3b97e9c2ccb7486c1b98a515d23f7eb78a76dfe6954ed4b425ee",
         id="fig1-tls-one",
     ),
     pytest.param(
-        ExperimentConfig.tiny(architecture=Architecture.ALLREDUCE),
+        Scenario(config=ExperimentConfig.tiny(
+            architecture=Architecture.ALLREDUCE)),
         "675ec19b9f6404ab4f2ad610f50af9060419c2424a1b38d5203c597d418cdc04",
         id="collectives-ring",
     ),
     pytest.param(
-        ExperimentConfig.tiny(
+        Scenario(config=ExperimentConfig.tiny(
             architecture=Architecture.MIXED, policy=Policy.TLS_ONE
-        ),
+        )),
         "065dc55288967dd135d6f2ab484fa3d421c3ce25e3ce9fe848e1e3ea6449fa46",
         id="collectives-mixed",
     ),
@@ -56,26 +58,39 @@ GOLDEN = [
     # the per-step channel/port arithmetic the single-channel cases above
     # cannot see (captured at commit 5d1bb7a).
     pytest.param(
-        ExperimentConfig.tiny(
+        Scenario(config=ExperimentConfig.tiny(
             architecture=Architecture.ALLREDUCE, allreduce_channels=3
-        ),
+        )),
         "7c115bdeed508399cbf0af1d1fa056cd2bc228104b802e007c0cf8927ce4e613",
         id="collectives-ring-3ch",
     ),
     pytest.param(
-        ExperimentConfig.tiny(
+        Scenario(config=ExperimentConfig.tiny(
             architecture=Architecture.MIXED, policy=Policy.TLS_RR,
             allreduce_channels=2,
-        ),
+        )),
         "9964d1c8e5a56896bf9adbb24d9500145469c79fcd4234f8abe9ddadab965b79",
         id="collectives-mixed-tls-rr-2ch",
+    ),
+    # The PS-only TLs-RR controller and a scenario-level placement
+    # override (the A5 shape) pin the controller and Table I placement
+    # build paths (captured at commit 9f2dc55).
+    pytest.param(
+        Scenario(config=ExperimentConfig.tiny(policy=Policy.TLS_RR)),
+        "4c4344d58dc485b6e6fd096db4e88dc1a3a5ecf8979be9170003541ee312d73c",
+        id="fig1-tls-rr",
+    ),
+    pytest.param(
+        Scenario(config=ExperimentConfig.tiny(), placement=PlacementSpec((2, 2))),
+        "d6dff3e1bf52fe18f4da0ee09c66c861530d84f6d5004be54808efd85416d66c",
+        id="placement-override-2-2",
     ),
 ]
 
 
-@pytest.mark.parametrize("config, expected", GOLDEN)
-def test_content_hash_matches_pre_optimization_pipeline(config, expected):
-    res = execute_scenario(Scenario(config=config))
+@pytest.mark.parametrize("scenario, expected", GOLDEN)
+def test_content_hash_matches_pre_optimization_pipeline(scenario, expected):
+    res = execute_scenario(scenario)
     assert result_content_hash(res) == expected
 
 

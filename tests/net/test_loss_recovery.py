@@ -125,7 +125,7 @@ def test_on_loss_tracks_ssthresh():
 
 
 def test_local_drop_releases_window_slot():
-    """An egress (netem/AQM) drop must free its window slot; otherwise the
+    """An egress (netem) drop must free its window slot; otherwise the
     flow wedges once ``window`` drops are in flight.  Full delivery of a
     many-segment message through a very lossy egress proves the release."""
     from repro.net.qdisc.netem import NetemQdisc
@@ -145,6 +145,35 @@ def test_local_drop_releases_window_slot():
     assert tp.segments_lost > 0          # the netem loss actually bit
     assert tp.segments_retransmitted >= tp.segments_lost
     assert tp.active_flows == 0          # every window slot was released
+
+
+def test_local_head_drop_recovers_via_transport():
+    """End to end: ``tc class del`` head-drops a class's queued segments,
+    the transport releases their window slots, retransmits them through
+    the default class, and the message is still delivered in full."""
+    from repro.net.qdisc import HTBQdisc, PortFilter
+
+    sim, net = lossy_net(buffer_bytes=None, rto=0.05, window=8)
+    filt = PortFilter()
+    filt.add_match(1, 10)
+    htb = HTBQdisc(filter=filt, default_classid=20)
+    htb.add_class(1, rate=1000.0, ceil=1000.0)
+    htb.add_class(10, rate=1000.0, ceil=1000.0, parent=1)
+    htb.add_class(20, rate=1000.0, ceil=1000.0, parent=1)
+    net.nic("a").set_qdisc(htb)
+    got = []
+    net.transport("b").listen(6000, got.append)
+    net.transport("a").send_message(
+        Message(flow=FlowKey("a", 1, "b", 6000), size=5000)
+    )
+    sim.schedule(0.5, htb.del_class, (10,))
+    sim.run()
+    assert [m.size for m in got] == [5000]
+    assert net.nic("b").bytes_rx == 5000
+    assert htb.drops > 0
+    tp = net.transport("a")
+    assert tp.segments_retransmitted >= htb.drops
+    assert tp.active_flows == 0
 
 
 def test_egress_drop_raises_without_loss_tolerance():

@@ -137,19 +137,24 @@ def test_nic_idle_when_empty():
 
 
 def test_set_qdisc_rewires_drop_callback():
-    """A replacement qdisc's AQM drops still reach the transport hook."""
-    from repro.net.qdisc import CoDelQdisc
+    """A replacement qdisc's head drops still reach the transport hook."""
+    from repro.net.qdisc import HTBQdisc
 
     sim = Simulator()
     nic, _ = make_nic(sim, rate=1000.0)
     dropped = []
     nic.on_segment_dropped = dropped.append
-    codel = CoDelQdisc(target=0.001, interval=0.01)
-    nic.set_qdisc(codel)
-    assert codel.on_drop is not None
-    s = seg(100)
-    codel.on_drop(s)  # simulate an AQM head drop
-    assert dropped == [s]
+    filt = PortFilter()
+    htb = HTBQdisc(filter=filt, default_classid=10)
+    htb.add_class(1, rate=1000.0, ceil=1000.0)
+    htb.add_class(10, rate=1000.0, ceil=1000.0, parent=1)
+    nic.set_qdisc(htb)
+    assert htb.on_drop is not None
+    first, queued = seg(100), seg(100, index=1)
+    nic.send(first)   # starts serializing at once
+    nic.send(queued)  # waits in class 10
+    htb.del_class(10)  # ``tc class del`` head-drops the queued segment
+    assert dropped == [queued]
 
 
 def test_nic_counters_after_mixed_traffic():

@@ -22,7 +22,6 @@ from repro.net.qdisc import (
     PFifo,
     PortFilter,
     PrioQdisc,
-    SFQQdisc,
     TokenBucketFilter,
 )
 
@@ -39,8 +38,6 @@ def make_qdisc(name):
         return PrioQdisc(bands=3, filter=filt)
     if name == "drr":
         return DRRQdisc(quantum=500)
-    if name == "sfq":
-        return SFQQdisc(divisor=16)
     if name == "tbf":
         return TokenBucketFilter(rate=1e6, burst=1e5)
     if name == "htb":
@@ -54,8 +51,8 @@ def make_qdisc(name):
     raise AssertionError(name)
 
 
-ALL_QDISCS = ["pfifo", "prio", "drr", "sfq", "tbf", "htb"]
-WORK_CONSERVING = ["pfifo", "prio", "drr", "sfq"]
+ALL_QDISCS = ["pfifo", "prio", "drr", "tbf", "htb"]
+WORK_CONSERVING = ["pfifo", "prio", "drr"]
 
 schedule = st.lists(
     st.tuples(

@@ -1,98 +1,11 @@
-"""Unit tests for the SFQ and netem qdiscs."""
+"""Unit tests for the netem qdisc."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.errors import QdiscError
-from repro.net.qdisc import NetemQdisc, SFQQdisc
+from repro.net.qdisc import NetemQdisc
 
 from tests.net.helpers import seg
-
-
-# ---------------------------------------------------------------- SFQ
-
-
-def test_sfq_invalid_divisor():
-    with pytest.raises(QdiscError):
-        SFQQdisc(divisor=0)
-
-
-def test_sfq_single_flow_fifo_order():
-    q = SFQQdisc()
-    a, b = seg(10, sport=5000), seg(20, sport=5000)
-    q.enqueue(a, 0.0)
-    q.enqueue(b, 0.0)
-    assert q.dequeue(0.0) is a
-    assert q.dequeue(0.0) is b
-    assert q.dequeue(0.0) is None
-
-
-def test_sfq_two_flows_alternate():
-    q = SFQQdisc(divisor=128)
-    for _ in range(3):
-        q.enqueue(seg(10, sport=5000), 0.0)
-        q.enqueue(seg(10, sport=5001), 0.0)
-    ports = []
-    while True:
-        s = q.dequeue(0.0)
-        if s is None:
-            break
-        ports.append(s.flow.src_port)
-    # one segment per bucket per round -> strict alternation (no collision
-    # with divisor 128 and these two flows)
-    assert ports[0] != ports[1]
-    assert sorted(ports) == [5000] * 3 + [5001] * 3
-
-
-def test_sfq_bucket_collision_shares_service():
-    """With divisor 1 every flow shares the single bucket (pure FIFO)."""
-    q = SFQQdisc(divisor=1)
-    a = seg(10, sport=5000)
-    b = seg(10, sport=5001)
-    q.enqueue(a, 0.0)
-    q.enqueue(b, 0.0)
-    assert q.dequeue(0.0) is a
-    assert q.dequeue(0.0) is b
-
-
-def test_sfq_limit_drops():
-    q = SFQQdisc(limit=1)
-    assert q.enqueue(seg(), 0.0)
-    assert not q.enqueue(seg(), 0.0)
-    assert q.drops == 1
-
-
-def test_sfq_accounting():
-    q = SFQQdisc()
-    q.enqueue(seg(10, sport=5000), 0.0)
-    q.enqueue(seg(20, sport=5001), 0.0)
-    assert len(q) == 2
-    assert q.backlog_bytes == 30
-    assert q.n_active_buckets == 2
-
-
-def test_sfq_perturb_changes_hash():
-    flows_a = SFQQdisc(divisor=4, perturb_salt=0)
-    flows_b = SFQQdisc(divisor=4, perturb_salt=12345)
-    hashes_a = [flows_a._hash(seg(sport=5000 + i)) for i in range(32)]
-    hashes_b = [flows_b._hash(seg(sport=5000 + i)) for i in range(32)]
-    assert hashes_a != hashes_b
-
-
-@given(st.lists(st.integers(min_value=0, max_value=9), max_size=60))
-def test_property_sfq_conserves_segments(flow_ids):
-    q = SFQQdisc(divisor=8)
-    segments = [seg(100, sport=5000 + f) for f in flow_ids]
-    for s in segments:
-        q.enqueue(s, 0.0)
-    out = []
-    while True:
-        s = q.dequeue(0.0)
-        if s is None:
-            break
-        out.append(s)
-    assert sorted(id(s) for s in out) == sorted(id(s) for s in segments)
-    assert len(q) == 0 and q.backlog_bytes == 0
 
 
 # ---------------------------------------------------------------- netem

@@ -123,54 +123,3 @@ def test_collector_sees_traffic_across_a_ps_crash():
     assert result.fault_events
     assert collector.fcts("model_update", job="job00").size > 0
     assert collector.fcts("gradient_update", job="job00").size > 0
-
-
-# ---------------------------------------------------------------- queues
-
-
-def test_queue_depth_sampler_validation():
-    from repro.telemetry import QueueDepthSampler
-
-    sim = Simulator()
-    cluster = Cluster(sim, n_hosts=2)
-    with pytest.raises(Exception):
-        QueueDepthSampler(cluster.host("h00"), interval=0.0)
-
-
-def test_queue_depth_sampler_sees_contention():
-    from repro.net.link import Link as _Link
-    from repro.telemetry import QueueDepthSampler
-
-    sim = Simulator(seed=1)
-    cluster = Cluster(sim, n_hosts=4, link=_Link(rate=2e6),
-                      segment_bytes=64 * 1024)
-    sampler = QueueDepthSampler(cluster.host("h00"), interval=0.01)
-    sampler.start()
-    spec = JobSpec("j0", FAST, n_workers=3, target_global_steps=30)
-    app = DLApplication(spec, cluster, "h00", ["h01", "h02", "h03"])
-    app.launch()
-
-    def stopper():
-        yield app.done
-        sampler.stop()
-
-    sim.spawn(stopper(), name="stopper")
-    sim.run()
-    assert len(sampler.depth) > 0
-    # the PS's 3-message bursts through a slow 2 MB/s NIC must queue
-    assert sampler.peak_backlog() > 0
-    assert 0.0 <= sampler.busy_fraction() <= 1.0
-    assert sampler.mean_depth() >= 0.0
-
-
-def test_queue_depth_sampler_empty_queries_raise():
-    from repro.errors import ConfigError
-    from repro.telemetry import QueueDepthSampler
-
-    sim = Simulator()
-    cluster = Cluster(sim, n_hosts=2)
-    s = QueueDepthSampler(cluster.host("h00"))
-    with pytest.raises(ConfigError):
-        s.peak_backlog()
-    with pytest.raises(ConfigError):
-        s.mean_depth()

@@ -184,22 +184,6 @@ def test_sampler_restart_does_not_duplicate_loops():
     assert all(b > a for a, b in zip(s.cpu.times, s.cpu.times[1:]))
 
 
-def test_queue_sampler_restart_does_not_duplicate_loops():
-    """Same parked-Timeout hazard, qdisc-depth flavour."""
-    from repro.telemetry import QueueDepthSampler
-
-    sim = Simulator()
-    cluster = make_cluster(sim)
-    s = QueueDepthSampler(cluster.host("h00"), interval=1.0)
-    s.start()
-    sim.schedule(2.5, s.stop)
-    sim.schedule(2.7, s.start)
-    sim.run(until=6.45)
-    s.stop()
-    sim.run()
-    assert s.depth.times == pytest.approx([1.0, 2.0, 3.7, 4.7, 5.7])
-
-
 # ------------------------------------------------------- utilization math
 
 
