@@ -173,7 +173,8 @@ class ResultCache:
 
         Unreadable or stale-schema entries count as misses, never as
         errors.  A file that *exists* but will not parse — truncated by a
-        crash mid-write outside our atomic protocol, or bit-rotted — is
+        crash mid-write outside our atomic protocol, bit-rotted, or JSON
+        whose ``"result"`` is not an object — is
         additionally quarantined (renamed with a ``.corrupt`` suffix) so
         it stops shadowing the slot and the scenario re-runs cleanly.
         """
@@ -184,8 +185,10 @@ class ResultCache:
             self.misses += 1
             return None
         try:
-            data = json.loads(text)
-            result = result_from_full_dict(data["result"])
+            payload = json.loads(text)["result"]
+            if not isinstance(payload, dict):
+                raise TypeError("cache entry result is not an object")
+            result = result_from_full_dict(payload)
         except (ValueError, KeyError, TypeError, ConfigError):
             self._quarantine(entry)
             self.misses += 1
@@ -847,10 +850,11 @@ class Campaign:
         kill_after = _chaos_campaign_kill_after() if journal else None
         outcomes_recorded = 0
 
+        # Callers build outcome records (and their result content hashes)
+        # only when a journal is open: a hash re-encodes the whole result,
+        # which would dominate an unjournaled warm pass.
         def record_outcome(record: Dict[str, Any]) -> None:
             nonlocal outcomes_recorded
-            if journal is None:
-                return
             journal.append(record)
             outcomes_recorded += 1
             if kill_after is not None and outcomes_recorded >= kill_after:
@@ -894,12 +898,13 @@ class Campaign:
                 first_of_key[key] = index
                 metrics.counter("campaign_scenarios_total", status="cached").inc()
                 metrics.counter("campaign_cache_hits_total").inc()
-                record_outcome({
-                    "kind": "outcome", "index": index, "key": key,
-                    "status": "cached", "cached": True,
-                    "attempts": prior_attempts.get(key, 0),
-                    "content_hash": result_content_hash(cached),
-                })
+                if journal is not None:
+                    record_outcome({
+                        "kind": "outcome", "index": index, "key": key,
+                        "status": "cached", "cached": True,
+                        "attempts": prior_attempts.get(key, 0),
+                        "content_hash": result_content_hash(cached),
+                    })
                 emit("cached", index)
                 continue
             first_of_key[key] = index
@@ -949,20 +954,23 @@ class Campaign:
                     # Cache first, then journal: a journaled "ok" must
                     # always be servable from the cache on resume.
                     self.cache.put(scenario_list[index], outcome.result)
-                record_outcome({
-                    "kind": "outcome", "index": index, "key": key,
-                    "status": "ok", "cached": False, "attempts": attempts,
-                    "content_hash": result_content_hash(outcome.result),
-                    "worker": outcome.pid,
-                })
+                if journal is not None:
+                    record_outcome({
+                        "kind": "outcome", "index": index, "key": key,
+                        "status": "ok", "cached": False,
+                        "attempts": attempts,
+                        "content_hash": result_content_hash(outcome.result),
+                        "worker": outcome.pid,
+                    })
                 emit("done", index)
                 continue
-            record_outcome({
-                "kind": "outcome", "index": index, "key": key,
-                "status": outcome.status, "cached": False,
-                "attempts": attempts, "detail": outcome.detail,
-                "worker": outcome.pid,
-            })
+            if journal is not None:
+                record_outcome({
+                    "kind": "outcome", "index": index, "key": key,
+                    "status": outcome.status, "cached": False,
+                    "attempts": attempts, "detail": outcome.detail,
+                    "worker": outcome.pid,
+                })
             if self.on_failure == "raise":
                 if outcome.error is not None:
                     raise outcome.error

@@ -48,6 +48,11 @@ HOOK_PARAM_TYPES = (type(None), bool, int, float, str)
 HookSpec = Tuple[str, Tuple[Tuple[str, Any], ...]]
 
 
+#: :class:`ExperimentConfig` field names in declaration order.  Every
+#: field is a scalar or an enum, so a flat walk needs no recursive copy.
+_CONFIG_FIELDS = tuple(f.name for f in dataclasses.fields(ExperimentConfig))
+
+
 def config_to_dict(config: ExperimentConfig) -> Dict[str, Any]:
     """A JSON-safe dict of a config's fields (enums as their values).
 
@@ -56,10 +61,10 @@ def config_to_dict(config: ExperimentConfig) -> Dict[str, Any]:
     pinned result hashes — byte-identical.  :func:`config_from_dict`
     restores the default for the missing key.
     """
-    out = dataclasses.asdict(config)
+    out = {name: getattr(config, name) for name in _CONFIG_FIELDS}
     out["policy"] = config.policy.value
     out["architecture"] = Architecture(config.architecture).value
-    if out.get("placement_policy") == "oblivious":
+    if out["placement_policy"] == "oblivious":
         del out["placement_policy"]
     return out
 
@@ -70,8 +75,7 @@ def config_from_dict(data: Mapping[str, Any]) -> ExperimentConfig:
     Unknown keys are rejected — a cache entry written by a different
     config schema must not silently deserialize into the wrong run.
     """
-    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-    unknown = set(data) - fields
+    unknown = set(data).difference(_CONFIG_FIELDS)
     if unknown:
         raise ConfigError(f"unknown config fields {sorted(unknown)}")
     kwargs = dict(data)
@@ -233,11 +237,22 @@ class Scenario:
         Two scenarios with the same key produce bit-identical results
         (the simulation is deterministic in the config seed), which is
         what makes the on-disk result cache sound.  Tags are excluded.
+
+        Derived once per object: the scenario is frozen, so the key is
+        memoized in the instance ``__dict__`` (``_key``, not a dataclass
+        field, so eq, hash and repr ignore it).  ``dataclasses.replace``
+        builds a new object and derives its own key.
         """
-        payload = self.to_dict()
-        del payload["tags"]
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        key = self.__dict__.get("_key")
+        if key is None:
+            payload = self.to_dict()
+            del payload["tags"]
+            canonical = json.dumps(
+                payload, sort_keys=True, separators=(",", ":")
+            )
+            key = hashlib.sha256(canonical.encode()).hexdigest()
+            object.__setattr__(self, "_key", key)
+        return key
 
 
 def scenario_from_dict(data: Mapping[str, Any]) -> Scenario:

@@ -108,3 +108,60 @@ def test_parallel_executor_rejects_bad_worker_count():
 
     with pytest.raises(ConfigError):
         ParallelExecutor(max_workers=0)
+
+
+# -- what a cache hit costs -----------------------------------------------
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Count result content hashes and ``Scenario.to_dict`` calls (the
+    latter per scenario object) made while a campaign runs."""
+    from collections import Counter
+
+    from repro.experiments import campaign as campaign_mod
+
+    counts = {"hash": 0, "to_dict": Counter()}
+    content_hash = campaign_mod.result_content_hash
+    to_dict = Scenario.to_dict
+
+    def counting_hash(result):
+        counts["hash"] += 1
+        return content_hash(result)
+
+    def counting_to_dict(self):
+        counts["to_dict"][id(self)] += 1
+        return to_dict(self)
+
+    monkeypatch.setattr(campaign_mod, "result_content_hash", counting_hash)
+    monkeypatch.setattr(Scenario, "to_dict", counting_to_dict)
+    return counts
+
+
+def test_unjournaled_runs_hash_no_results(tmp_path, calls):
+    cold = Campaign(cache=ResultCache(tmp_path)).run(_scenarios())
+    assert cold.executed == 2
+    assert calls["hash"] == 0
+
+    calls["to_dict"].clear()
+    fresh = _scenarios()  # as a new process builds them: no key memo yet
+    warm = Campaign(cache=ResultCache(tmp_path)).run(fresh + fresh[:1])
+    assert warm.cache_hits == 2
+    assert calls["hash"] == 0
+    assert sorted(calls["to_dict"].values()) == [1, 1]
+
+
+def test_journaled_warm_run_hashes_each_hit_once(tmp_path, calls):
+    from repro.experiments.export import result_content_hash
+    from repro.experiments.journal import CampaignJournal
+
+    scenarios = _scenarios()
+    Campaign(cache=ResultCache(tmp_path / "cache")).run(scenarios)
+    warm = Campaign(cache=ResultCache(tmp_path / "cache"), run_id="warm",
+                    journal_dir=tmp_path / "journals").run(scenarios)
+    assert warm.cache_hits == len(scenarios)
+    assert calls["hash"] == len(scenarios)
+    outcomes = CampaignJournal.open("warm", tmp_path / "journals").state().outcomes
+    for scenario, result in warm.pairs():
+        record = outcomes[scenario.key()]
+        assert record["status"] == "cached"
+        assert record["content_hash"] == result_content_hash(result)

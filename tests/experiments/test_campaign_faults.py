@@ -201,6 +201,25 @@ def test_cache_truncated_entry_counts_as_miss_and_quarantine(tmp_path):
     assert len(cache) == 0                     # .corrupt leaves the namespace
 
 
+@pytest.mark.parametrize("payload", [
+    '{"result": []}', '{"result": 5}', '{"result": null}', "[]", '"x"',
+])
+def test_cache_entry_of_wrong_shape_is_quarantined_miss(tmp_path, payload):
+    """Valid JSON of the wrong shape is unreadable too: it counts as a
+    miss and is quarantined, and the campaign re-runs the scenario."""
+    scenario = Scenario(config=MICRO)
+    cache = ResultCache(tmp_path)
+    first = Campaign(cache=cache).run([scenario])
+    entry = next(tmp_path.glob("*.json"))
+    entry.write_text(payload)
+
+    rerun = Campaign(cache=cache).run([scenario])
+    assert rerun.cache_hits == 0 and rerun.executed == 1
+    assert cache.corrupt == 1
+    assert [p.read_text() for p in tmp_path.glob("*.json.corrupt")] == [payload]
+    assert rerun.results[0].jcts == first.results[0].jcts
+
+
 # -- the threading.Timer wall-clock guard -------------------------------------
 
 
