@@ -17,6 +17,13 @@ Examples::
 ``--cache`` / ``--cache-dir`` reuse results across invocations (results
 are deterministic in the config, so both are safe — see
 docs/reproduction-guide.md).
+
+Every subcommand is one entry of :data:`COMMANDS`, which names its
+generator, the flags it offers, whether it submits through a
+:class:`~repro.experiments.campaign.Campaign`, and its exit rule.
+:func:`main` builds every subparser and dispatches every command from
+that table.  A subcommand offers only the config flags its generator
+honors; the generator receives them as ``ExperimentConfig`` overrides.
 """
 
 from __future__ import annotations
@@ -24,83 +31,396 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.cluster.placement import TABLE1_PLACEMENTS
+from repro.errors import ConfigError, ReproError
 from repro.experiments.campaign import (
     Campaign,
     CampaignEvent,
     ParallelExecutor,
     ResultCache,
+    RetryPolicy,
 )
-from repro.experiments.config import Architecture, ExperimentConfig, Policy
+from repro.experiments.config import (
+    PAPER_SCALE,
+    Architecture,
+    ExperimentConfig,
+    Policy,
+)
+from repro.experiments.figures import (
+    codesign,
+    collectives,
+    fct,
+    fig1,
+    fig2,
+    fig3,
+    fig4,
+    fig5a,
+    fig5b,
+    fig6,
+    impact,
+    robustness,
+    table1,
+    table2,
+)
+from repro.experiments.figures.common import ALL_POLICIES
 from repro.experiments.scenario import Scenario
 from repro.units import parse_rate, parse_size
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--jobs", type=int, default=None, help="concurrent jobs")
-    parser.add_argument("--workers", type=int, default=None, help="workers per job")
-    parser.add_argument("--iterations", type=int, default=None,
-                        help="sync iterations per job (paper: 1500)")
-    parser.add_argument("--batch", type=int, default=None, help="local batch size")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--sample-interval", type=float, default=None,
-                        help="telemetry sampling period (table2)")
-    parser.add_argument("--netem-loss", type=float, default=None,
-                        metavar="P",
-                        help="drop fraction P of egress segments at worker "
-                             "NICs (netem-style impairment)")
-    parser.add_argument("--netem-delay", type=float, default=None,
-                        metavar="S", help="add S seconds of egress delay at "
-                                          "worker NICs")
-    parser.add_argument("--netem-jitter", type=float, default=None,
-                        metavar="S", help="uniform jitter on --netem-delay")
-    parser.add_argument("--link-rate", type=str, default=None, metavar="RATE",
-                        help='host link rate, e.g. "10Gbit" or "2.5 Gbps"')
-    parser.add_argument("--switch-buffer", type=str, default=None,
-                        metavar="SIZE",
-                        help='per-switch-port egress buffer, e.g. "4MB" or '
-                             '"512KiB"')
-    parser.add_argument("--paper-scale", action="store_true",
-                        help="full 30000 global steps (slow)")
+def _gbps(text: str) -> float:
+    return parse_rate(text) * 8.0 / 1e9
 
 
-def _worker_count(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _bytes(text: str) -> float:
+    return float(parse_size(text))
 
 
-def _add_campaign(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--parallel", type=_worker_count, default=None,
-                        metavar="N",
-                        help="run independent experiments over N processes")
-    parser.add_argument("--cache", action="store_true",
-                        help="reuse cached results ($REPRO_CACHE_DIR or "
-                             "~/.cache/tensorlights-repro)")
-    parser.add_argument("--cache-dir", type=str, default=None, metavar="DIR",
-                        help="result cache at DIR (implies --cache)")
-    parser.add_argument("--progress", action="store_true",
-                        help="print per-experiment progress to stderr")
-    parser.add_argument("--scenario-timeout", type=float, default=None,
-                        metavar="S",
-                        help="wall-clock budget per scenario in seconds")
+_POLICY = dict(type=Policy, choices=[p.value for p in Policy])
+_PLACEMENT = dict(type=int, choices=sorted(TABLE1_PLACEMENTS))
+
+#: Config flags; each ``dest`` is the ``ExperimentConfig`` field it sets.
+CONFIG_FLAGS: Dict[str, Dict[str, Any]] = {
+    "--jobs": dict(dest="n_jobs", type=int, help="concurrent jobs"),
+    "--workers": dict(dest="n_workers", type=int, help="workers per job"),
+    "--iterations": dict(type=int, help="sync iterations per job (paper: 1500)"),
+    "--batch": dict(dest="local_batch_size", type=int, help="local batch size"),
+    "--seed": dict(type=int),
+    "--sample-interval": dict(type=float, help="telemetry sampling period"),
+    "--netem-loss": dict(type=float, metavar="P",
+                         help="drop fraction P of egress segments at worker NICs"),
+    "--netem-delay": dict(type=float, metavar="S", help="egress delay at worker NICs"),
+    "--netem-jitter": dict(type=float, metavar="S", help="uniform jitter on --netem-delay"),
+    "--link-rate": dict(dest="link_gbps", type=_gbps, metavar="RATE",
+                        help='host link rate, e.g. "10Gbit" or "2.5 Gbps"'),
+    "--switch-buffer": dict(dest="switch_buffer_bytes", type=_bytes, metavar="SIZE",
+                            help='per-switch-port egress buffer, e.g. "4MB" or "512KiB"'),
+    "--allreduce-fraction": dict(type=float, metavar="F",
+                                 help="fraction of jobs that become rings under mixed"),
+    "--channels": dict(dest="allreduce_channels", type=int, metavar="N",
+                       help="concurrent chunk channels per ring member"),
+    "--placement": dict(dest="placement_index", **_PLACEMENT, help="Table I index"),
+    "--placement-policy": dict(metavar="NAME", help="placement policy (see repro.placement); "
+                                                    "non-oblivious ones ignore --placement"),
+    "--policy": dict(**_POLICY),
+    # Not a field: sets PAPER_SCALE's fields, under any explicit flag.
+    "--paper-scale": dict(action="store_true", help="full 30000 global steps (slow)"),
+}
+
+#: Generator keyword arguments; an unset one keeps the generator's default.
+OPTIONS: Dict[str, Dict[str, Any]] = {
+    "--placements": dict(nargs="+", **_PLACEMENT, help="Table I placement indices"),
+    "--batches": dict(dest="batch_sizes", type=int, nargs="+", help="local batch sizes"),
+    "--losses": dict(type=float, nargs="+", help="netem loss rates (0.0 is the baseline)"),
+    "--policies": dict(nargs="+", **_POLICY, help="scheduling-policy axis"),
+    "--ps-crash": dict(action="store_true", help="also run each cell with a PS crash"),
+    "--crash-at": dict(type=float, help="sim time of the PS crash"),
+    "--crash-recover": dict(type=float, help="downtime before the PS restarts"),
+    "--architectures": dict(nargs="+", type=Architecture,
+                            choices=[Architecture.ALLREDUCE.value, Architecture.MIXED.value]),
+    "--quick": dict(action="store_true", help="CI smoke scale; explicit config flags apply on top"),
+    "--components": dict(nargs="+", metavar="NAME",
+                         help="registered components to knock out (default: all)"),
+    "--seeds": dict(type=int, nargs="+", help="seed sweep, >= 2 (default: from --seed)"),
+    "--placement-policies": dict(dest="placements", nargs="+", metavar="NAME",
+                                 help="placement-policy axis, with 'oblivious' and a smart one"),
+    "--list-runs": dict(action="store_true", help="list journaled campaign runs and exit"),
+}
+
+#: Flags read by :func:`_campaign` (campaign settings) or by a command's
+#: ``emit`` (outputs).
+SETTINGS: Dict[str, Dict[str, Any]] = {
+    "--parallel": dict(type=int, metavar="N", help="run over N processes"),
+    "--cache": dict(action="store_true",
+                    help="reuse cached results ($REPRO_CACHE_DIR or ~/.cache/tensorlights-repro)"),
+    "--cache-dir": dict(metavar="DIR", help="result cache at DIR (implies --cache)"),
+    "--progress": dict(action="store_true", help="print per-run progress to stderr"),
+    "--scenario-timeout": dict(type=float, metavar="S", help="wall-clock budget per scenario"),
+    "--watchdog": dict(choices=["off", "warn", "raise"],
+                       help="runtime invariant watchdog mode for every executed run"),
+    "--metrics": dict(dest="observe_metrics", action="store_true",
+                      help="run every scenario with the metrics registry on"),
+    "--run-id": dict(help="explicit journal run id for a fresh campaign"),
+    "--resume": dict(metavar="RUN_ID", help="resume a journaled campaign"),
+    "--journal-dir": dict(metavar="DIR", help="journal directory (default: <cache dir>/journals)"),
+    "--max-attempts": dict(type=int, help="attempts per scenario whose worker dies"),
+    "--retry-base-delay": dict(dest="base_delay", type=float, metavar="S",
+                               help="backoff before the first retry"),
+    "--retry-factor": dict(dest="factor", type=float, help="backoff growth factor"),
+    "--retry-max-delay": dict(dest="max_delay", type=float, metavar="S", help="backoff ceiling"),
+    "--csv": dict(metavar="PATH", help="also write the table as CSV to PATH"),
+    "--export": dict(choices=["json", "csv"], help="print machine-readable results"),
+    "--output": dict(help="write the export to a file instead of stdout"),
+    "--export-metrics": dict(metavar="PATH",
+                             help="observe metrics; write one snapshot per scenario, plus "
+                                  "'campaign', to PATH (.csv or JSONL)"),
+    "--hashes": dict(metavar="PATH", help="write {scenario key: result content hash} JSON"),
+}
+
+FLAGS: Dict[str, Dict[str, Any]] = {**CONFIG_FLAGS, **OPTIONS, **SETTINGS}
+
+#: The config flags a generator that keeps the standard config honors.
+CONFIG: Tuple[str, ...] = (
+    "--jobs", "--workers", "--iterations", "--batch", "--seed", "--netem-loss",
+    "--netem-delay", "--netem-jitter", "--link-rate", "--switch-buffer", "--paper-scale",
+)
+
+#: The flags every campaign-backed command offers.
+CAMPAIGN: Tuple[str, ...] = (
+    "--parallel", "--cache", "--cache-dir", "--progress", "--scenario-timeout",
+)
+
+
+def _config_except(*dropped: str) -> Tuple[str, ...]:
+    return tuple(flag for flag in CONFIG if flag not in dropped)
+
+
+def _dest(flag: str) -> str:
+    return FLAGS[flag].get("dest", flag[2:].replace("-", "_"))
+
+
+# -- output and exit rules -------------------------------------------------
+
+
+def _print_render(args: argparse.Namespace, report: Any) -> None:
+    print(report.render())
+
+
+def _direction(report: Any) -> int:
+    # The exit code IS the reproduction check (paper Result #3, or the
+    # co-design composition check).
+    return 0 if report.direction_ok() else 1
+
+
+def _protocol(result: fig1.Fig1Result) -> int:
+    result.verify_protocol()
+    return 0
+
+
+def _emit_utilization(args: argparse.Namespace, report: table2.Table2Result) -> None:
+    print(report.render())
+    if args.export_metrics:
+        from repro.telemetry import write_csv, write_jsonl
+
+        writer = write_csv if args.export_metrics.endswith(".csv") else write_jsonl
+        writer(args.export_metrics, report.snapshots)
+        print(f"wrote metrics snapshots to {args.export_metrics}")
+
+
+def _study_emitter(table: str) -> Callable[[argparse.Namespace, Any], None]:
+    def emit(args: argparse.Namespace, report: Any) -> None:
+        print(report.render())
+        profiled = (f"{report.fingerprint_misses} shapes profiled, "
+                    if hasattr(report, "fingerprint_misses") else "")
+        print(f"({report.executed} executed, {report.cache_hits} cached, "
+              f"{profiled}{report.wall_seconds:.1f}s)")
+        if args.csv:
+            Path(args.csv).write_text(report.to_csv())
+            print(f"wrote {table} to {args.csv}")
+    return emit
+
+
+def _emit_run(args: argparse.Namespace, res: Any) -> None:
+    if args.export is not None:
+        from repro.experiments.export import to_csv, to_json
+
+        text = to_json([res]) if args.export == "json" else to_csv([res])
+        if args.output:
+            Path(args.output).write_text(text)
+            print(f"wrote {args.export} export to {args.output}")
+        else:
+            print(text)
+        return
+    cfg = res.config
+    where = (f"#{cfg.placement_index}" if cfg.placement_policy == "oblivious"
+             else cfg.placement_policy)
+    print(f"placement {where} policy={cfg.policy.value}")
+    print(f"  avg JCT   : {res.avg_jct:.3f} s")
+    print(f"  makespan  : {res.makespan:.3f} s")
+    print(f"  barrier wait mean     : {res.barrier_wait_means().mean():.4f} s")
+    print(f"  barrier wait variance : {res.barrier_wait_variances().mean():.6f} s^2")
+    print(f"  sim events: {res.sim_events}  wall: {res.wall_seconds:.1f} s")
+    for cmd in res.tc_commands:
+        print(f"  {cmd}")
+
+
+def _emit_campaign(args: argparse.Namespace, result: Any) -> None:
+    if result is None:  # --list-runs printed the listing
+        return
+    from repro.experiments.export import result_content_hash
+
+    print(f"run {result.run_id}: {result.executed} executed, {result.cache_hits} cached, "
+          f"{len(result.failures)} failed, {result.wall_seconds:.1f}s")
+    if result.failure_report():
+        print(result.failure_report())
+    if args.hashes:
+        hashes = {scenario.key(): result_content_hash(r) if r is not None else None
+                  for scenario, r in result.pairs()}
+        Path(args.hashes).write_text(json.dumps(hashes, indent=2, sort_keys=True))
+        print(f"wrote content hashes to {args.hashes}")
+
+
+# -- generators that live here ---------------------------------------------
+
+
+def _run_one(campaign: Campaign, **overrides) -> Any:
+    """The ``run`` command: one raw experiment."""
+    return campaign.run_one(Scenario(config=ExperimentConfig(**overrides)))
+
+
+def _journaled_grid(campaign: Campaign, list_runs: bool = False,
+                    placements: Sequence[int] = (1,),
+                    policies: Sequence[Policy] = ALL_POLICIES, **overrides) -> Any:
+    """The ``campaign`` command: a journaled placement x policy grid."""
+    if list_runs:
+        from repro.experiments.journal import list_runs as journaled_runs
+
+        runs = journaled_runs(campaign.journal_dir)
+        if not runs:
+            print("no journaled campaign runs")
+        for run in runs:
+            print(f"{run['run_id']}  {run['bytes']:>8} bytes  {run['path']}")
+        return None
+    cfg = ExperimentConfig(**overrides)
+    return campaign.run(None if campaign.resume is not None else [
+        Scenario(config=cfg.replace(placement_index=pl, policy=pol))
+        .with_tags(policy=pol.value, placement=str(pl))
+        for pl in placements for pol in policies
+    ])
+
+
+# -- the registry ----------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its generator, the flags it offers, its exit rule.
+
+    ``generate`` gets every set ``config`` flag as an ``ExperimentConfig``
+    override, every set ``options`` flag that is in :data:`OPTIONS` as a
+    keyword argument, and (when ``campaign``) the :class:`Campaign` built
+    from the flags.  The other ``options`` flags are :data:`SETTINGS`.
+    """
+
+    generate: Callable[..., Any]
+    help: str
+    config: Tuple[str, ...] = CONFIG
+    campaign: bool = False
+    options: Tuple[str, ...] = ()
+    emit: Callable[[argparse.Namespace, Any], None] = _print_render
+    exit: Callable[[Any], int] = lambda report: 0
+
+    def flags(self) -> Tuple[str, ...]:
+        """Every flag this subcommand offers."""
+        return self.config + (CAMPAIGN if self.campaign else ()) + self.options
+
+
+def _figure(generate: Callable[..., Any], name: str, **fields: Any) -> Command:
+    return Command(generate, help=f"regenerate {name}", **fields)
+
+
+COMMANDS: Dict[str, Command] = {
+    "table1": _figure(table1.generate, "table1", config=()),
+    # Figure 1 traces one job on a fluid network; --workers/--iterations
+    # become its own n_workers/iterations arguments.
+    "fig1": _figure(fig1.generate, "fig1", exit=_protocol,
+                    config=_config_except("--jobs", "--switch-buffer", "--paper-scale")),
+    "fig2": _figure(fig2.generate, "fig2", campaign=True, options=("--placements",)),
+    "fig3": _figure(fig3.generate, "fig3", campaign=True),
+    "fig4": _figure(fig4.generate, "fig4", config=_config_except("--jobs", "--switch-buffer")),
+    "fig5a": _figure(fig5a.generate, "fig5a", campaign=True, options=("--placements",)),
+    "fig5b": _figure(fig5b.generate, "fig5b", campaign=True,
+                     config=_config_except("--batch"), options=("--batches",)),
+    "fig6": _figure(fig6.generate, "fig6", campaign=True),
+    "table2": _figure(table2.generate, "table2", campaign=True,
+                      config=CONFIG + ("--sample-interval",)),
+    "fct": _figure(fct.generate, "fct"),
+    "robustness": Command(
+        robustness.generate, "JCT degradation under egress loss and PS crashes, per policy",
+        config=_config_except("--netem-loss"), campaign=True,
+        options=("--losses", "--policies", "--ps-crash", "--crash-at", "--crash-recover"),
+    ),
+    "collectives": Command(
+        collectives.generate,
+        "TensorLights generality: all-reduce-only and mixed PS+all-reduce clusters, per policy",
+        # Ring architectures have no worker-only hosts to impair.
+        config=_config_except("--netem-loss", "--netem-delay", "--netem-jitter")
+        + ("--allreduce-fraction", "--channels"), campaign=True,
+        options=("--architectures", "--policies"),
+    ),
+    "utilization": Command(
+        table2.generate,
+        "Result #3: normalized NIC/CPU utilization, FIFO vs TLs-One vs TLs-RR",
+        config=CONFIG + ("--sample-interval",), campaign=True,
+        options=("--quick", "--watchdog", "--export-metrics"),
+        emit=_emit_utilization, exit=_direction,
+    ),
+    "campaign": Command(
+        _journaled_grid,
+        "durable scenario campaign: write-ahead journal, resumable after a kill, retries",
+        campaign=True,
+        options=("--placements", "--policies", "--run-id", "--resume", "--journal-dir",
+                 "--list-runs", "--max-attempts", "--retry-base-delay", "--retry-factor",
+                 "--retry-max-delay", "--watchdog", "--metrics", "--hashes"),
+        emit=_emit_campaign, exit=lambda result: int(bool(result and result.failures)),
+    ),
+    "ablate": Command(
+        impact.generate,
+        "ranked component-impact study: knock each mechanism out of TLs-RR, bootstrap CIs",
+        campaign=True, options=("--quick", "--components", "--seeds", "--csv"),
+        emit=_study_emitter("impact table"),
+    ),
+    "codesign": Command(
+        codesign.generate,
+        "placement x TensorLights co-design matrix, paired bootstrap CIs",
+        campaign=True,
+        options=("--quick", "--placement-policies", "--policies", "--seeds", "--csv"),
+        emit=_study_emitter("co-design matrix"), exit=_direction,
+    ),
+    "run": Command(
+        _run_one, "run one raw experiment",
+        config=CONFIG + ("--placement", "--placement-policy", "--policy"), campaign=True,
+        options=("--export", "--output"), emit=_emit_run,
+    ),
+}
+
+
+# -- building and dispatch --------------------------------------------------
 
 
 def _campaign(args: argparse.Namespace) -> Campaign:
-    executor = None
-    if getattr(args, "parallel", None):
-        executor = ParallelExecutor(max_workers=args.parallel)
+    """The campaign a command submits through, built from its flags."""
+    flags = vars(args)
+    # A journaled campaign always caches: resumed generations serve
+    # completed scenarios from the cache.
+    journaled = "journal_dir" in flags
     cache = None
-    if getattr(args, "cache_dir", None):
-        cache = ResultCache(args.cache_dir)
-    elif getattr(args, "cache", False):
+    if flags.get("cache_dir"):
+        cache = ResultCache(flags["cache_dir"])
+    elif flags.get("cache") or journaled:
         cache = ResultCache.default()
-    progress = _print_progress if getattr(args, "progress", False) else None
+    if cache is not None and flags.get("export_metrics"):
+        raise ConfigError("--export-metrics observes every run, so it cannot "
+                          "take results from --cache/--cache-dir")
+    retry = {field: flags[field] for field in ("max_attempts", "base_delay", "factor",
+                                               "max_delay") if flags.get(field) is not None}
     return Campaign(
-        executor=executor, cache=cache, progress=progress,
-        scenario_timeout=getattr(args, "scenario_timeout", None),
+        executor=(ParallelExecutor(flags["parallel"])
+                  if flags.get("parallel") is not None else None),
+        cache=cache,
+        progress=_print_progress if flags.get("progress") else None,
+        scenario_timeout=flags.get("scenario_timeout"),
+        retry=RetryPolicy(**retry),
+        journal=journaled,
+        resume=flags.get("resume"),
+        run_id=flags.get("run_id"),
+        journal_dir=flags.get("journal_dir"),
+        observe_metrics=bool(flags.get("observe_metrics") or flags.get("export_metrics")),
+        watchdog=flags.get("watchdog"),
+        on_failure="report" if journaled else "raise",
     )
 
 
@@ -110,33 +430,19 @@ def _print_progress(event: CampaignEvent) -> None:
           file=sys.stderr)
 
 
-def _config(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = (ExperimentConfig.paper_scale() if getattr(args, "paper_scale", False)
-           else ExperimentConfig())
-    overrides = {}
-    if args.jobs is not None:
-        overrides["n_jobs"] = args.jobs
-    if args.workers is not None:
-        overrides["n_workers"] = args.workers
-    if args.iterations is not None:
-        overrides["iterations"] = args.iterations
-    if args.batch is not None:
-        overrides["local_batch_size"] = args.batch
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "sample_interval", None) is not None:
-        overrides["sample_interval"] = args.sample_interval
-    if getattr(args, "netem_loss", None) is not None:
-        overrides["netem_loss"] = args.netem_loss
-    if getattr(args, "netem_delay", None) is not None:
-        overrides["netem_delay"] = args.netem_delay
-    if getattr(args, "netem_jitter", None) is not None:
-        overrides["netem_jitter"] = args.netem_jitter
-    if getattr(args, "link_rate", None) is not None:
-        overrides["link_gbps"] = parse_rate(args.link_rate) * 8.0 / 1e9
-    if getattr(args, "switch_buffer", None) is not None:
-        overrides["switch_buffer_bytes"] = float(parse_size(args.switch_buffer))
-    return cfg.replace(**overrides) if overrides else cfg
+def build_parser() -> argparse.ArgumentParser:
+    """The ``tensorlights`` parser, one subparser per :data:`COMMANDS` entry."""
+    parser = argparse.ArgumentParser(
+        prog="tensorlights",
+        description="TensorLights (IPDPS 2019) reproduction harness",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, command in COMMANDS.items():
+        # No abbreviations: a dropped flag must not resolve to a longer one.
+        p = sub.add_parser(name, help=command.help, allow_abbrev=False)
+        for flag in command.flags():
+            p.add_argument(flag, **FLAGS[flag])
+    return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -148,415 +454,25 @@ def main(argv: Optional[List[str]] = None) -> int:
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     except (ImportError, AttributeError, ValueError):  # pragma: no cover
         pass  # non-POSIX platform or non-main thread (tests)
-    parser = argparse.ArgumentParser(
-        prog="tensorlights",
-        description="TensorLights (IPDPS 2019) reproduction harness",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    # Figures whose runs are independent grid points go through a Campaign;
-    # fig1/fig4/fct need in-process tracing hooks and always run serial.
-    campaign_commands = {"fig2", "fig3", "fig5a", "fig5b", "fig6", "table2",
-                         "robustness", "run", "utilization"}
-    for name in ("table1", "fig1", "fig2", "fig3", "fig4", "fig5a", "fig5b",
-                 "fig6", "table2", "fct"):
-        p = sub.add_parser(name, help=f"regenerate {name}")
-        if name != "table1":
-            _add_common(p)
-        if name in campaign_commands:
-            _add_campaign(p)
-        if name in ("fig2", "fig5a"):
-            p.add_argument("--placements", type=int, nargs="+",
-                           default=[1, 2, 3, 4, 5, 6, 7, 8])
-        if name == "fig5b":
-            p.add_argument("--batches", type=int, nargs="+",
-                           default=[1, 2, 4, 8, 16])
-
-    p = sub.add_parser(
-        "robustness",
-        help="JCT degradation under egress loss and PS crashes, per policy",
-    )
-    _add_common(p)
-    _add_campaign(p)
-    p.add_argument("--losses", type=float, nargs="+", default=[0.0, 0.01, 0.03],
-                   help="netem loss rates to sweep (0.0 is the baseline)")
-    p.add_argument("--policies", nargs="+",
-                   choices=[pol.value for pol in Policy],
-                   default=["fifo", "tls-one", "tls-rr"])
-    p.add_argument("--ps-crash", action="store_true",
-                   help="also run each cell with a mid-run PS crash + recovery")
-    p.add_argument("--crash-at", type=float, default=0.5,
-                   help="sim time of the PS crash (with --ps-crash)")
-    p.add_argument("--crash-recover", type=float, default=0.5,
-                   help="downtime before the PS restarts from checkpoint")
-
-    p = sub.add_parser(
-        "collectives",
-        help="TensorLights generality: all-reduce-only and mixed "
-             "PS+all-reduce clusters, per policy",
-    )
-    _add_common(p)
-    _add_campaign(p)
-    p.add_argument("--architectures", nargs="+",
-                   choices=[Architecture.ALLREDUCE.value,
-                            Architecture.MIXED.value],
-                   default=[Architecture.ALLREDUCE.value,
-                            Architecture.MIXED.value])
-    p.add_argument("--policies", nargs="+",
-                   choices=[pol.value for pol in Policy],
-                   default=["fifo", "tls-one", "tls-rr"])
-    p.add_argument("--allreduce-fraction", type=float, default=None,
-                   metavar="F",
-                   help="fraction of jobs that become rings under mixed")
-    p.add_argument("--channels", type=int, default=None, metavar="N",
-                   help="concurrent chunk channels per ring member")
-
-    p = sub.add_parser(
-        "utilization",
-        help="Result #3: normalized NIC/CPU utilization over the active "
-             "window, FIFO vs TLs-One vs TLs-RR",
-    )
-    _add_common(p)
-    _add_campaign(p)
-    p.add_argument("--quick", action="store_true",
-                   help="CI smoke scale: fewer iterations, same topology")
-    p.add_argument("--export-metrics", type=str, default=None, metavar="PATH",
-                   help="also run with the metrics registry on and write one "
-                        "snapshot per scenario to PATH (CSV if PATH ends "
-                        "with .csv, JSONL otherwise), plus a 'campaign' "
-                        "entry with retry/backoff/watchdog counters")
-    p.add_argument("--watchdog", choices=["off", "warn", "raise"],
-                   default=None,
-                   help="runtime invariant watchdog mode for the "
-                        "--export-metrics runs (violation counts land in "
-                        "each scenario's snapshot)")
-
-    p = sub.add_parser(
-        "campaign",
-        help="durable scenario campaign: write-ahead journal, resumable "
-             "after a kill, bounded-backoff retries",
-    )
-    _add_common(p)
-    _add_campaign(p)
-    p.add_argument("--placements", type=int, nargs="+", default=[1],
-                   help="Table I placement indices of the scenario grid")
-    p.add_argument("--policies", nargs="+",
-                   choices=[pol.value for pol in Policy],
-                   default=["fifo", "tls-one", "tls-rr"])
-    p.add_argument("--run-id", type=str, default=None,
-                   help="explicit journal run id for a fresh campaign")
-    p.add_argument("--resume", type=str, default=None, metavar="RUN_ID",
-                   help="resume a journaled campaign: completed scenarios "
-                        "come from the result cache, only pending/failed "
-                        "ones execute")
-    p.add_argument("--journal-dir", type=str, default=None, metavar="DIR",
-                   help="journal directory (default: <cache dir>/journals)")
-    p.add_argument("--list-runs", action="store_true",
-                   help="list journaled campaign runs and exit")
-    p.add_argument("--max-attempts", type=int, default=2,
-                   help="attempts per scenario whose worker process dies")
-    p.add_argument("--retry-base-delay", type=float, default=0.5,
-                   metavar="S", help="backoff before the first retry")
-    p.add_argument("--retry-factor", type=float, default=2.0,
-                   help="backoff growth factor between retries")
-    p.add_argument("--retry-max-delay", type=float, default=30.0,
-                   metavar="S", help="backoff ceiling")
-    p.add_argument("--watchdog", choices=["off", "warn", "raise"],
-                   default=None,
-                   help="runtime invariant watchdog mode for every scenario")
-    p.add_argument("--metrics", action="store_true",
-                   help="run every scenario with the metrics registry on")
-    p.add_argument("--hashes", type=str, default=None, metavar="PATH",
-                   help="write {scenario key: result content hash} JSON to "
-                        "PATH (the chaos harness diffs these across "
-                        "kill/resume round-trips)")
-
-    p = sub.add_parser(
-        "ablate",
-        help="ranked component-impact study: knock each registered "
-             "mechanism out of TLs-RR, one campaign, bootstrap CIs",
-    )
-    _add_common(p)
-    _add_campaign(p)
-    p.add_argument("--quick", action="store_true",
-                   help="CI smoke scale: tiny config, two components, "
-                        "two seeds")
-    p.add_argument("--components", nargs="+", default=None, metavar="NAME",
-                   help="restrict to these registered components "
-                        "(default: every one; see docs/ablations.md)")
-    p.add_argument("--seeds", type=int, nargs="+", default=None,
-                   help="seed sweep (needs >= 2 for the bootstrap; "
-                        "default: three consecutive seeds)")
-    p.add_argument("--csv", type=str, default=None, metavar="PATH",
-                   help="also write the impact table as CSV to PATH")
-
-    p = sub.add_parser(
-        "codesign",
-        help="placement x TensorLights co-design matrix: contention-aware "
-             "placement policies vs end-host scheduling, one campaign, "
-             "paired bootstrap CIs",
-    )
-    _add_common(p)
-    _add_campaign(p)
-    p.add_argument("--quick", action="store_true",
-                   help="CI smoke scale: contended miniature, two "
-                        "placements, two seeds")
-    p.add_argument("--placement-policies", nargs="+", default=None,
-                   metavar="NAME",
-                   help="placement-policy axis; must include 'oblivious' "
-                        "and a smart policy (see docs/placement.md)")
-    p.add_argument("--policies", nargs="+",
-                   choices=[pol.value for pol in Policy], default=None,
-                   help="scheduling-policy axis (default: fifo tls-one "
-                        "tls-rr)")
-    p.add_argument("--seeds", type=int, nargs="+", default=None,
-                   help="seed sweep (needs >= 2 for the paired bootstrap)")
-    p.add_argument("--csv", type=str, default=None, metavar="PATH",
-                   help="also write the matrix as CSV to PATH")
-
-    p = sub.add_parser("run", help="run one raw experiment")
-    _add_common(p)
-    _add_campaign(p)
-    p.add_argument("--placement", type=int, default=1, help="Table I index")
-    p.add_argument("--placement-policy", type=str, default="oblivious",
-                   metavar="NAME",
-                   help="placement policy (see `repro.placement`); "
-                        "non-oblivious policies ignore --placement")
-    p.add_argument("--policy", choices=[pol.value for pol in Policy],
-                   default="fifo")
-    p.add_argument("--export", choices=["json", "csv"], default=None,
-                   help="print machine-readable results instead of the summary")
-    p.add_argument("--output", type=str, default=None,
-                   help="write the export to a file instead of stdout")
-
-    args = parser.parse_args(argv)
-
-    if args.command == "table1":
-        from repro.experiments.figures import table1
-
-        print(table1.generate().render())
-        return 0
-
-    cfg = _config(args)
-    if args.command == "robustness":
-        from repro.experiments.figures import robustness
-
-        result = robustness.generate(
-            cfg,
-            losses=tuple(args.losses),
-            policies=tuple(Policy(p) for p in args.policies),
-            ps_crash=args.ps_crash,
-            crash_at=args.crash_at,
-            crash_recover=args.crash_recover,
-            campaign=_campaign(args),
-        )
-        print(result.render())
-        return 0
-
-    if args.command == "collectives":
-        from repro.experiments.figures import collectives
-
-        if args.allreduce_fraction is not None:
-            cfg = cfg.replace(allreduce_fraction=args.allreduce_fraction)
-        if args.channels is not None:
-            cfg = cfg.replace(allreduce_channels=args.channels)
-        result = collectives.generate(
-            cfg,
-            architectures=tuple(Architecture(a) for a in args.architectures),
-            policies=tuple(Policy(p) for p in args.policies),
-            campaign=_campaign(args),
-        )
-        print(result.render())
-        return 0
-
-    if args.command == "utilization":
-        from repro.experiments.figures import utilization
-        from repro.telemetry import write_csv, write_jsonl
-
-        collect = args.export_metrics is not None
-        report = utilization.generate(
-            cfg,
-            campaign=None if collect else _campaign(args),
-            quick=args.quick,
-            collect_metrics=collect,
-            watchdog=args.watchdog,
-        )
-        print(report.render())
-        if collect:
-            writer = (write_csv if args.export_metrics.endswith(".csv")
-                      else write_jsonl)
-            writer(args.export_metrics, report.snapshots)
-            print(f"wrote metrics snapshots to {args.export_metrics}")
-        # The exit code IS the reproduction check (paper Result #3).
-        return 0 if report.direction_ok() else 1
-
-    if args.command == "campaign":
-        from repro.experiments.campaign import RetryPolicy
-        from repro.experiments.export import result_content_hash
-        from repro.experiments.journal import list_runs
-
-        if args.list_runs:
-            runs = list_runs(args.journal_dir)
-            if not runs:
-                print("no journaled campaign runs")
-            for run in runs:
-                print(f"{run['run_id']}  {run['bytes']:>8} bytes  {run['path']}")
-            return 0
-
-        # A journaled campaign always caches: resumed generations serve
-        # completed scenarios from the cache, so running without one
-        # would make every resume start from scratch.
-        cache = (ResultCache(args.cache_dir) if args.cache_dir
-                 else ResultCache.default())
-        campaign = Campaign(
-            executor=(ParallelExecutor(args.parallel)
-                      if args.parallel else None),
-            cache=cache,
-            progress=_print_progress if args.progress else None,
-            scenario_timeout=args.scenario_timeout,
-            retry=RetryPolicy(
-                max_attempts=args.max_attempts,
-                base_delay=args.retry_base_delay,
-                factor=args.retry_factor,
-                max_delay=args.retry_max_delay,
-            ),
-            journal=True,
-            resume=args.resume,
-            run_id=args.run_id,
-            journal_dir=args.journal_dir,
-            observe_metrics=args.metrics,
-            watchdog=args.watchdog,
-            on_failure="report",
-        )
-        scenarios = None
-        if args.resume is None:
-            scenarios = [
-                Scenario(
-                    config=cfg.replace(placement_index=pl, policy=Policy(pol))
-                ).with_tags(policy=pol, placement=str(pl))
-                for pl in args.placements
-                for pol in args.policies
-            ]
-        result = campaign.run(scenarios)
-        print(f"run {result.run_id}: {result.executed} executed, "
-              f"{result.cache_hits} cached, {len(result.failures)} failed, "
-              f"{result.wall_seconds:.1f}s")
-        if result.failure_report():
-            print(result.failure_report())
-        if args.hashes:
-            hashes = {
-                scenario.key():
-                    result_content_hash(r) if r is not None else None
-                for scenario, r in result.pairs()
-            }
-            with open(args.hashes, "w") as fh:
-                json.dump(hashes, fh, indent=2, sort_keys=True)
-            print(f"wrote content hashes to {args.hashes}")
-        return 1 if result.failures else 0
-
-    if args.command == "ablate":
-        from repro.experiments.figures import impact
-
-        report = impact.generate(
-            base=None if args.quick else cfg,
-            quick=args.quick,
-            components=args.components,
-            seeds=tuple(args.seeds) if args.seeds else None,
-            campaign=_campaign(args),
-        )
-        print(report.render())
-        print(f"({report.executed} executed, {report.cache_hits} cached, "
-              f"{report.wall_seconds:.1f}s)")
-        if args.csv:
-            with open(args.csv, "w") as fh:
-                fh.write(report.to_csv())
-            print(f"wrote impact table to {args.csv}")
-        return 0
-
-    if args.command == "codesign":
-        from repro.experiments.figures import codesign
-
-        report = codesign.generate(
-            base=None if args.quick else cfg,
-            quick=args.quick,
-            placements=args.placement_policies,
-            policies=(tuple(Policy(p) for p in args.policies)
-                      if args.policies else None),
-            seeds=tuple(args.seeds) if args.seeds else None,
-            campaign=_campaign(args),
-        )
-        print(report.render())
-        print(f"({report.executed} executed, {report.cache_hits} cached, "
-              f"{report.fingerprint_misses} shapes profiled, "
-              f"{report.wall_seconds:.1f}s)")
-        if args.csv:
-            with open(args.csv, "w") as fh:
-                fh.write(report.to_csv())
-            print(f"wrote co-design matrix to {args.csv}")
-        # The exit code IS the co-design check: combining the axes must
-        # not fall below the weaker single-axis fix.
-        return 0 if report.direction_ok() else 1
-
-    if args.command == "run":
-        cfg = cfg.replace(placement_index=args.placement,
-                          placement_policy=args.placement_policy,
-                          policy=Policy(args.policy))
-        res = _campaign(args).run_one(Scenario(config=cfg))
-        if args.export is not None:
-            from repro.experiments.export import to_csv, to_json
-
-            text = to_json([res]) if args.export == "json" else to_csv([res])
-            if args.output:
-                with open(args.output, "w") as fh:
-                    fh.write(text)
-                print(f"wrote {args.export} export to {args.output}")
-            else:
-                print(text)
-            return 0
-        if args.placement_policy == "oblivious":
-            print(f"placement #{args.placement} policy={args.policy}")
-        else:
-            print(f"placement {args.placement_policy} policy={args.policy}")
-        print(f"  avg JCT   : {res.avg_jct:.3f} s")
-        print(f"  makespan  : {res.makespan:.3f} s")
-        print(f"  barrier wait mean     : {res.barrier_wait_means().mean():.4f} s")
-        print(f"  barrier wait variance : {res.barrier_wait_variances().mean():.6f} s^2")
-        print(f"  sim events: {res.sim_events}  wall: {res.wall_seconds:.1f} s")
-        for cmd in res.tc_commands:
-            print(f"  {cmd}")
-        return 0
-
-    from repro.experiments.figures import (
-        fct, fig1, fig2, fig3, fig4, fig5a, fig5b, fig6, table2,
-    )
-
-    campaign = (
-        _campaign(args) if args.command in campaign_commands else None
-    )
-    if args.command == "fig1":
-        result = fig1.generate(cfg)
-        print(result.render())
-        result.verify_protocol()
-    elif args.command == "fig2":
-        print(fig2.generate(cfg, placements=tuple(args.placements),
-                            campaign=campaign).render())
-    elif args.command == "fig3":
-        print(fig3.generate(cfg, campaign=campaign).render())
-    elif args.command == "fig4":
-        print(fig4.generate(cfg).render())
-    elif args.command == "fig5a":
-        print(fig5a.generate(cfg, placements=tuple(args.placements),
-                             campaign=campaign).render())
-    elif args.command == "fig5b":
-        print(fig5b.generate(cfg, batch_sizes=tuple(args.batches),
-                             campaign=campaign).render())
-    elif args.command == "fig6":
-        print(fig6.generate(cfg, campaign=campaign).render())
-    elif args.command == "table2":
-        print(table2.generate(cfg, campaign=campaign).render())
-    elif args.command == "fct":
-        print(fct.generate(cfg).render())
-    return 0
+    parser = build_parser()
+    # A bad flag value is a usage error; errors from the runs propagate.
+    try:
+        args = parser.parse_args(argv)
+        command = COMMANDS[args.command]
+        given = {_dest(flag): getattr(args, _dest(flag)) for flag in command.flags()}
+        overrides = dict(PAPER_SCALE) if given.get("paper_scale") else {}
+        overrides.update((_dest(flag), given[_dest(flag)]) for flag in command.config
+                         if flag != "--paper-scale" and given[_dest(flag)] is not None)
+        kwargs = {_dest(flag): given[_dest(flag)] for flag in command.options
+                  if flag in OPTIONS and given[_dest(flag)] is not None}
+        ExperimentConfig(**overrides)
+        if command.campaign:
+            kwargs["campaign"] = _campaign(args)
+    except ReproError as exc:
+        parser.error(str(exc))
+    report = command.generate(**kwargs, **overrides)
+    command.emit(args, report)
+    return command.exit(report)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -20,6 +20,10 @@ from repro.cluster.placement import PlacementSpec, placement_by_index
 from repro.errors import ConfigError
 from repro.units import gbps
 
+#: The fields :meth:`ExperimentConfig.paper_scale` sets: 30 000 global
+#: steps and a 20 s TLs-RR rotation interval.
+PAPER_SCALE = {"iterations": 1500, "tls_interval": 20.0}
+
 
 class Policy(str, enum.Enum):
     """Network scheduling policies.
@@ -224,9 +228,7 @@ class ExperimentConfig:
     @classmethod
     def paper_scale(cls, **overrides) -> "ExperimentConfig":
         """The paper's full workload: 30 000 global steps, T = 20 s."""
-        base = dict(iterations=1500, tls_interval=20.0)
-        base.update(overrides)
-        return cls(**base)
+        return cls(**{**PAPER_SCALE, **overrides})
 
     @classmethod
     def tiny(cls, **overrides) -> "ExperimentConfig":

@@ -6,6 +6,7 @@ report, so benchmarks print the same rows/series the paper plots.
 """
 
 from repro.experiments.figures import (  # noqa: F401
+    codesign,
     collectives,
     fct,
     fig1,
@@ -19,9 +20,8 @@ from repro.experiments.figures import (  # noqa: F401
     robustness,
     table1,
     table2,
-    utilization,
 )
 
-__all__ = ["collectives", "fct", "fig1", "fig2", "fig3", "fig4", "fig5a",
-           "fig5b", "fig6", "impact", "robustness", "table1", "table2",
-           "utilization"]
+__all__ = ["codesign", "collectives", "fct", "fig1", "fig2", "fig3", "fig4",
+           "fig5a", "fig5b", "fig6", "impact", "robustness", "table1",
+           "table2"]

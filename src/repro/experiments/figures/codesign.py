@@ -219,7 +219,8 @@ def generate(
             and at least one TensorLights mode (default:
             :data:`DEFAULT_POLICIES`).
         seeds: the seed sweep (needs >= 2 for the paired bootstrap;
-            default: three consecutive seeds, two under ``quick``).
+            default: three consecutive seeds from the config's, two
+            under ``quick``).
         campaign: campaign to submit through (parallel executor /
             result cache); default: serial, uncached.
         quick: CI smoke scale — the contended miniature, two placements,
@@ -237,8 +238,6 @@ def generate(
             base = ExperimentConfig.tiny(n_jobs=6, n_workers=4, iterations=6)
         if placements is None:
             placements = QUICK_PLACEMENTS
-        if seeds is None:
-            seeds = (base.seed, base.seed + 1)
     cfg = base_config(base, **overrides)
     if "placement_index" not in overrides:
         cfg = cfg.replace(placement_index=1)
@@ -246,7 +245,7 @@ def generate(
     placement_axis = tuple(placements) if placements is not None else DEFAULT_PLACEMENTS
     policy_axis = tuple(policies) if policies is not None else DEFAULT_POLICIES
     seed_sweep = (tuple(seeds) if seeds is not None
-                  else (cfg.seed, cfg.seed + 1, cfg.seed + 2))
+                  else tuple(cfg.seed + i for i in range(2 if quick else 3)))
 
     if "oblivious" not in placement_axis:
         raise ConfigError("the co-design study needs the oblivious baseline")

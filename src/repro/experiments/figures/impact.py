@@ -20,6 +20,7 @@ from typing import Optional, Sequence, Tuple
 
 from repro.experiments.campaign import Campaign
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.figures.common import base_config
 from repro.experiments.study.impact import ImpactReport, run_study
 
 #: The two-component fractional grid ``--quick`` (and CI) runs: one
@@ -43,14 +44,19 @@ def generate(
     Args:
         base: starting configuration; default ``ExperimentConfig()``
             (or ``ExperimentConfig.tiny()`` under ``quick``).
-        quick: CI smoke mode — tiny config, ``QUICK_COMPONENTS``, two
-            seeds, unless those are given explicitly.
+        quick: CI smoke mode — tiny config (``overrides`` apply on top),
+            ``QUICK_COMPONENTS``, two seeds from the config's, unless
+            those are given explicitly.
         components / seeds / campaign / confidence: forwarded to
             :func:`repro.experiments.study.impact.run_study`.
     """
     if quick:
-        if base is None:
-            base = ExperimentConfig.tiny()
+        # Overrides apply on top of the quick base, so a seed override
+        # also moves the seed sweep.
+        base = base_config(
+            ExperimentConfig.tiny() if base is None else base, **overrides
+        )
+        overrides = {}
         if components is None:
             components = QUICK_COMPONENTS
         if seeds is None:

@@ -116,7 +116,7 @@ TINY_ARGS = ["--jobs", "3", "--workers", "3", "--iterations", "3"]
 
 
 def test_cli_fig1(capsys):
-    assert main(["fig1", *TINY_ARGS]) == 0
+    assert main(["fig1", "--workers", "3", "--iterations", "3"]) == 0
     assert "workflow trace" in capsys.readouterr().out
 
 
@@ -127,7 +127,7 @@ def test_cli_fig3(capsys):
 
 
 def test_cli_fig4(capsys):
-    assert main(["fig4", *TINY_ARGS]) == 0
+    assert main(["fig4", "--workers", "3", "--iterations", "3"]) == 0
     assert "Figure 4" in capsys.readouterr().out
 
 
