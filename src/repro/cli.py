@@ -466,6 +466,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         kwargs = {_dest(flag): given[_dest(flag)] for flag in command.options
                   if flag in OPTIONS and given[_dest(flag)] is not None}
         ExperimentConfig(**overrides)
+        if given.get("resume") and (overrides or given["placements"] or given["policies"]):
+            raise ConfigError("--resume runs the journaled plan; it takes no "
+                              "--placements, --policies or config flags")
+        if given.get("seeds") is not None and len(given["seeds"]) < 2:
+            raise ConfigError(f"--seeds needs >= 2 seeds for bootstrap CIs, got {given['seeds']}")
         if command.campaign:
             kwargs["campaign"] = _campaign(args)
     except ReproError as exc:

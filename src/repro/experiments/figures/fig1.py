@@ -3,14 +3,14 @@
 The paper's Figure 1 is a schematic sequence diagram (one PS, two
 workers, two iterations: model updates down, gradient updates up, barrier
 at the PS).  We reproduce it by running exactly that job in the simulator
-with tracing enabled and rendering the message sequence — which doubles
-as a protocol-conformance check for the workload model.
+with a delivery tap on the network and rendering the message sequence —
+which doubles as a protocol-conformance check for the workload model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.cluster.placement import PlacementSpec
 from repro.experiments.config import ExperimentConfig
@@ -94,26 +94,22 @@ def generate(
         placement=PlacementSpec((1,)),
         tags=(("figure", "1"),),
     )
-    rt = materialize(scenario, trace_kinds={"msg_recv"})
-    sim, app = rt.sim, rt.apps[0]
+    deliveries = []
+    rt = materialize(scenario, on_cluster=lambda c: c.network.add_delivery_tap(
+        lambda msg: deliveries.append((msg.delivered_at, msg.kind, msg.flow, msg.meta))
+    ))
+    app = rt.apps[0]
     worker_addr = {
         (ep.host_id, ep.port): i for i, ep in enumerate(app.worker_endpoints)
     }
     rt.run()
 
     events: List[TraceEvent] = []
-    for rec in sim.trace.of_kind("msg_recv"):
-        kind = rec.fields["msg_kind"]
-        flow = rec.fields["flow"]  # "host:port->host:port"
-        dst = flow.split("->")[1]
-        dst_host, dst_port = dst.rsplit(":", 1)
+    for time, kind, flow, meta in deliveries:
         if kind == "model_update":
-            direction = f"ps->wk{worker_addr[(dst_host, int(dst_port))]}"
+            direction = f"ps->wk{worker_addr[(flow.dst_host, flow.dst_port)]}"
         else:
-            widx = rec.fields["worker"]
-            direction = f"wk{widx}->ps"
-        events.append(
-            TraceEvent(rec.time, kind, direction, rec.fields["iteration"])
-        )
+            direction = f"wk{meta['worker']}->ps"
+        events.append(TraceEvent(time, kind, direction, meta["iteration"]))
     events.sort(key=lambda e: e.time)
     return Fig1Result(events=events, n_workers=n_workers, iterations=iterations)

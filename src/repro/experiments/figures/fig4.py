@@ -13,7 +13,7 @@ completes and summarize each job's burst as a [first, last] delivery span.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -85,7 +85,7 @@ class Fig4Result:
 def _observe(policy: Policy, cfg: ExperimentConfig, observe_iteration: int):
     # Two jobs, both PSes on the first host, launched simultaneously —
     # the exact collision Figure 4 illustrates — on a fluid network
-    # (no switch losses), traced at message granularity.
+    # (no switch losses), observed through a message delivery tap.
     scenario = Scenario(
         config=cfg.replace(
             n_jobs=2, launch_stagger=0.0, policy=policy,
@@ -94,18 +94,20 @@ def _observe(policy: Policy, cfg: ExperimentConfig, observe_iteration: int):
         placement=PlacementSpec((2,)),
         tags=(("figure", "4"), ("policy", policy.value)),
     )
-    rt = materialize(scenario, trace_kinds={"msg_recv"})
-    sim, apps = rt.sim, rt.apps
+    deliveries = []
+    rt = materialize(scenario, on_cluster=lambda c: c.network.add_delivery_tap(
+        lambda msg: deliveries.append((msg.delivered_at, msg.kind, msg.meta))
+    ))
     rt.run()
 
     spans = []
-    for app in apps:
+    for app in rt.apps:
         times = [
-            rec.time
-            for rec in sim.trace.of_kind("msg_recv")
-            if rec.fields.get("msg_kind") == "model_update"
-            and rec.fields.get("job") == app.spec.job_id
-            and rec.fields.get("iteration") == observe_iteration
+            time
+            for time, kind, meta in deliveries
+            if kind == "model_update"
+            and meta.get("job") == app.spec.job_id
+            and meta.get("iteration") == observe_iteration
         ]
         if times:
             spans.append(

@@ -12,7 +12,7 @@ process boundaries (the campaign's parallel executor) and round-trip
 through the on-disk result cache.
 
 Custom studies that need mid-build access (extra qdiscs, flow collectors,
-alternative controllers, tracing) have two options: the declarative
+alternative controllers, delivery taps) have two options: the declarative
 build hooks a :class:`~repro.experiments.scenario.Scenario` carries
 (:mod:`repro.experiments.hooks` — picklable, cache-visible, the route
 the study engine uses for A6/A10-style mechanisms), or the in-process
@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import os
 import time
+import warnings
 import zlib
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Union
@@ -158,7 +159,7 @@ class Runtime:
 
     Returned by :func:`materialize`; most callers go straight to
     :meth:`run`, custom studies poke at the members first (install extra
-    qdiscs, read ``sim.trace`` afterwards, ...).
+    qdiscs, tap message deliveries, ...).
     """
 
     scenario: Scenario
@@ -306,8 +307,9 @@ def materialize(
     """Build the live simulation a scenario describes (without running it).
 
     Args:
-        trace_kinds: enable event tracing restricted to these kinds
-            (Figure 1 and 4 message-sequence studies).
+        trace_kinds: deprecated, ignored (emits a ``DeprecationWarning``).
+            Observe message deliveries with a delivery tap instead:
+            ``on_cluster=lambda c: c.network.add_delivery_tap(tap)``.
         on_cluster: called with the freshly built cluster before any
             application exists (install flow collectors, extra qdiscs).
         controller_factory: overrides the policy-derived TensorLights
@@ -331,6 +333,14 @@ def materialize(
             counter, so result content hashes are unchanged.
     """
     config = scenario.config
+    if trace_kinds is not None:
+        warnings.warn(
+            "materialize(trace_kinds=...) is deprecated and has no effect: "
+            "observe message deliveries with "
+            "on_cluster=lambda c: c.network.add_delivery_tap(tap)",
+            DeprecationWarning,
+            stacklevel=2,
+        )
 
     # Resolve the scenario's declarative build hooks up front: an unknown
     # hook name must fail before any simulator state exists, and at most
@@ -350,9 +360,7 @@ def materialize(
         controller_factory = hook.controller(params)
 
     wall_start = time.perf_counter()
-    sim = Simulator(seed=config.seed, trace=trace_kinds is not None)
-    if trace_kinds is not None:
-        sim.trace.kinds = set(trace_kinds)
+    sim = Simulator(seed=config.seed)
     if metrics:
         sim.metrics.enabled = True
     cluster = Cluster(

@@ -162,11 +162,6 @@ class NIC:
         """
         if not self.qdisc.enqueue(seg, self.sim.now):
             if self.loss_tolerant and self.on_segment_dropped is not None:
-                if self.sim.trace.enabled:
-                    self.sim.trace.record(
-                        "egress_drop", host=self.host_id, flow=str(seg.flow),
-                        seg=seg.index,
-                    )
                 if self.sim.metrics.enabled:
                     self.sim.metrics.counter(
                         "nic_egress_drops", host=self.host_id
@@ -206,11 +201,6 @@ class NIC:
         size = seg.size
         self.bytes_tx += size
         self.segments_tx += 1
-        if sim.trace.enabled:
-            sim.trace.record(
-                "nic_tx", host=self.host_id, flow=str(seg.flow), seg=seg.index,
-                msg=seg.message.msg_id, size=size,
-            )
         metrics = sim.metrics
         if metrics.enabled:
             # Counter handles are resolved once per registry generation —
@@ -275,11 +265,6 @@ class NIC:
 
     def _handle_qdisc_drop(self, seg: Segment) -> None:
         """A qdisc head drop (HTB ``del_class``): notify the local transport."""
-        if self.sim.trace.enabled:
-            self.sim.trace.record(
-                "aqm_drop", host=self.host_id, flow=str(seg.flow),
-                seg=seg.index,
-            )
         if self.sim.metrics.enabled:
             self.sim.metrics.counter("nic_qdisc_drops", host=self.host_id).inc()
         if self.on_segment_dropped is not None:

@@ -103,13 +103,7 @@ class OutputPort:
         """Count a tail drop and notify the sender (shared by both modes)."""
         self.drops += 1
         self.dropped_bytes += seg.size
-        sim = self.sim
-        if sim.trace.enabled:
-            sim.trace.record(
-                "switch_drop", port=self.host_id, flow=str(seg.flow),
-                seg=seg.index, msg=seg.message.msg_id,
-            )
-        metrics = sim.metrics
+        metrics = self.sim.metrics
         if metrics.enabled:
             if metrics.generation != self._m_gen:
                 self._m_gen = metrics.generation
@@ -264,11 +258,11 @@ class VirtualOutputPort(OutputPort):
             self._queued_bytes = queued
             if not elided_ingress:
                 self._record_drop(seg)
-            elif sim.trace.enabled or sim.metrics.enabled:
-                # The drop becomes observable (trace stamp, counters,
-                # sender RTO) at arrival time, in its own event — exactly
-                # where packet granularity ran the ingress event.  Net
-                # event count is unchanged, so no step credit.
+            elif sim.metrics.enabled:
+                # The drop becomes observable (counters, sender RTO) at
+                # arrival time, in its own event — exactly where packet
+                # granularity ran the ingress event.  Net event count is
+                # unchanged, so no step credit.
                 sim.schedule_at_fire(arrival, self._record_drop, (seg,))
             else:
                 # No observer needs the wrapper: count now (cumulative

@@ -193,11 +193,6 @@ class Transport:
             state = _SendState(self._draw_window(), slow_start=self.slow_start)
             self._send_states[message.flow] = state
         state.pending.extend(segment_message(message, self.segment_bytes))
-        if self.sim.trace.enabled:
-            self.sim.trace.record(
-                "msg_send", flow=str(message.flow), msg=message.msg_id,
-                size=message.size, msg_kind=message.kind, **message.meta,
-            )
         self._refill(message.flow, state)
 
     def _draw_window(self) -> int:
@@ -386,20 +381,10 @@ class Transport:
             # Sender-stamped-to-delivered latency: the message-level RTT
             # stand-in (the transport does not simulate per-segment ACKs).
             self._m_latency.observe(self.sim.now - msg.created_at)
-        if self.sim.trace.enabled:
-            self.sim.trace.record(
-                "msg_recv", flow=str(msg.flow), msg=msg.msg_id,
-                size=msg.size, msg_kind=msg.kind, **msg.meta,
-            )
         listener = self._listeners.get(msg.flow.dst_port)
         if listener is None:
             if self.tolerate_unrouted:
                 self.messages_unrouted += 1
-                if self.sim.trace.enabled:
-                    self.sim.trace.record(
-                        "msg_unrouted", flow=str(msg.flow), msg=msg.msg_id,
-                        msg_kind=msg.kind,
-                    )
                 return
             raise NetworkError(
                 f"no listener on {self.nic.host_id}:{msg.flow.dst_port} "

@@ -23,7 +23,6 @@ from repro.sim.kernel import Simulator
 from repro.sim.process import Process, Timeout, Waitable
 from repro.sim.primitives import AllOf, Barrier, Mailbox, Resource, Signal
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import TraceRecord, Tracer
 from repro.sim.watchdog import Watchdog, WatchdogViolation
 
 __all__ = [
@@ -38,8 +37,6 @@ __all__ = [
     "Signal",
     "Simulator",
     "Timeout",
-    "TraceRecord",
-    "Tracer",
     "Waitable",
     "Watchdog",
     "WatchdogViolation",

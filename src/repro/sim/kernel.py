@@ -10,7 +10,6 @@ from repro.errors import SimulationError
 from repro.sim.events import PRIORITY_NORMAL, Event, EventQueue
 from repro.sim.process import Process, ProcessGen
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import Tracer
 from repro.sim.watchdog import Watchdog
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -24,7 +23,6 @@ class Simulator:
     * the event queue,
     * the process table,
     * deterministic random streams (:attr:`rng`),
-    * an optional :class:`~repro.sim.trace.Tracer`,
     * a :class:`~repro.telemetry.metrics.MetricsRegistry` (disabled by
       default; instrumented components guard on ``sim.metrics.enabled``),
     * a :class:`~repro.sim.watchdog.Watchdog` (mode ``"off"`` by default;
@@ -37,12 +35,10 @@ class Simulator:
         sim.run(until=100.0)
     """
 
-    def __init__(self, seed: int = 0, trace: bool = False) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.now: float = 0.0
         self.events = EventQueue()
         self.rng = RandomStreams(seed)
-        self.trace = Tracer(enabled=trace)
-        self.trace.bind_clock(lambda: self.now)
         self.metrics = MetricsRegistry()
         self.metrics.bind_clock(lambda: self.now)
         self.watchdog = Watchdog(self)

@@ -2,7 +2,7 @@
 
 A :class:`Watchdog` hangs off every :class:`~repro.sim.kernel.Simulator`
 (``sim.watchdog``), disabled by default — the same zero-cost-guard
-pattern as ``sim.trace`` and ``sim.metrics``.  When enabled it runs a
+pattern as ``sim.metrics``.  When enabled it runs a
 set of registered *checks* (read-only predicates over existing counters
 and data structures) from a low-priority heartbeat event and once more
 at :meth:`finalize`, converting silent corruption — leaked bytes, stuck

@@ -38,8 +38,8 @@ class FlowRecord:
 class FlowCollector:
     """Collects a :class:`FlowRecord` per delivered message.
 
-    Taps every transport's :attr:`~repro.net.transport.Transport.on_deliver`
-    hook (chaining with any hook already present)::
+    Registers a delivery tap on the network
+    (:meth:`~repro.net.topology.StarNetwork.add_delivery_tap`)::
 
         collector = FlowCollector.install(network)
         ... deploy apps ...
@@ -55,24 +55,9 @@ class FlowCollector:
     @classmethod
     def install(cls, network: "StarNetwork") -> "FlowCollector":
         collector = cls()
-        add_tap = getattr(network, "add_delivery_tap", None)
-        if add_tap is not None:
-            # Registering through the network covers transports created
-            # *after* install() too (e.g. hosts attached on failover
-            # respawn) — per-transport chaining would silently miss them.
-            add_tap(collector.record)
-            return collector
-        # Duck-typed networks without the hook: tap what exists now.
-        for transport in network.transports.values():
-            prev = transport.on_deliver
-            if prev is None:
-                transport.on_deliver = collector.record
-            else:
-                def chained(msg: Message, _prev=prev) -> None:
-                    _prev(msg)
-                    collector.record(msg)
-
-                transport.on_deliver = chained
+        # Registering through the network covers transports created
+        # *after* install() too (e.g. hosts attached on failover respawn).
+        network.add_delivery_tap(collector.record)
         return collector
 
     def record(self, msg: Message) -> None:

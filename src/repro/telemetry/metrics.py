@@ -1,10 +1,9 @@
 """``metrics`` — the simulation-wide metrics registry.
 
 Counters, gauges and histograms with Prometheus-flavoured names and
-labels, owned by the simulator (``sim.metrics``) exactly like the event
-tracer (``sim.trace``).  The registry follows the same zero-cost
-discipline: it is **disabled by default**, and every hot-path push site
-guards on the flag::
+labels, owned by the simulator (``sim.metrics``).  The registry follows
+a zero-cost discipline: it is **disabled by default**, and every
+hot-path push site guards on the flag::
 
     if sim.metrics.enabled:
         sim.metrics.counter("nic_tx_bytes", host=self.host_id).inc(seg.size)
@@ -178,11 +177,10 @@ class Histogram:
 class MetricsRegistry:
     """Get-or-create instrument store with a global enable flag.
 
-    Mirrors :class:`~repro.sim.trace.Tracer`: created disabled alongside
-    the simulator, clock-bound lazily, enabled per run by the caller
-    (``materialize(scenario, metrics=True)``) — never by the scenario
-    itself, so enabling metrics cannot change scenario identity or any
-    simulated result.
+    Created disabled alongside the simulator, clock-bound lazily, and
+    enabled per run by the caller (``materialize(scenario, metrics=True)``)
+    — never by the scenario itself, so enabling metrics cannot change
+    scenario identity or any simulated result.
     """
 
     def __init__(self, enabled: bool = False) -> None:

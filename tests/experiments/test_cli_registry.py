@@ -182,6 +182,10 @@ def test_utilization_export_observes_through_the_flag_campaign(submitted, tmp_pa
     (["utilization", "--cache", "--export-metrics", "m.jsonl"], "--export-metrics"),
     (["fig5b", "--batch", "2"], "unrecognized arguments: --batch"),
     (["fig1", "--jobs", "2"], "unrecognized arguments: --jobs"),
+    (["campaign", "--resume", "r1", "--placements", "2"], "takes no --placements"),
+    (["campaign", "--resume", "r1", "--seed", "3"], "takes no --placements"),
+    (["ablate", "--seeds", "7"], "--seeds needs >= 2 seeds"),
+    (["codesign", "--seeds", "7"], "--seeds needs >= 2 seeds"),
 ])
 def test_bad_flag_values_are_usage_errors(monkeypatch, tmp_path, capsys, argv, message):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

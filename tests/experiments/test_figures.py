@@ -141,3 +141,63 @@ def test_robustness_report_mode_keeps_every_campaign_setting():
                                  campaign=camp)
     assert result.results[(Policy.FIFO, 0.0, False)].metrics_snapshot
     assert camp.on_failure == "raise"  # the caller's campaign is left alone
+
+
+#: ``fig1.generate(TINY, n_workers=3, iterations=3)`` message sequence as
+#: ``(time, kind, direction, iteration)``, pinned exactly: the delivery
+#: times are simulated results, so any change to how Figure 1 observes
+#: deliveries must reproduce them bit for bit.
+FIG1_EVENTS = [
+    (0.0017050079999999998, "model_update", "ps->wk0", 0),
+    (0.0031903008000000004, "model_update", "ps->wk1", 0),
+    (0.0046755936000000015, "model_update", "ps->wk2", 0),
+    (0.1977315832635789, "gradient_update", "wk1->ps", 0),
+    (0.2092434714316081, "gradient_update", "wk0->ps", 0),
+    (0.21106139151454828, "gradient_update", "wk2->ps", 0),
+    (0.21494847943160802, "model_update", "ps->wk0", 1),
+    (0.21643377223160795, "model_update", "ps->wk1", 1),
+    (0.21791906503160788, "model_update", "ps->wk2", 1),
+    (0.43799678627046057, "gradient_update", "wk2->ps", 1),
+    (0.4386432182704606, "gradient_update", "wk0->ps", 1),
+    (0.44024368211084364, "gradient_update", "wk1->ps", 1),
+    (0.44570179427046064, "model_update", "ps->wk0", 2),
+    (0.44718708707046073, "model_update", "ps->wk1", 2),
+    (0.4486723798704608, "model_update", "ps->wk2", 2),
+    (0.6718013591686672, "gradient_update", "wk0->ps", 2),
+    (0.6767112227774237, "gradient_update", "wk2->ps", 2),
+    (0.6847504870030275, "gradient_update", "wk1->ps", 2),
+]
+
+#: ``fig4.generate(TINY.replace(iterations=4))`` burst spans per policy as
+#: ``(job, iteration, first, last)``, pinned exactly like FIG1_EVENTS.
+FIG4_SPANS = {
+    Policy.FIFO: [
+        ("job00", 0, 0.0017050079999999998, 0.011245910400000007),
+        ("job01", 0, 0.0076116064000000035, 0.012102057600000007),
+    ],
+    Policy.TLS_ONE: [
+        ("job00", 0, 0.0021244384, 0.006545744000000003),
+        ("job01", 0, 0.007646179200000004, 0.012102057600000007),
+    ],
+    Policy.TLS_RR: [
+        ("job00", 0, 0.0021244384, 0.006545744000000003),
+        ("job01", 0, 0.007646179200000004, 0.012102057600000007),
+    ],
+}
+
+
+def test_fig1_message_sequence_is_pinned():
+    from repro.experiments.figures import fig1
+
+    result = fig1.generate(TINY, n_workers=3, iterations=3)
+    assert [
+        (e.time, e.kind, e.direction, e.iteration) for e in result.events
+    ] == FIG1_EVENTS
+
+
+def test_fig4_spans_are_pinned():
+    result = fig4.generate(TINY.replace(iterations=4))
+    assert {
+        policy: [(s.job_id, s.iteration, s.first, s.last) for s in spans]
+        for policy, spans in result.spans.items()
+    } == FIG4_SPANS

@@ -1,8 +1,6 @@
-"""Unit tests for random streams and tracing."""
+"""Unit tests for random streams."""
 
-from repro.sim import Simulator
 from repro.sim.rng import RandomStreams
-from repro.sim.trace import Tracer
 
 
 def test_streams_are_deterministic_by_seed_and_name():
@@ -63,73 +61,3 @@ def test_uniform_bounds():
     for _ in range(50):
         v = rs.uniform("u", 2.0, 3.0)
         assert 2.0 <= v < 3.0
-
-
-# ---------------------------------------------------------------- Tracer
-
-
-def test_tracer_disabled_records_nothing():
-    t = Tracer(enabled=False)
-    t.record("x", a=1)
-    assert len(t) == 0
-
-
-def test_tracer_records_with_clock():
-    sim = Simulator(trace=True)
-    sim.schedule(1.5, sim.trace.record, ("tick",))
-    sim.run()
-    [rec] = sim.trace.records
-    assert rec.kind == "tick"
-    assert rec.time == 1.5
-
-
-def test_tracer_kind_filter():
-    t = Tracer(enabled=True, kinds={"keep"})
-    t.record("keep", v=1)
-    t.record("drop", v=2)
-    assert [r.kind for r in t.records] == ["keep"]
-
-
-def test_tracer_field_attribute_access():
-    t = Tracer(enabled=True)
-    t.record("k", job="j1", size=10)
-    [rec] = t.records
-    assert rec.job == "j1"
-    assert rec.size == 10
-    assert list(t.of_kind("k")) == [rec]
-
-
-def test_tracer_clear():
-    t = Tracer(enabled=True)
-    t.record("k")
-    t.clear()
-    assert len(t) == 0
-
-
-def test_tracer_span_emits_begin_end_with_duration():
-    sim = Simulator(trace=True)
-
-    def proc():
-        with sim.trace.span("phase", job="j1"):
-            from repro.sim.process import Timeout
-
-            yield Timeout(2.0)
-
-    sim.spawn(proc())
-    sim.run()
-    begin, end = sim.trace.records
-    assert begin.kind == "phase.begin" and begin.time == 0.0
-    assert end.kind == "phase.end" and end.time == 2.0
-    assert end.duration == 2.0
-    assert end.job == "j1"
-
-
-def test_tracer_span_disabled_or_filtered_is_noop():
-    t = Tracer(enabled=False)
-    with t.span("phase"):
-        pass
-    assert len(t) == 0
-    t = Tracer(enabled=True, kinds={"other"})
-    with t.span("phase"):
-        pass
-    assert len(t) == 0

@@ -194,3 +194,15 @@ def test_metrics_do_not_change_the_simulated_result():
     assert result_content_hash(plain) == result_content_hash(observed)
     assert plain.metrics_snapshot == {}
     assert observed.metrics_snapshot  # non-empty, but hash-invisible
+
+    # A two-segment switch buffer drops under incast: with metrics on a
+    # drop is recorded in its own event at arrival time, with metrics off
+    # it is counted inline.  Both must simulate the same run.
+    shallow = Scenario(config=MICRO.replace(
+        n_jobs=3, n_workers=6, switch_buffer_bytes=2 * MICRO.segment_bytes,
+    ))
+    rt = materialize(shallow)
+    plain = rt.run()
+    assert rt.cluster.network.switch.total_drops > 0
+    observed = materialize(shallow, metrics=True).run()
+    assert result_content_hash(plain) == result_content_hash(observed)
