@@ -48,6 +48,7 @@ from typing import (
 
 from repro.errors import CampaignError, ConfigError
 from repro.experiments.export import (
+    FULL_SCHEMA_VERSION,
     result_content_hash,
     result_from_full_dict,
     result_to_full_dict,
@@ -172,11 +173,14 @@ class ResultCache:
         """The cached result for this scenario, or ``None`` on a miss.
 
         Unreadable or stale-schema entries count as misses, never as
-        errors.  A file that *exists* but will not parse — truncated by a
-        crash mid-write outside our atomic protocol, bit-rotted, or JSON
-        whose ``"result"`` is not an object — is
-        additionally quarantined (renamed with a ``.corrupt`` suffix) so
-        it stops shadowing the slot and the scenario re-runs cleanly.
+        errors.  A stale-schema entry (one another build wrote with a
+        different ``full_schema_version``) stays in place for the re-run's
+        :meth:`put` to overwrite.  A file that *exists* but will not
+        parse — truncated by a crash mid-write outside our atomic
+        protocol, bit-rotted, JSON whose ``"result"`` is not an object, or
+        a packed sample block that does not decode — is additionally
+        quarantined (renamed with a ``.corrupt`` suffix) so it stops
+        shadowing the slot and the scenario re-runs cleanly.
         """
         entry = self._entry(scenario)
         try:
@@ -188,6 +192,9 @@ class ResultCache:
             payload = json.loads(text)["result"]
             if not isinstance(payload, dict):
                 raise TypeError("cache entry result is not an object")
+            if payload.get("full_schema_version") != FULL_SCHEMA_VERSION:
+                self.misses += 1
+                return None
             result = result_from_full_dict(payload)
         except (ValueError, KeyError, TypeError, ConfigError):
             self._quarantine(entry)

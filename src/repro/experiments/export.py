@@ -7,10 +7,14 @@ objects into stable, documented schemas.
 
 from __future__ import annotations
 
+import base64
 import csv
 import hashlib
 import io
 import json
+import sys
+from array import array
+from itertools import chain
 from typing import Any, Dict, Iterable, List, Mapping
 
 import numpy as np
@@ -121,11 +125,57 @@ def to_csv(results: Iterable[ExperimentResult]) -> str:
 # -- full-fidelity round-trip (result cache) -------------------------------
 
 #: Schema of the lossless result serialization used by the campaign cache.
-#: 2: added ``fault_events`` (read back with a default for old entries).
-#:    ``tc_reconfigurations`` was added the same additive way (default 0 on
-#:    read, excluded from the content hash), so 2 reads entries with or
-#:    without it and pinned golden hashes stay valid.
-FULL_SCHEMA_VERSION = 2
+#: 3: every barrier-wait sample and host utilization series is one packed
+#:    float64 block (:func:`_pack`); everything else is as in schema 2.
+#:    Entries of any other schema are cache misses and re-run once.
+FULL_SCHEMA_VERSION = 3
+
+#: Version stamped into the payload the content hash is taken over: the
+#: schema-2 layout, every sample a decimal JSON float.  Frozen — every
+#: pinned hash depends on it, whatever the cache stores on disk.
+HASH_SCHEMA_VERSION = 2
+
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _pack(values: Iterable[float]) -> str:
+    """``values`` as one base64 block of little-endian float64s."""
+    block = array("d", values)
+    if _BIG_ENDIAN:
+        block.byteswap()
+    return base64.b64encode(block.tobytes()).decode("ascii")
+
+
+def _unpack(block: str) -> List[float]:
+    """Inverse of :func:`_pack`, bit for bit; malformed input raises
+    ``ValueError`` (``binascii.Error`` included) or ``TypeError``."""
+    values = array("d")
+    values.frombytes(base64.b64decode(block, validate=True))
+    if _BIG_ENDIAN:
+        values.byteswap()
+    return values.tolist()
+
+
+def _pack_waits(waits: Mapping[str, List[float]]) -> Dict[str, Any]:
+    return {
+        "iterations": [int(i) for i in waits],
+        "counts": [len(w) for w in waits.values()],
+        "samples": _pack(chain.from_iterable(waits.values())),
+    }
+
+
+def _unpack_waits(data: Mapping[str, Any]) -> Dict[int, List[float]]:
+    iterations, counts = data["iterations"], data["counts"]
+    samples = _unpack(data["samples"])
+    if (len(iterations) != len(counts) or min(counts, default=0) < 0
+            or sum(counts) != len(samples)):
+        raise ValueError("barrier-wait block does not match its counts")
+    waits: Dict[int, List[float]] = {}
+    end = 0
+    for i, n in zip(iterations, counts):
+        start, end = end, end + n
+        waits[int(i)] = samples[start:end]
+    return waits
 
 
 def _series_to_dict(series: SampleSeries) -> Dict[str, List[float]]:
@@ -133,7 +183,10 @@ def _series_to_dict(series: SampleSeries) -> Dict[str, List[float]]:
 
 
 def _series_from_dict(data: Mapping[str, Any]) -> SampleSeries:
-    return SampleSeries(times=list(data["times"]), values=list(data["values"]))
+    times, values = _unpack(data["times"]), _unpack(data["values"])
+    if len(times) != len(values):
+        raise ValueError("sample series has unequal times and values")
+    return SampleSeries(times=times, values=values)
 
 
 def _metrics_to_dict(m: JobMetrics) -> Dict[str, Any]:
@@ -152,10 +205,7 @@ def _metrics_to_dict(m: JobMetrics) -> Dict[str, Any]:
 
 def _metrics_from_dict(data: Mapping[str, Any]) -> JobMetrics:
     barriers = BarrierSeries(int(data["n_workers"]))
-    barriers._waits = {
-        int(i): [float(x) for x in waits]
-        for i, waits in data["barrier_waits"].items()
-    }
+    barriers._waits = _unpack_waits(data["barrier_waits"])
     return JobMetrics(
         job_id=data["job_id"],
         n_workers=int(data["n_workers"]),
@@ -168,17 +218,15 @@ def _metrics_from_dict(data: Mapping[str, Any]) -> JobMetrics:
     )
 
 
-def result_to_full_dict(result: ExperimentResult) -> Dict[str, Any]:
-    """Losslessly flatten one run for the campaign result cache.
+def _hashed_dict(result: ExperimentResult) -> Dict[str, Any]:
+    """Every simulated measurement of a run, in the frozen hash layout.
 
-    Unlike :func:`result_to_dict` (a summary for downstream plotting),
-    this preserves every measurement — per-barrier wait samples and host
-    utilization series included — so :func:`result_from_full_dict` gives
-    back an :class:`ExperimentResult` that answers every query the
-    original did (JSON floats round-trip exactly).
+    This is the one field list of the lossless serialization: the hash
+    is taken over it as is, and :func:`result_to_full_dict` packs its
+    sample lists and adds the two fields the hash leaves out.
     """
     return {
-        "full_schema_version": FULL_SCHEMA_VERSION,
+        "full_schema_version": HASH_SCHEMA_VERSION,
         "config": config_to_dict(result.config),
         "jcts": dict(result.jcts),
         "ps_host_of_job": dict(result.ps_host_of_job),
@@ -193,33 +241,56 @@ def result_to_full_dict(result: ExperimentResult) -> Dict[str, Any]:
         },
         "makespan": result.makespan,
         "sim_events": result.sim_events,
-        "wall_seconds": result.wall_seconds,
         "tc_commands": list(result.tc_commands),
         "host_ids": list(result.host_ids),
         "fault_events": list(result.fault_events),
-        "tc_reconfigurations": result.tc_reconfigurations,
     }
 
 
+def result_to_full_dict(result: ExperimentResult) -> Dict[str, Any]:
+    """Losslessly flatten one run for the campaign result cache.
+
+    Unlike :func:`result_to_dict` (a summary for downstream plotting),
+    this preserves every measurement — per-barrier wait samples and host
+    utilization series included — so :func:`result_from_full_dict` gives
+    back an :class:`ExperimentResult` that answers every query the
+    original did.  Sample lists are stored as packed float64 blocks
+    (bit-exact, and no decimal parsing on a cache hit): a job's barrier
+    waits as one block plus the iteration numbers and the sample count
+    of each, a host series as one block per axis.
+    """
+    data = _hashed_dict(result)
+    data["full_schema_version"] = FULL_SCHEMA_VERSION
+    for m in data["metrics"].values():
+        m["barrier_waits"] = _pack_waits(m["barrier_waits"])
+    for host in data["samplers"].values():
+        for kind, series in host.items():
+            host[kind] = {axis: _pack(v) for axis, v in series.items()}
+    data["wall_seconds"] = result.wall_seconds
+    data["tc_reconfigurations"] = result.tc_reconfigurations
+    return data
+
+
 def result_content_hash(result: ExperimentResult) -> str:
-    """SHA-256 over the lossless serialization, minus wall-clock time.
+    """SHA-256 over every simulated measurement of a run.
 
     Two runs of the same scenario hash identically if and only if every
     simulated measurement matches — the invariant that the kernel/transport
-    fast paths must preserve and that the determinism tests pin
-    (``wall_seconds`` is the one field allowed to differ between runs).
+    fast paths must preserve and that the determinism tests pin.  Left
+    out: ``wall_seconds`` (the one field allowed to differ between runs)
+    and ``tc_reconfigurations`` (control-plane observability that
+    postdates the pinned hashes).  The payload is the frozen schema-2
+    layout, so cache storage changes never move a hash.
     """
-    payload = result_to_full_dict(result)
-    payload.pop("wall_seconds", None)
-    # Also control-plane observability, not a simulated measurement: the
-    # hash predates the counter and pinned golden hashes must stay valid.
-    payload.pop("tc_reconfigurations", None)
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(_hashed_dict(result), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def result_from_full_dict(data: Mapping[str, Any]) -> ExperimentResult:
-    """Rebuild an :class:`ExperimentResult` from :func:`result_to_full_dict`."""
+    """Rebuild an :class:`ExperimentResult` from :func:`result_to_full_dict`.
+
+    A malformed packed block raises ``ValueError`` or ``TypeError``.
+    """
     version = data.get("full_schema_version")
     if version != FULL_SCHEMA_VERSION:
         raise ConfigError(
@@ -244,8 +315,8 @@ def result_from_full_dict(data: Mapping[str, Any]) -> ExperimentResult:
         wall_seconds=float(data["wall_seconds"]),
         tc_commands=list(data["tc_commands"]),
         host_ids=list(data["host_ids"]),
-        fault_events=list(data.get("fault_events", [])),
-        tc_reconfigurations=int(data.get("tc_reconfigurations", 0)),
+        fault_events=list(data["fault_events"]),
+        tc_reconfigurations=int(data["tc_reconfigurations"]),
     )
 
 

@@ -1,5 +1,7 @@
 """Crash-tolerant Campaign tests: timeouts, dead workers, cache races."""
 
+import base64
+import json
 import threading
 import time
 
@@ -14,8 +16,10 @@ from repro.experiments import (
     Scenario,
 )
 from repro.experiments.campaign import CHAOS_KILL_ENV
+from repro.experiments.export import FULL_SCHEMA_VERSION, result_content_hash
 from repro.experiments.runtime import execute_scenario
 from repro.faults import FaultPlan, PSCrash
+from tests.experiments import hash_oracle
 
 MICRO = ExperimentConfig.tiny(n_jobs=2, n_workers=2, iterations=3)
 
@@ -218,6 +222,90 @@ def test_cache_entry_of_wrong_shape_is_quarantined_miss(tmp_path, payload):
     assert cache.corrupt == 1
     assert [p.read_text() for p in tmp_path.glob("*.json.corrupt")] == [payload]
     assert rerun.results[0].jcts == first.results[0].jcts
+
+
+def test_stale_schema_entry_is_plain_miss_and_overwritten(tmp_path):
+    """An entry another build wrote (here schema 2, decimal floats) is
+    readable, just not ours: a miss, not corruption, and the re-run's
+    put replaces it in place."""
+    scenario = Scenario(config=MICRO)
+    result = execute_scenario(scenario)
+    cache = ResultCache(tmp_path)
+    entry = cache.put(scenario, result)
+    entry.write_text(json.dumps({
+        "scenario": scenario.to_dict(),
+        "result": hash_oracle.result_to_full_dict(result),
+    }))
+
+    assert cache.get(scenario) is None
+    assert cache.misses == 1 and cache.corrupt == 0
+    assert list(tmp_path.glob("*.corrupt")) == []
+    rerun = Campaign(cache=cache).run([scenario])
+    assert rerun.cache_hits == 0 and rerun.executed == 1
+    assert rerun.campaign_metrics["counters"]["campaign_cache_corrupt_total"] == 0
+    assert cache.corrupt == 0 and list(tmp_path.glob("*.corrupt")) == []
+    stored = json.loads(entry.read_text())["result"]
+    assert stored["full_schema_version"] == FULL_SCHEMA_VERSION
+    assert Campaign(cache=cache).run([scenario]).cache_hits == 1
+
+
+def _waits_block(payload):
+    return payload["metrics"]["job00"]["barrier_waits"]
+
+
+def _bad_base64(payload):
+    # Non-alphabet characters a lenient decoder would silently skip.
+    block = _waits_block(payload)
+    block["samples"] = block["samples"][:4] + "!*" + block["samples"][4:]
+
+
+def _not_float64s(payload):
+    block = _waits_block(payload)
+    block["samples"] = base64.b64encode(
+        base64.b64decode(block["samples"]) + b"\0").decode()
+
+
+def _count_mismatch(payload):
+    _waits_block(payload)["counts"][0] += 1
+
+
+def _negative_count(payload):
+    counts = _waits_block(payload)["counts"]
+    assert len(counts) >= 2
+    counts[0] += counts[1] + 1   # the sum still matches the block
+    counts[1] = -1
+
+
+def _series_bad_base64(payload):
+    next(iter(payload["samplers"].values()))["cpu"]["times"] = "not base64!"
+
+
+def _series_unequal(payload):
+    series = next(iter(payload["samplers"].values()))["cpu"]
+    series["values"] = base64.b64encode(
+        base64.b64decode(series["values"])[:-8]).decode()
+
+
+@pytest.mark.parametrize("corrupt", [
+    _bad_base64, _not_float64s, _count_mismatch, _negative_count,
+    _series_bad_base64, _series_unequal,
+])
+def test_corrupt_packed_block_is_quarantined_miss(tmp_path, corrupt):
+    """A packed sample block that does not decode never escapes
+    ``Campaign.run``: the entry is quarantined and the scenario re-runs."""
+    scenario = Scenario(config=MICRO.replace(sample_hosts=True, sample_interval=0.05))
+    cache = ResultCache(tmp_path)
+    first = Campaign(cache=cache).run([scenario])
+    entry = next(tmp_path.glob("*.json"))
+    data = json.loads(entry.read_text())
+    corrupt(data["result"])
+    entry.write_text(json.dumps(data))
+
+    rerun = Campaign(cache=cache).run([scenario])
+    assert rerun.cache_hits == 0 and rerun.executed == 1
+    assert cache.corrupt == 1
+    assert len(list(tmp_path.glob("*.json.corrupt"))) == 1
+    assert result_content_hash(rerun.results[0]) == result_content_hash(first.results[0])
 
 
 # -- the threading.Timer wall-clock guard -------------------------------------

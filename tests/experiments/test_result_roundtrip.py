@@ -7,17 +7,22 @@ barrier statistics, utilization — survives the round trip exactly.
 """
 
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+from repro.dl.metrics import BarrierSeries, JobMetrics
 from repro.errors import ConfigError
 from repro.experiments import ExperimentConfig, Scenario, execute_scenario
 from repro.experiments.export import (
     result_from_full_dict,
     result_to_full_dict,
 )
+from repro.experiments.runtime import ExperimentResult, HostSamples
 from repro.telemetry import ActiveWindow
+from repro.telemetry.sampler import SampleSeries
 
 MICRO = ExperimentConfig.tiny(n_jobs=2, n_workers=2, iterations=3)
 
@@ -87,3 +92,47 @@ def test_full_dict_rejects_unknown_version():
     data["full_schema_version"] = 999
     with pytest.raises(ConfigError):
         result_from_full_dict(data)
+
+
+# -- packed float64 blocks ---------------------------------------------------
+
+INF, NAN = float("inf"), float("nan")
+SUBNORMAL = 5e-324
+SAMPLES = st.lists(st.floats(allow_subnormal=True), max_size=8)
+
+
+def _bits(values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def _synthetic(waits, times, values):
+    barriers = BarrierSeries(2)
+    barriers._waits = waits
+    series = SampleSeries(times=times, values=values)
+    return ExperimentResult(
+        config=MICRO,
+        jcts={"job00": 1.0},
+        metrics={"job00": JobMetrics(job_id="job00", n_workers=2, barriers=barriers)},
+        ps_host_of_job={"job00": "h00"},
+        samplers={"h00": HostSamples(cpu=series, net_in=series, net_out=series)},
+    )
+
+
+@given(waits=st.dictionaries(st.integers(0, 10**6), SAMPLES, max_size=6),
+       series=st.lists(st.tuples(st.floats(allow_subnormal=True),
+                                 st.floats(allow_subnormal=True)), max_size=8))
+@example(waits={}, series=[])
+@example(waits={0: [], 7: [-0.0, SUBNORMAL, -SUBNORMAL, INF, -INF, NAN], 2: []},
+         series=[(-0.0, NAN), (INF, SUBNORMAL), (-INF, -0.0)])
+def test_packed_samples_round_trip_bit_for_bit(waits, series):
+    times = [t for t, _ in series]
+    values = [v for _, v in series]
+    back = _round_trip(_synthetic(waits, times, values))
+    got = back.metrics["job00"].barriers._waits
+    assert list(got) == list(waits)
+    for iteration, samples in waits.items():
+        assert _bits(got[iteration]) == _bits(samples)
+    for kind in ("cpu", "net_in", "net_out"):
+        got_series = getattr(back.samplers["h00"], kind)
+        assert _bits(got_series.times) == _bits(times)
+        assert _bits(got_series.values) == _bits(values)
