@@ -1,10 +1,12 @@
 """Overhead guard for the metrics registry (``sim.metrics``).
 
-The registry's contract is *zero-cost when disabled*: every hot-path push
-site guards on ``sim.metrics.enabled``, so a run with metrics off must
-stay within a few percent of the pre-instrumentation baseline.  This
-benchmark enforces that, and reports (informationally) what enabling the
-registry actually costs.
+The registry's contract is *zero-cost when disabled*: components keep
+plain counts that ``scrape_cluster`` reads once at run end, and the only
+two in-flight observations (message latency, barrier wait) guard on
+``sim.metrics.enabled``, so a run with metrics off must stay within a
+few percent of the pre-instrumentation baseline.  This benchmark
+enforces that, and reports (informationally) what enabling the registry
+actually costs.
 
 Runnable directly — the metrics-smoke CI job does::
 

@@ -18,7 +18,7 @@ Layered public API:
 * :mod:`repro.api` — the stable experiment-pipeline facade,
 
 * :mod:`repro.sim` — discrete-event kernel,
-* :mod:`repro.net` — NICs, qdiscs (FIFO/prio/TBF/HTB/DRR), switch, transport,
+* :mod:`repro.net` — NICs, qdiscs (FIFO/HTB/DRR/netem), switch, transport,
 * :mod:`repro.cluster` — hosts, CPUs, placements (Table I), scheduler,
 * :mod:`repro.dl` — PS-architecture training workload model,
 * :mod:`repro.tensorlights` — the paper's contribution (tc facade, TLs-One,
@@ -44,7 +44,7 @@ from repro.experiments import (
 from repro.sim import Simulator
 from repro.tensorlights import TensorLights, TLMode
 
-__version__ = "1.6.0"
+__version__ = "1.7.0"
 
 __all__ = [
     "Campaign",

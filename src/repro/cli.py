@@ -67,6 +67,7 @@ from repro.experiments.figures import (
     table2,
 )
 from repro.experiments.figures.common import ALL_POLICIES
+from repro.experiments.runtime import check_scenario
 from repro.experiments.scenario import Scenario
 from repro.units import parse_rate, parse_size
 
@@ -266,9 +267,13 @@ def _emit_campaign(args: argparse.Namespace, result: Any) -> None:
 # -- generators that live here ---------------------------------------------
 
 
+def _one(**overrides) -> List[Scenario]:
+    return [Scenario(config=ExperimentConfig(**overrides))]
+
+
 def _run_one(campaign: Campaign, **overrides) -> Any:
     """The ``run`` command: one raw experiment."""
-    return campaign.run_one(Scenario(config=ExperimentConfig(**overrides)))
+    return campaign.run_one(_one(**overrides)[0])
 
 
 def _journaled_grid(campaign: Campaign, list_runs: bool = False,
@@ -303,6 +308,9 @@ class Command:
     override, every set ``options`` flag that is in :data:`OPTIONS` as a
     keyword argument, and (when ``campaign``) the :class:`Campaign` built
     from the flags.  The other ``options`` flags are :data:`SETTINGS`.
+    ``plan``, given the same arguments minus the campaign, builds the
+    scenarios ``generate`` would run, so :func:`main` rejects one that
+    cannot run as a usage error before anything runs.
     """
 
     generate: Callable[..., Any]
@@ -312,6 +320,7 @@ class Command:
     options: Tuple[str, ...] = ()
     emit: Callable[[argparse.Namespace, Any], None] = _print_render
     exit: Callable[[Any], int] = lambda report: 0
+    plan: Optional[Callable[..., List[Scenario]]] = None
 
     def flags(self) -> Tuple[str, ...]:
         """Every flag this subcommand offers."""
@@ -328,10 +337,12 @@ COMMANDS: Dict[str, Command] = {
     # become its own n_workers/iterations arguments.
     "fig1": _figure(fig1.generate, "fig1", exit=_protocol,
                     config=_config_except("--jobs", "--switch-buffer", "--paper-scale")),
-    "fig2": _figure(fig2.generate, "fig2", campaign=True, options=("--placements",)),
-    "fig3": _figure(fig3.generate, "fig3", campaign=True),
+    "fig2": _figure(fig2.generate, "fig2", campaign=True, options=("--placements",),
+                    plan=fig2.scenarios),
+    "fig3": _figure(fig3.generate, "fig3", campaign=True, plan=fig3.scenarios),
     "fig4": _figure(fig4.generate, "fig4", config=_config_except("--jobs", "--switch-buffer")),
-    "fig5a": _figure(fig5a.generate, "fig5a", campaign=True, options=("--placements",)),
+    "fig5a": _figure(fig5a.generate, "fig5a", campaign=True, options=("--placements",),
+                     plan=fig5a.scenarios),
     "fig5b": _figure(fig5b.generate, "fig5b", campaign=True,
                      config=_config_except("--batch"), options=("--batches",)),
     "fig6": _figure(fig6.generate, "fig6", campaign=True),
@@ -342,6 +353,7 @@ COMMANDS: Dict[str, Command] = {
         robustness.generate, "JCT degradation under egress loss and PS crashes, per policy",
         config=_config_except("--netem-loss"), campaign=True,
         options=("--losses", "--policies", "--ps-crash", "--crash-at", "--crash-recover"),
+        plan=robustness.scenarios,
     ),
     "collectives": Command(
         collectives.generate,
@@ -349,7 +361,7 @@ COMMANDS: Dict[str, Command] = {
         # Ring architectures have no worker-only hosts to impair.
         config=_config_except("--netem-loss", "--netem-delay", "--netem-jitter")
         + ("--allreduce-fraction", "--channels"), campaign=True,
-        options=("--architectures", "--policies"),
+        options=("--architectures", "--policies"), plan=collectives.scenarios,
     ),
     "utilization": Command(
         table2.generate,
@@ -383,7 +395,7 @@ COMMANDS: Dict[str, Command] = {
     "run": Command(
         _run_one, "run one raw experiment",
         config=CONFIG + ("--placement", "--placement-policy", "--policy"), campaign=True,
-        options=("--export", "--output"), emit=_emit_run,
+        options=("--export", "--output"), emit=_emit_run, plan=_one,
     ),
 }
 
@@ -471,6 +483,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                               "--placements, --policies or config flags")
         if given.get("seeds") is not None and len(given["seeds"]) < 2:
             raise ConfigError(f"--seeds needs >= 2 seeds for bootstrap CIs, got {given['seeds']}")
+        if command.plan is not None:
+            for scenario in command.plan(**kwargs, **overrides):
+                check_scenario(scenario)
         if command.campaign:
             kwargs["campaign"] = _campaign(args)
     except ReproError as exc:

@@ -7,7 +7,7 @@ job JCTs (we report their min/max/std).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.normalize import performance_gap
@@ -63,6 +63,19 @@ class Fig2Result:
         )
 
 
+def scenarios(
+    base: Optional[ExperimentConfig] = None,
+    placements: Sequence[int] = DEFAULT_PLACEMENTS,
+    **overrides,
+) -> List[Scenario]:
+    """One FIFO scenario per placement, tagged with its index."""
+    cfg = base_config(base, **overrides).replace(policy=Policy.FIFO)
+    return [
+        Scenario(config=cfg.replace(placement_index=idx)).with_tags(placement=idx)
+        for idx in placements
+    ]
+
+
 def generate(
     base: Optional[ExperimentConfig] = None,
     placements: Sequence[int] = DEFAULT_PLACEMENTS,
@@ -70,10 +83,5 @@ def generate(
     **overrides,
 ) -> Fig2Result:
     """Run the placements under FIFO and collect per-placement JCTs."""
-    cfg = base_config(base, **overrides).replace(policy=Policy.FIFO)
-    scenarios = [
-        Scenario(config=cfg.replace(placement_index=idx)).with_tags(placement=idx)
-        for idx in placements
-    ]
-    results = submit(scenarios, campaign)
+    results = submit(scenarios(base, placements, **overrides), campaign)
     return Fig2Result(results=dict(zip(placements, results)))

@@ -8,10 +8,9 @@ the placement-#1 average is 3.71x placement-#8's, and the variance 4.37x.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
+from repro.errors import ConfigError
 from repro.experiments.campaign import Campaign
 from repro.experiments.config import ExperimentConfig, Policy
 from repro.experiments.figures.common import base_config, submit
@@ -73,6 +72,24 @@ class Fig3Result:
         return "\n".join(lines)
 
 
+def scenarios(
+    base: Optional[ExperimentConfig] = None,
+    placements: Tuple[int, int] = (1, 8),
+    **overrides,
+) -> List[Scenario]:
+    """The two FIFO placements whose barrier waits the figure compares."""
+    cfg = base_config(base, **overrides).replace(policy=Policy.FIFO)
+    if cfg.n_workers < 2:
+        raise ConfigError(
+            "fig3 compares barrier-wait variance across a job's workers, "
+            f"so it needs n_workers >= 2, got {cfg.n_workers}"
+        )
+    return [
+        Scenario(config=cfg.replace(placement_index=idx)).with_tags(placement=idx)
+        for idx in placements
+    ]
+
+
 def generate(
     base: Optional[ExperimentConfig] = None,
     placements: Tuple[int, int] = (1, 8),
@@ -80,10 +97,5 @@ def generate(
     **overrides,
 ) -> Fig3Result:
     """Run the two placements under FIFO and collect barrier waits."""
-    cfg = base_config(base, **overrides).replace(policy=Policy.FIFO)
-    scenarios = [
-        Scenario(config=cfg.replace(placement_index=idx)).with_tags(placement=idx)
-        for idx in placements
-    ]
-    results = submit(scenarios, campaign)
+    results = submit(scenarios(base, placements, **overrides), campaign)
     return Fig3Result(results=dict(zip(placements, results)))

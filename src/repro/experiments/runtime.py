@@ -26,10 +26,9 @@ from __future__ import annotations
 import math
 import os
 import time
-import warnings
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -294,9 +293,27 @@ def _assign_ps_hosts(scenario: Scenario, host_ids: List[str]) -> List[int]:
     return assignment
 
 
+def check_scenario(scenario: Scenario) -> None:
+    """Raise the placement errors :func:`materialize` would, building
+    nothing: the baseline placement must scale to the job count, and a
+    fingerprint-free placement policy must put every PS on a host."""
+    config = scenario.config
+    if Architecture(config.architecture) != Architecture.PS:
+        return
+    from repro.placement.policies import get_placement_policy
+
+    if get_placement_policy(config.placement_policy).needs_fingerprints:
+        if scenario.placement is None:
+            config.placement()
+        return
+    host_ids = default_host_ids(config.n_hosts)
+    ClusterScheduler(host_ids).ps_hosts_for_assignment(
+        _assign_ps_hosts(scenario, host_ids)
+    )
+
+
 def materialize(
     scenario: Scenario,
-    trace_kinds: Optional[Iterable[str]] = None,
     on_cluster: Optional[Callable[[Cluster], None]] = None,
     controller_factory: Optional[
         Callable[[Cluster, ExperimentConfig], Optional[TensorLights]]
@@ -307,11 +324,9 @@ def materialize(
     """Build the live simulation a scenario describes (without running it).
 
     Args:
-        trace_kinds: deprecated, ignored (emits a ``DeprecationWarning``).
-            Observe message deliveries with a delivery tap instead:
-            ``on_cluster=lambda c: c.network.add_delivery_tap(tap)``.
         on_cluster: called with the freshly built cluster before any
-            application exists (install flow collectors, extra qdiscs).
+            application exists (install flow collectors, extra qdiscs,
+            delivery taps: ``lambda c: c.network.add_delivery_tap(tap)``).
         controller_factory: overrides the policy-derived TensorLights
             controller; it may return ``None`` for no controller.
             In-process hooks are not part of the Scenario identity —
@@ -333,14 +348,6 @@ def materialize(
             counter, so result content hashes are unchanged.
     """
     config = scenario.config
-    if trace_kinds is not None:
-        warnings.warn(
-            "materialize(trace_kinds=...) is deprecated and has no effect: "
-            "observe message deliveries with "
-            "on_cluster=lambda c: c.network.add_delivery_tap(tap)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
 
     # Resolve the scenario's declarative build hooks up front: an unknown
     # hook name must fail before any simulator state exists, and at most

@@ -53,15 +53,14 @@ class NIC:
         "_rx_settle",
         "_tx_busy",
         "_retry_event",
-        "_m_gen",
-        "_m_tx_bytes",
-        "_m_tx_segments",
         "bytes_tx",
         "bytes_rx",
         "segments_tx",
         "segments_rx",
         "busy_time",
         "_busy_since",
+        "egress_drops",
+        "qdisc_drops",
     )
 
     def __init__(
@@ -101,11 +100,6 @@ class NIC:
         self._tx_busy = False
         self._retry_event = None
 
-        # Per-site metric handle cache (see MetricsRegistry.generation).
-        self._m_gen = -1
-        self._m_tx_bytes = None
-        self._m_tx_segments = None
-
         # counters
         self.bytes_tx = 0
         self.bytes_rx = 0
@@ -113,6 +107,10 @@ class NIC:
         self.segments_rx = 0
         self.busy_time = 0.0
         self._busy_since = 0.0
+        #: segments the qdisc refused at enqueue (netem loss, tolerated)
+        self.egress_drops = 0
+        #: accepted segments the qdisc head-dropped (HTB ``del_class``)
+        self.qdisc_drops = 0
 
     # -- wiring ---------------------------------------------------------
 
@@ -162,10 +160,7 @@ class NIC:
         """
         if not self.qdisc.enqueue(seg, self.sim.now):
             if self.loss_tolerant and self.on_segment_dropped is not None:
-                if self.sim.metrics.enabled:
-                    self.sim.metrics.counter(
-                        "nic_egress_drops", host=self.host_id
-                    ).inc()
+                self.egress_drops += 1
                 self.on_segment_dropped(seg)
                 return
             raise NetworkError(
@@ -198,27 +193,8 @@ class NIC:
         sim = self.sim
         now = sim.now
         self.busy_time += now - self._busy_since
-        size = seg.size
-        self.bytes_tx += size
+        self.bytes_tx += seg.size
         self.segments_tx += 1
-        metrics = sim.metrics
-        if metrics.enabled:
-            # Counter handles are resolved once per registry generation —
-            # the per-segment label-tuple rebuild in MetricsRegistry._get
-            # was the bulk of the metrics-enabled overhead.
-            if metrics.generation != self._m_gen:
-                self._m_gen = metrics.generation
-                self._m_tx_bytes = metrics.counter(
-                    "nic_tx_bytes", host=self.host_id
-                )
-                self._m_tx_segments = metrics.counter(
-                    "nic_tx_segments", host=self.host_id
-                )
-            # Counter.inc inlined (size is validated positive): two
-            # method frames per serialized segment were ~1/3 of the
-            # remaining metrics-enabled overhead.
-            self._m_tx_bytes.value += size
-            self._m_tx_segments.value += 1.0
         ports = self._fab_ports
         if ports is not None:
             # Fast path: route into the egress port now, stamped with the
@@ -265,8 +241,7 @@ class NIC:
 
     def _handle_qdisc_drop(self, seg: Segment) -> None:
         """A qdisc head drop (HTB ``del_class``): notify the local transport."""
-        if self.sim.metrics.enabled:
-            self.sim.metrics.counter("nic_qdisc_drops", host=self.host_id).inc()
+        self.qdisc_drops += 1
         if self.on_segment_dropped is not None:
             self.on_segment_dropped(seg)
 

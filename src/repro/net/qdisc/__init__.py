@@ -4,8 +4,6 @@ All qdiscs implement :class:`~repro.net.qdisc.base.Qdisc`:
 
 * :class:`~repro.net.qdisc.fifo.PFifo` — the default FIFO (the paper's
   baseline policy),
-* :class:`~repro.net.qdisc.prio.PrioQdisc` — strict priority bands,
-* :class:`~repro.net.qdisc.tbf.TokenBucketFilter` — rate shaping,
 * :class:`~repro.net.qdisc.htb.HTBQdisc` — hierarchical token bucket with
   rate/ceil borrowing and class priorities (what TensorLights configures),
 * :class:`~repro.net.qdisc.drr.DRRQdisc` — per-flow fair queueing
@@ -18,8 +16,6 @@ report when they will next be able to send via ``next_ready_time(now)``.
 
 from repro.net.qdisc.base import Qdisc
 from repro.net.qdisc.fifo import PFifo
-from repro.net.qdisc.prio import PrioQdisc
-from repro.net.qdisc.tbf import TokenBucketFilter
 from repro.net.qdisc.htb import HTBClass, HTBQdisc
 from repro.net.qdisc.drr import DRRQdisc
 from repro.net.qdisc.netem import NetemQdisc
@@ -33,7 +29,5 @@ __all__ = [
     "NetemQdisc",
     "PFifo",
     "PortFilter",
-    "PrioQdisc",
     "Qdisc",
-    "TokenBucketFilter",
 ]

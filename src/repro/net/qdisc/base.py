@@ -23,7 +23,7 @@ class Qdisc:
     granularity (``VirtualOutputPort`` vs ``OutputPort``) lives entirely
     *behind* the NIC serializer, so qdiscs never see it — every segment
     still passes through ``enqueue``/``dequeue`` at its real timestamps
-    and HTB/TBF token buckets accrue and spend identically at either
+    and HTB token buckets accrue and spend identically at either
     granularity.  This is load-bearing for exactness: shaped qdiscs carry
     continuous token state, and any fast-path shortcut that skipped (or
     batched) dequeues would de-synchronize that state from the packet-

@@ -1,20 +1,12 @@
-"""``tbf`` — token bucket filter (rate shaping).
+"""``tbf`` — the token bucket HTB classes are built from.
 
-Wraps a child qdisc.  Segments become eligible only when the bucket holds
-enough tokens; tokens refill at ``rate`` bytes/second up to ``burst``
-bytes.  Used standalone for the rate-control ablation (paper §VII argues
-that inaccurate sender rate allocation loses utilization) and as the
-building block of HTB classes.
+Tokens refill at ``rate`` bytes/second up to ``burst`` bytes; a class may
+send a segment once the bucket holds enough tokens.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.errors import QdiscError
-from repro.net.packet import Segment
-from repro.net.qdisc.base import Qdisc
-from repro.net.qdisc.fifo import PFifo
 
 
 #: Absolute tolerance (in bytes) when testing token availability.  Guards
@@ -58,60 +50,3 @@ class TokenBucket:
         if deficit <= 0:
             return 0.0
         return deficit / self.rate
-
-
-class TokenBucketFilter(Qdisc):
-    """Shapes a child qdisc to ``rate`` bytes/second."""
-
-    work_conserving = False
-
-    def __init__(
-        self,
-        rate: float,
-        burst: float,
-        child: Optional[Qdisc] = None,
-    ) -> None:
-        self.bucket = TokenBucket(rate, burst)
-        self.child = child if child is not None else PFifo()
-        self.drops = 0
-
-    def enqueue(self, seg: Segment, now: float) -> bool:
-        ok = self.child.enqueue(seg, now)
-        if not ok:
-            self._note_drop()
-        return ok
-
-    def _head(self) -> Optional[Segment]:
-        # PFifo-specific peek; generic children fall back to None-checking
-        # via dequeue/enqueue round trip, which we avoid by requiring PFifo.
-        queue = getattr(self.child, "_queue", None)
-        if queue:
-            return queue[0]
-        return None
-
-    def dequeue(self, now: float) -> Optional[Segment]:
-        head = self._head()
-        if head is None:
-            return None
-        if not self.bucket.can_consume(head.size, now):
-            return None
-        seg = self.child.dequeue(now)
-        assert seg is head
-        self.bucket.consume(seg.size, now)
-        return seg
-
-    def next_ready_time(self, now: float) -> Optional[float]:
-        head = self._head()
-        if head is None:
-            return None
-        return now + self.bucket.time_until(head.size, now)
-
-    def drain_all(self, now: float) -> list[Segment]:
-        return self.child.drain_all(now)
-
-    def __len__(self) -> int:
-        return len(self.child)
-
-    @property
-    def backlog_bytes(self) -> int:
-        return self.child.backlog_bytes

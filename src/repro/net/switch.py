@@ -67,8 +67,6 @@ class OutputPort:
         "max_backlog",
         "drops",
         "dropped_bytes",
-        "_m_gen",
-        "_m_drops",
     )
 
     def __init__(
@@ -95,22 +93,11 @@ class OutputPort:
         self.max_backlog = 0
         self.drops = 0
         self.dropped_bytes = 0
-        # Per-site metric handle cache (see MetricsRegistry.generation).
-        self._m_gen = -1
-        self._m_drops = None
 
     def _record_drop(self, seg: Segment) -> None:
-        """Count a tail drop and notify the sender (shared by both modes)."""
+        """Count a tail drop and notify the sender inline."""
         self.drops += 1
         self.dropped_bytes += seg.size
-        metrics = self.sim.metrics
-        if metrics.enabled:
-            if metrics.generation != self._m_gen:
-                self._m_gen = metrics.generation
-                self._m_drops = metrics.counter(
-                    "switch_port_drops", port=self.host_id
-                )
-            self._m_drops.value += 1.0  # Counter.inc inlined (hot under incast)
         if self.on_drop is not None:
             self.on_drop(seg)
 
@@ -258,25 +245,19 @@ class VirtualOutputPort(OutputPort):
             self._queued_bytes = queued
             if not elided_ingress:
                 self._record_drop(seg)
-            elif sim.metrics.enabled:
-                # The drop becomes observable (counters, sender RTO) at
-                # arrival time, in its own event — exactly where packet
-                # granularity ran the ingress event.  Net event count is
-                # unchanged, so no step credit.
-                sim.schedule_at_fire(arrival, self._record_drop, (seg,))
+                return
+            # Count now (cumulative counters, read at settle points and
+            # at run end); the sender's notification fires at its exact
+            # packet time, where packet granularity ran the ingress event.
+            self.drops += 1
+            self.dropped_bytes += size
+            on_drop = self.on_drop
+            if on_drop is not None:
+                sim.schedule_at_fire(arrival, on_drop, (seg,))
             else:
-                # No observer needs the wrapper: count now (cumulative
-                # counters, read at settle points), fire only the sender
-                # notification at its exact packet time.
-                self.drops += 1
-                self.dropped_bytes += size
-                on_drop = self.on_drop
-                if on_drop is not None:
-                    sim.schedule_at_fire(arrival, on_drop, (seg,))
-                else:
-                    # Packet mode would still have run the ingress event.
-                    sim._steps += 1
-                    sim._elided += 1
+                # Packet mode would still have run the ingress event.
+                sim._steps += 1
+                sim._elided += 1
             return
         free_at = self._free_at
         idle = free_at < arrival

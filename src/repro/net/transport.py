@@ -104,11 +104,7 @@ class Transport:
         "_window_rng",
         "_window_buf",
         "_window_buf_i",
-        "_m_gen",
-        "_m_lost",
-        "_m_retx",
-        "_m_delivered",
-        "_m_latency",
+        "_latency",
     )
 
     def __init__(
@@ -166,12 +162,9 @@ class Transport:
         self._window_rng = None
         self._window_buf = None
         self._window_buf_i = 0
-        # Per-site metric handle cache (see MetricsRegistry.generation).
-        self._m_gen = -1
-        self._m_lost = None
-        self._m_retx = None
-        self._m_delivered = None
-        self._m_latency = None
+        #: this host's ``transport_msg_latency_seconds`` histogram,
+        #: resolved on the first delivery observed with metrics on
+        self._latency = None
 
         nic.on_segment_sent = self._on_segment_serialized
         nic.on_receive = self._on_segment_arrival
@@ -215,19 +208,6 @@ class Transport:
             i = 0
         self._window_buf_i = i + 1
         return max(1, round(self.window_segments * float(buf[i])))
-
-    def _refresh_metric_handles(self) -> None:
-        metrics = self.sim.metrics
-        self._m_gen = metrics.generation
-        host = self.nic.host_id
-        self._m_lost = metrics.counter("transport_segments_lost", host=host)
-        self._m_retx = metrics.counter("transport_retransmits", host=host)
-        self._m_delivered = metrics.counter(
-            "transport_messages_delivered", host=host
-        )
-        self._m_latency = metrics.histogram(
-            "transport_msg_latency_seconds", host=host
-        )
 
     def _refill(self, flow: FlowKey, state: _SendState) -> None:
         # Burst fast path: while the window allows, hand segments to the
@@ -305,17 +285,11 @@ class Transport:
         after ``rto`` seconds and the flow's congestion window halves.
         """
         self.segments_lost += 1
-        sim = self.sim
-        metrics = sim.metrics
-        if metrics.enabled:
-            if metrics.generation != self._m_gen:
-                self._refresh_metric_handles()
-            self._m_lost.value += 1.0  # Counter.inc inlined (hot under incast)
         try:
             self._send_states[seg.flow].on_loss()
         except KeyError:
             pass  # flow drained meanwhile; the retransmit resurrects it
-        sim.schedule_fire(self.rto, self._retransmit, (seg,))
+        self.sim.schedule_fire(self.rto, self._retransmit, (seg,))
 
     def _on_local_drop(self, seg: Segment) -> None:
         """The local egress qdisc head-dropped an accepted segment.
@@ -331,10 +305,6 @@ class Transport:
 
     def _retransmit(self, seg: Segment) -> None:
         self.segments_retransmitted += 1
-        if self.sim.metrics.enabled:
-            if self.sim.metrics.generation != self._m_gen:
-                self._refresh_metric_handles()
-            self._m_retx.value += 1.0  # Counter.inc inlined (hot under incast)
         state = self._send_states.get(seg.flow)
         if state is None:
             # Flow drained at the sender meanwhile: resurrect it (with a
@@ -375,12 +345,14 @@ class Transport:
         self.messages_delivered += 1
         metrics = self.sim.metrics
         if metrics.enabled:
-            if metrics.generation != self._m_gen:
-                self._refresh_metric_handles()
-            self._m_delivered.value += 1.0  # Counter.inc inlined (per message)
+            latency = self._latency
+            if latency is None:
+                latency = self._latency = metrics.histogram(
+                    "transport_msg_latency_seconds", host=self.nic.host_id
+                )
             # Sender-stamped-to-delivered latency: the message-level RTT
             # stand-in (the transport does not simulate per-segment ACKs).
-            self._m_latency.observe(self.sim.now - msg.created_at)
+            latency.observe(self.sim.now - msg.created_at)
         listener = self._listeners.get(msg.flow.dst_port)
         if listener is None:
             if self.tolerate_unrouted:

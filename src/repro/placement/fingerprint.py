@@ -199,7 +199,7 @@ def profile_job_shape(config: "ExperimentConfig") -> JobFingerprint:
     registry on, runs it to completion, and reads the fingerprint off the
     telemetry the run produced: the job's ``dl_barrier_wait_seconds``
     histogram (via :meth:`~repro.telemetry.metrics.Histogram.percentile`)
-    and the PS host's ``nic_tx_bytes`` counter.  Deterministic: the
+    and the bytes the PS host's NIC transmitted.  Deterministic: the
     profile seed is fixed and the simulation is deterministic per seed.
     """
     from repro.experiments.runtime import materialize
@@ -222,7 +222,7 @@ def profile_job_shape(config: "ExperimentConfig") -> JobFingerprint:
     duty = min(1.0, max(0.0, barrier_p50 / period))
 
     ps_host = result.ps_host_of_job["job00"]
-    tx_bytes = runtime.sim.metrics.counter("nic_tx_bytes", host=ps_host).value
+    tx_bytes = runtime.cluster.host(ps_host).nic.bytes_tx
 
     return JobFingerprint(
         shape_key=shape_key(config),

@@ -24,7 +24,7 @@ class Simulator:
     * the process table,
     * deterministic random streams (:attr:`rng`),
     * a :class:`~repro.telemetry.metrics.MetricsRegistry` (disabled by
-      default; instrumented components guard on ``sim.metrics.enabled``),
+      default; filled from component counters at run end),
     * a :class:`~repro.sim.watchdog.Watchdog` (mode ``"off"`` by default;
       enable with ``sim.watchdog.configure(mode=...)`` + ``start()``).
 

@@ -1,13 +1,13 @@
 """Runtime invariant watchdog: self-checks for a live simulation.
 
 A :class:`Watchdog` hangs off every :class:`~repro.sim.kernel.Simulator`
-(``sim.watchdog``), disabled by default — the same zero-cost-guard
-pattern as ``sim.metrics``.  When enabled it runs a
-set of registered *checks* (read-only predicates over existing counters
-and data structures) from a low-priority heartbeat event and once more
-at :meth:`finalize`, converting silent corruption — leaked bytes, stuck
-qdiscs, port leaks, tc drift, livelocks — into structured
-:class:`WatchdogViolation` reports.
+(``sim.watchdog``), disabled by default like ``sim.metrics``.  When
+enabled it runs a set of registered *checks* (read-only predicates over
+existing counters and data structures) from a low-priority heartbeat
+event and once more at :meth:`finalize`, converting silent corruption —
+leaked bytes, stuck qdiscs, port leaks, tc drift, livelocks — into
+structured :class:`WatchdogViolation` reports, which the metrics scrape
+counts at run end.
 
 Layers register their own checks (see :mod:`repro.net.invariants`,
 :mod:`repro.dl.invariants`, :mod:`repro.tensorlights.invariants`); the
@@ -176,8 +176,6 @@ class Watchdog:
             check=check, detail=detail, t=self.sim.now, data=data
         )
         self.violations.append(violation)
-        if self.sim.metrics.enabled:
-            self.sim.metrics.counter("watchdog_violations", check=check).inc()
         if self.mode == "raise":
             err = WatchdogError(f"watchdog violation {violation.describe()}")
             err.violation = violation
@@ -295,17 +293,9 @@ class Watchdog:
     def finalize(self) -> List[WatchdogViolation]:
         """Run every check one last time (quiescence invariants included).
 
-        Idempotent; returns all violations recorded over the run.  Also
-        materializes the ``watchdog_violations_total`` counter when
-        metrics are on, so a clean run exports an explicit zero.
+        Idempotent; returns all violations recorded over the run.
         """
         if self.enabled and not self._finalized:
             self._finalized = True
-            try:
-                self._run_checks(final=True)
-            finally:
-                if self.sim.metrics.enabled:
-                    self.sim.metrics.counter("watchdog_violations_total").inc(
-                        len(self.violations)
-                    )
+            self._run_checks(final=True)
         return list(self.violations)

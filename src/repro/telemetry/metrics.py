@@ -1,16 +1,13 @@
 """``metrics`` — the simulation-wide metrics registry.
 
 Counters, gauges and histograms with Prometheus-flavoured names and
-labels, owned by the simulator (``sim.metrics``).  The registry follows
-a zero-cost discipline: it is **disabled by default**, and every
-hot-path push site guards on the flag::
-
-    if sim.metrics.enabled:
-        sim.metrics.counter("nic_tx_bytes", host=self.host_id).inc(seg.size)
-
-so a disabled registry costs one attribute read per instrumented event —
-the overhead budget the simulator speed benchmarks enforce (see
-``benchmarks/bench_metrics_overhead.py``).
+labels, owned by the simulator (``sim.metrics``) and **disabled by
+default**.  Components keep their own counts as plain attributes; at run
+end :func:`repro.telemetry.scrape.scrape_cluster` reads them into the
+registry once.  Only two in-flight observations are pushed, each behind
+an ``if sim.metrics.enabled:`` guard: the transport's per-message
+latency and the DL barrier waits, whose histograms depend on the order
+of their samples, which no component keeps.
 
 Instruments are identified by ``(name, labels)``; the first caller of a
 name fixes its type, and requesting the same name as a different type
@@ -186,13 +183,6 @@ class MetricsRegistry:
     def __init__(self, enabled: bool = False) -> None:
         self.enabled = enabled
         self._now: Callable[[], float] = lambda: 0.0
-        #: Bumped by :meth:`clear`.  Hot instrument sites cache their
-        #: Counter/Histogram handles keyed by this generation instead of
-        #: re-resolving ``(name, labels)`` per event — resolving rebuilds
-        #: the sorted label tuple every call, which dominated the
-        #: metrics-enabled overhead.  A stale generation means the cached
-        #: handle was dropped by clear() and must be re-resolved.
-        self.generation = 0
         #: name -> instrument class (type registry; first caller wins)
         self._types: Dict[str, type] = {}
         self._instruments: Dict[Tuple[str, LabelItems], Any] = {}
@@ -288,7 +278,6 @@ class MetricsRegistry:
         """Drop every instrument (type registrations included)."""
         self._types.clear()
         self._instruments.clear()
-        self.generation += 1
 
     def __len__(self) -> int:
         return len(self._instruments)

@@ -1,19 +1,20 @@
 """End-of-run component scraping into the metrics registry.
 
-Event-driven push sites (NIC tx, drops, barrier waits) populate the
-registry *during* the run; this module adds the complementary pull pass:
-after ``sim.run()`` drains, :func:`scrape_cluster` walks the cluster and
-copies each component's cumulative counters into **gauges** (idempotent —
-scraping twice overwrites rather than double-counts).  Together they give
-one registry snapshot per run covering every layer the paper's telemetry
-touches: NIC counters and per-band HTB occupancy, switch port busy time
-and drops, transport totals, host CPU busy time, and the TensorLights
-deployment cost (tc reconfigurations).
+Every count a snapshot carries lives once, as a plain attribute of the
+component that owns the event — the NIC, a switch port, a transport, the
+TensorLights controller, the watchdog.  Nothing on the data path pushes
+it.  After ``sim.run()`` drains, :func:`scrape_cluster` walks the cluster
+and reads each count into the registry, the way the paper reads the
+kernel's own vmstat/ifstat counters.  Scraping is idempotent: a second
+scrape overwrites every value it read.  Only two in-flight
+observations are pushed during the run: the transport's message latency
+and the DL barrier waits (histograms depend on sample order).
 """
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from collections import Counter
+from typing import Any, Optional, TYPE_CHECKING
 
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -27,15 +28,22 @@ def scrape_cluster(
     cluster: "Cluster",
     controller: Optional["TensorLights"] = None,
 ) -> None:
-    """Copy cumulative component counters into gauges on ``registry``.
+    """Read every component's counts into ``registry``.
 
-    Safe on a disabled registry (no-op) and on any topology — switch
-    introspection is skipped for fabrics without a single ``switch``
+    Cumulative totals become gauges.  Event counts that only a run with
+    the event produces (drops, band reassignments, reconcile actions,
+    violations) become counters, created only when non-zero, except
+    ``watchdog_violations_total``, which exists whenever the watchdog is
+    on.  Safe on a disabled registry (no-op) and on any topology — the
+    single-switch gauges are skipped for fabrics without a ``switch``
     attribute (e.g. the two-tier network).
     """
     if not registry.enabled:
         return
     gauge = registry.gauge
+
+    def count(name: str, n: int, **labels: Any) -> None:
+        registry.counter(name, **labels).value = float(n)
 
     for host_id in cluster.host_ids:
         host = cluster.host(host_id)
@@ -49,6 +57,10 @@ def scrape_cluster(
                 nic.utilization_snapshot()["busy_time"]
             )
             gauge("nic_backlog_segments", host=host_id).set(len(nic.qdisc))
+            if nic.egress_drops:
+                count("nic_egress_drops", nic.egress_drops, host=host_id)
+            if nic.qdisc_drops:
+                count("nic_qdisc_drops", nic.qdisc_drops, host=host_id)
             _scrape_qdisc(registry, host_id, nic.qdisc)
         gauge("host_cpu_busy_seconds_total", host=host_id).set(
             host.cpu.utilization_snapshot()
@@ -71,7 +83,13 @@ def scrape_cluster(
         gauge("transport_retransmits_total", host=host_id).set(
             transport.segments_retransmitted
         )
+        if transport.segments_lost or transport.segments_retransmitted:
+            # A sender that only lost segments still exports its (empty)
+            # latency histogram next to its loss counts.
+            registry.histogram("transport_msg_latency_seconds", host=host_id)
 
+    for port in network.iter_ports():
+        gauge("switch_port_drops_total", port=port.host_id).set(port.drops)
     switch = getattr(network, "switch", None)
     if switch is not None:
         for host_id in cluster.host_ids:
@@ -85,12 +103,22 @@ def scrape_cluster(
             gauge("switch_port_max_backlog_segments", port=host_id).set(
                 port.max_backlog
             )
-            gauge("switch_port_drops_total", port=host_id).set(port.drops)
         gauge("switch_segments_forwarded_total").set(switch.segments_forwarded)
         gauge("switch_drops_total").set(switch.total_drops)
 
     if controller is not None:
         gauge("tl_reconfigurations_total").set(controller.reconfigurations)
+        for host_id, n in controller.band_reassignments.items():
+            count("tl_band_reassignments", n, host=host_id)
+        if controller.reconcile_actions:
+            count("tl_reconcile_actions", controller.reconcile_actions)
+
+    watchdog = cluster.sim.watchdog
+    if watchdog.enabled:
+        checks = Counter(violation.check for violation in watchdog.violations)
+        for check, n in checks.items():
+            count("watchdog_violations", n, check=check)
+        count("watchdog_violations_total", len(watchdog.violations))
 
 
 def _scrape_qdisc(registry: MetricsRegistry, host_id: str, qdisc) -> None:

@@ -99,6 +99,10 @@ class TensorLights:
         self._rotor_running = False
         self._reconciler_running = False
         self.reconfigurations = 0  # tc touch count (deployment cost metric)
+        #: host_id -> port/range band (re)assignments over the whole run
+        self.band_reassignments: Dict[str, int] = {}
+        #: hosts touched by :meth:`reconcile`, summed over every pass
+        self.reconcile_actions = 0
 
     # -- job lifecycle ------------------------------------------------------
 
@@ -175,7 +179,7 @@ class TensorLights:
             self.reconfigurations += 1
         ranked = self.policy.rank(state.apps, self.cluster.sim.rng)
         bands = band_assignment(n, self.max_bands)
-        metrics = self.cluster.sim.metrics
+        counts = self.band_reassignments
         for rank, app in enumerate(ranked):
             rotated_rank = (rank + state.rotation) % n
             for lo, hi in state.ranges[app.spec.job_id]:
@@ -184,10 +188,7 @@ class TensorLights:
                 else:
                     state.tc.set_range_band(lo, hi, bands[rotated_rank])
                 self.reconfigurations += 1
-                if metrics.enabled:
-                    metrics.counter(
-                        "tl_band_reassignments", host=state.host_id
-                    ).inc()
+                counts[state.host_id] = counts.get(state.host_id, 0) + 1
 
     # -- fault awareness & reconciliation --------------------------------------
 
@@ -257,9 +258,7 @@ class TensorLights:
                         f"(want installed={needs_tc})",
                         host=state.host_id, want_installed=needs_tc,
                     )
-        metrics = self.cluster.sim.metrics
-        if metrics.enabled and touched:
-            metrics.counter("tl_reconcile_actions").inc(touched)
+        self.reconcile_actions += touched
         return touched
 
     def start_reconciler(self, interval: float) -> None:

@@ -61,8 +61,10 @@ EXPECTED_FLAGS = {
 }
 
 #: A value for every config flag that differs from every generator default.
+#: Every Table I placement must still fit: 8 jobs scale each shape (at most
+#: 7 groups), and 24 workers leave a host for each of placement #8's 21 PSes.
 CONFIG_VALUES = {
-    "--jobs": ["3"], "--workers": ["3"], "--iterations": ["3"], "--batch": ["7"],
+    "--jobs": ["8"], "--workers": ["24"], "--iterations": ["3"], "--batch": ["7"],
     "--seed": ["9"], "--sample-interval": ["0.05"], "--netem-loss": ["0.01"],
     "--netem-delay": ["0.001"], "--netem-jitter": ["0.0005"], "--link-rate": ["1Gbit"],
     "--switch-buffer": ["1MB"], "--paper-scale": [], "--allreduce-fraction": ["0.25"],
@@ -186,9 +188,23 @@ def test_utilization_export_observes_through_the_flag_campaign(submitted, tmp_pa
     (["campaign", "--resume", "r1", "--seed", "3"], "takes no --placements"),
     (["ablate", "--seeds", "7"], "--seeds needs >= 2 seeds"),
     (["codesign", "--seeds", "7"], "--seeds needs >= 2 seeds"),
+    # Configs a generator derives, checked before any scenario runs.
+    (["fig2", "--jobs", "3", "--workers", "3", "--iterations", "2"],
+     "cannot scale placement #5 (4 groups) down to 3 jobs"),
+    (["fig2", "--workers", "1", "--jobs", "4", "--iterations", "2"],
+     "names host index 2, cluster has 2 hosts"),
+    (["collectives", "--workers", "1", "--jobs", "2", "--iterations", "2"],
+     "ring all-reduce needs n_workers >= 2"),
+    (["fig3", "--workers", "1", "--jobs", "2", "--iterations", "2"],
+     "needs n_workers >= 2"),
 ])
 def test_bad_flag_values_are_usage_errors(monkeypatch, tmp_path, capsys, argv, message):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+
+    def never(*args, **kwargs):
+        raise AssertionError("a scenario ran before the usage error")
+
+    monkeypatch.setattr(Campaign, "run", never)
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2

@@ -111,7 +111,9 @@ def test_utilization_collect_metrics_keys_snapshots_by_scenario():
     assert campaign["counters"]["campaign_scenarios_total{status=ok}"] == 3.0
     for snap in result.snapshots.values():
         assert set(snap) == {"counters", "gauges", "histograms"}
-        assert snap["counters"]  # the hot paths actually reported
+        # counts read at run end, and the in-flight barrier waits
+        assert any(k.startswith("nic_bytes_tx_total{") for k in snap["gauges"])
+        assert any(k.startswith("dl_barrier_wait_seconds{") for k in snap["histograms"])
 
 
 def test_fct_tails_generator():

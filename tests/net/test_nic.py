@@ -4,8 +4,7 @@ import pytest
 
 from repro.errors import NetworkError
 from repro.net.nic import NIC
-from repro.net.qdisc import PFifo, PortFilter, PrioQdisc
-from repro.net.qdisc.tbf import TokenBucketFilter
+from repro.net.qdisc import HTBQdisc, PFifo, PortFilter
 from repro.sim import Simulator
 
 from tests.net.helpers import seg
@@ -89,9 +88,11 @@ def test_nic_drop_raises():
 
 
 def test_nic_shaped_qdisc_retries():
-    """With a TBF egress qdisc, the NIC retries when tokens refill."""
+    """With a shaped HTB class (``rate == ceil``) as the egress qdisc, the
+    NIC retries when tokens refill."""
     sim = Simulator()
-    q = TokenBucketFilter(rate=100.0, burst=100.0)
+    q = HTBQdisc(default_classid=1)
+    q.add_class(1, rate=100.0, ceil=100.0, burst=100.0, cburst=100.0)
     nic, delivered = make_nic(sim, rate=1e9, qdisc=q)
     nic.send(seg(100))
     nic.send(seg(100))
@@ -109,8 +110,12 @@ def test_set_qdisc_migrates_backlog():
     for _ in range(3):
         nic.send(seg(1000, sport=5000))
     f = PortFilter()
-    f.add_match(5000, 0)
-    nic.set_qdisc(PrioQdisc(bands=2, filter=f))
+    f.add_match(5000, 10)
+    htb = HTBQdisc(filter=f, default_classid=11)
+    htb.add_class(1, rate=1000.0)
+    htb.add_class(10, rate=10.0, ceil=1000.0, prio=0, parent=1)
+    htb.add_class(11, rate=10.0, ceil=1000.0, prio=1, parent=1)
+    nic.set_qdisc(htb)
     sim.run()
     assert len(delivered) == 3
     assert nic.bytes_tx == 3000

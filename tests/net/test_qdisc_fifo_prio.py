@@ -1,10 +1,10 @@
-"""Unit tests for PFifo, PrioQdisc and filters."""
+"""Unit tests for PFifo and the port filter."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import QdiscError
-from repro.net.qdisc import PFifo, PortFilter, PrioQdisc
+from repro.net.qdisc import PFifo, PortFilter
 
 from tests.net.helpers import seg
 
@@ -104,93 +104,3 @@ def test_port_filter_remove_match():
     assert f.classify(seg(sport=5000)) == 0
     assert f.n_matches == 0
     f.remove_match(5000)  # idempotent
-
-
-# ---------------------------------------------------------------- PrioQdisc
-
-
-def _prio_with_ports(bands=3):
-    f = PortFilter()
-    for band in range(bands):
-        f.add_match(5000 + band, band)
-    return PrioQdisc(bands=bands, filter=f)
-
-
-def test_prio_strict_priority_order():
-    q = _prio_with_ports()
-    low = seg(sport=5002)
-    mid = seg(sport=5001)
-    high = seg(sport=5000)
-    for s in (low, mid, high):
-        q.enqueue(s, 0.0)
-    assert q.dequeue(0.0) is high
-    assert q.dequeue(0.0) is mid
-    assert q.dequeue(0.0) is low
-
-
-def test_prio_fifo_within_band():
-    q = _prio_with_ports()
-    a = seg(sport=5000)
-    b = seg(sport=5000)
-    q.enqueue(a, 0.0)
-    q.enqueue(b, 0.0)
-    assert q.dequeue(0.0) is a
-    assert q.dequeue(0.0) is b
-
-
-def test_prio_unclassified_goes_to_last_band():
-    q = _prio_with_ports()
-    unknown = seg(sport=9999)
-    high = seg(sport=5000)
-    q.enqueue(unknown, 0.0)
-    q.enqueue(high, 0.0)
-    assert q.dequeue(0.0) is high
-    assert q.dequeue(0.0) is unknown
-    assert q.band_backlog(2) == 0
-
-
-def test_prio_no_filter_uses_last_band():
-    q = PrioQdisc(bands=2)
-    s = seg()
-    q.enqueue(s, 0.0)
-    assert q.band_backlog(1) == 1
-    assert q.dequeue(0.0) is s
-
-
-def test_prio_filter_out_of_range_band_raises():
-    f = PortFilter()
-    f.add_match(5000, 7)
-    q = PrioQdisc(bands=3, filter=f)
-    with pytest.raises(QdiscError):
-        q.enqueue(seg(sport=5000), 0.0)
-
-
-def test_prio_len_and_bytes():
-    q = _prio_with_ports()
-    q.enqueue(seg(10, sport=5000), 0.0)
-    q.enqueue(seg(20, sport=5002), 0.0)
-    assert len(q) == 2
-    assert q.backlog_bytes == 30
-
-
-def test_prio_invalid_bands():
-    with pytest.raises(QdiscError):
-        PrioQdisc(bands=0)
-
-
-def test_prio_drop_counted():
-    q = PrioQdisc(bands=1, limit_per_band=1)
-    q.enqueue(seg(), 0.0)
-    assert not q.enqueue(seg(), 0.0)
-    assert q.drops == 1
-
-
-def test_prio_high_band_never_starved_by_lower_enqueues():
-    """Band 0 traffic added later still preempts queued band-1 traffic."""
-    q = _prio_with_ports()
-    q.enqueue(seg(sport=5001), 0.0)
-    first = q.dequeue(0.0)
-    assert first.flow.src_port == 5001
-    q.enqueue(seg(sport=5001), 0.0)
-    q.enqueue(seg(sport=5000), 0.0)
-    assert q.dequeue(0.0).flow.src_port == 5000

@@ -16,14 +16,7 @@ invariants below must hold regardless of discipline:
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.net.qdisc import (
-    DRRQdisc,
-    HTBQdisc,
-    PFifo,
-    PortFilter,
-    PrioQdisc,
-    TokenBucketFilter,
-)
+from repro.net.qdisc import DRRQdisc, HTBQdisc, PFifo, PortFilter
 
 from tests.net.helpers import seg
 
@@ -31,15 +24,8 @@ from tests.net.helpers import seg
 def make_qdisc(name):
     if name == "pfifo":
         return PFifo()
-    if name == "prio":
-        filt = PortFilter()
-        for band in range(3):
-            filt.add_match(5000 + band, band)
-        return PrioQdisc(bands=3, filter=filt)
     if name == "drr":
         return DRRQdisc(quantum=500)
-    if name == "tbf":
-        return TokenBucketFilter(rate=1e6, burst=1e5)
     if name == "htb":
         filt = PortFilter()
         htb = HTBQdisc(filter=filt, default_classid=12)
@@ -51,8 +37,8 @@ def make_qdisc(name):
     raise AssertionError(name)
 
 
-ALL_QDISCS = ["pfifo", "prio", "drr", "tbf", "htb"]
-WORK_CONSERVING = ["pfifo", "prio", "drr"]
+ALL_QDISCS = ["pfifo", "drr", "htb"]
+WORK_CONSERVING = ["pfifo", "drr"]
 
 schedule = st.lists(
     st.tuples(
@@ -111,7 +97,7 @@ def test_property_work_conservation(name, ops):
                 assert len(q) == 0, f"{name} stalled while backlogged"
 
 
-@pytest.mark.parametrize("name", ["tbf", "htb"])
+@pytest.mark.parametrize("name", ["htb"])
 @settings(max_examples=25)
 @given(ops=schedule)
 def test_property_shaped_qdiscs_always_make_progress(name, ops):

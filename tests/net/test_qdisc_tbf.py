@@ -1,12 +1,10 @@
-"""Unit tests for the token bucket and TBF qdisc."""
+"""Unit tests for the token bucket HTB classes are built from."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import QdiscError
-from repro.net.qdisc.tbf import TokenBucket, TokenBucketFilter
-
-from tests.net.helpers import seg
+from repro.net.qdisc.tbf import TokenBucket
 
 
 # ---------------------------------------------------------------- TokenBucket
@@ -76,61 +74,3 @@ def test_property_bucket_long_run_rate_bounded(rate, burst, ops):
             b.consume(amount, now)
             consumed += amount
     assert consumed <= burst + rate * now + 1e-6
-
-
-# ---------------------------------------------------------------- TBF qdisc
-
-
-def test_tbf_is_not_work_conserving():
-    q = TokenBucketFilter(rate=100.0, burst=50.0)
-    assert not q.work_conserving
-
-
-def test_tbf_passes_within_burst():
-    q = TokenBucketFilter(rate=100.0, burst=1000.0)
-    s = seg(500)
-    q.enqueue(s, 0.0)
-    assert q.dequeue(0.0) is s
-
-
-def test_tbf_shapes_beyond_burst():
-    q = TokenBucketFilter(rate=100.0, burst=100.0)
-    a, b = seg(100), seg(100)
-    q.enqueue(a, 0.0)
-    q.enqueue(b, 0.0)
-    assert q.dequeue(0.0) is a
-    assert q.dequeue(0.0) is None  # bucket empty
-    assert q.next_ready_time(0.0) == pytest.approx(1.0)
-    assert q.dequeue(1.0) is b
-
-
-def test_tbf_empty_next_ready_none():
-    q = TokenBucketFilter(rate=100.0, burst=100.0)
-    assert q.next_ready_time(0.0) is None
-    assert q.dequeue(0.0) is None
-
-
-def test_tbf_backlog_accounting():
-    q = TokenBucketFilter(rate=10.0, burst=10.0)
-    q.enqueue(seg(100), 0.0)
-    q.enqueue(seg(50), 0.0)
-    assert len(q) == 2
-    assert q.backlog_bytes == 150
-
-
-def test_tbf_long_run_rate():
-    """Dequeuing as eagerly as allowed approaches the configured rate."""
-    rate, size = 1000.0, 100.0
-    q = TokenBucketFilter(rate=rate, burst=size)
-    n = 50
-    for _ in range(n):
-        q.enqueue(seg(int(size)), 0.0)
-    now, sent = 0.0, 0
-    while sent < n:
-        s = q.dequeue(now)
-        if s is not None:
-            sent += 1
-        else:
-            now = max(q.next_ready_time(now), now + 1e-9)
-    # n segments at `rate` with a one-segment initial burst:
-    assert now == pytest.approx((n - 1) * size / rate, rel=1e-3)

@@ -67,6 +67,20 @@ def test_fingerprint_values_are_sane():
     assert fp.profile_iterations == PROFILE_ITERATIONS
 
 
+def test_profiled_fingerprint_is_pinned():
+    """Every field, exactly: the profile reads its bytes from the PS
+    host NIC and its barrier waits from the registry histogram."""
+    assert profile_job_shape(TINY) == JobFingerprint(
+        shape_key="53c29ed7cb8aaafd844db373a9086765e0fc8911f369dc1eba20627ee6157e9c",
+        iteration_period=0.2377740336409552,
+        comm_duty_cycle=0.14816401046867306,
+        bytes_per_iteration=7426464.0,
+        phase_offset=0.0,
+        barrier_wait_p50=0.03522955440955711,
+        profile_iterations=6,
+    )
+
+
 # ---------------------------------------------------------------- round-trip
 
 

@@ -174,13 +174,21 @@ def test_event_heap_check_catches_bookkeeping_skew():
     assert any(v.check == "event_heap" for v in violations)
 
 
+def _scraped_counters(sim):
+    """The registry counters a run-end scrape reads off ``sim``."""
+    from repro.cluster import Cluster
+    from repro.telemetry.scrape import scrape_cluster
+
+    scrape_cluster(sim.metrics, Cluster(sim, n_hosts=2))
+    return sim.metrics.snapshot()["counters"]
+
+
 def test_finalize_materializes_metrics_zero():
     sim = Simulator()
     sim.metrics.enabled = True
     sim.watchdog.configure("warn")
     sim.watchdog.finalize()
-    snapshot = sim.metrics.snapshot()
-    assert snapshot["counters"]["watchdog_violations_total"] == 0
+    assert _scraped_counters(sim)["watchdog_violations_total"] == 0
 
 
 def test_violation_counter_increments_per_check():
@@ -190,8 +198,10 @@ def test_violation_counter_increments_per_check():
     with pytest.warns(RuntimeWarning):
         sim.watchdog.report("leaky", "drip")
         sim.watchdog.report("leaky", "drip again")
-    snapshot = sim.metrics.snapshot()
-    assert snapshot["counters"]["watchdog_violations{check=leaky}"] == 2
+    assert sim.metrics.snapshot()["counters"] == {}   # nothing pushed
+    counters = _scraped_counters(sim)
+    assert counters["watchdog_violations{check=leaky}"] == 2
+    assert counters["watchdog_violations_total"] == 2
 
 
 def test_watchdog_reexported_from_sim_package():

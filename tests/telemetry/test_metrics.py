@@ -172,11 +172,12 @@ def test_materialize_with_metrics_collects_a_snapshot():
     counters, gauges, hists = (
         snap["counters"], snap["gauges"], snap["histograms"]
     )
-    # NIC hot-path counters, scraped cumulative gauges, DL barrier spans,
-    # and the TensorLights controller all reported in.
-    assert any(k.startswith("nic_tx_bytes{") for k in counters)
-    assert any(k.startswith("transport_messages_delivered{") for k in counters)
+    # Scraped NIC and transport totals, DL barrier spans, and the
+    # TensorLights controller all reported in.
+    assert any(k.startswith("nic_segments_tx_total{") for k in gauges)
+    assert any(k.startswith("transport_messages_delivered_total{") for k in gauges)
     assert any(k.startswith("nic_bytes_tx_total{") for k in gauges)
+    assert any(k.startswith("tl_band_reassignments{") for k in counters)
     assert any(k.startswith("dl_barrier_wait_seconds{") for k in hists)
     assert gauges.get("tl_reconfigurations_total", 0) >= 0
 
@@ -195,9 +196,10 @@ def test_metrics_do_not_change_the_simulated_result():
     assert plain.metrics_snapshot == {}
     assert observed.metrics_snapshot  # non-empty, but hash-invisible
 
-    # A two-segment switch buffer drops under incast: with metrics on a
-    # drop is recorded in its own event at arrival time, with metrics off
-    # it is counted inline.  Both must simulate the same run.
+    # A two-segment switch buffer drops under incast: the port counts
+    # each drop at admission and notifies the sender at arrival time,
+    # the same way with metrics on or off.  Both must simulate the same
+    # run.
     shallow = Scenario(config=MICRO.replace(
         n_jobs=3, n_workers=6, switch_buffer_bytes=2 * MICRO.segment_bytes,
     ))

@@ -84,14 +84,9 @@ def test_removed_names_are_gone():
                         fast_path=False)
 
 
-def test_materialize_trace_kinds_keyword_only_warns():
-    """``trace_kinds`` is deprecated (docs/api.md): it warns, names the
-    delivery tap that replaces it, and changes nothing about the run."""
-    from repro.experiments.export import result_content_hash
-
-    scenario = api.Scenario(config=ExperimentConfig.tiny())
-    with pytest.warns(DeprecationWarning, match="add_delivery_tap"):
-        runtime = api.materialize(scenario, trace_kinds={"msg_recv"})
-    assert result_content_hash(runtime.run()) == result_content_hash(
-        api.execute_scenario(scenario)
-    )
+def test_materialize_trace_kinds_keyword_is_removed():
+    """``trace_kinds`` was removed in 1.7.0 (docs/api.md); the delivery
+    tap replaces it."""
+    with pytest.raises(TypeError):
+        api.materialize(api.Scenario(config=ExperimentConfig.tiny()),
+                        trace_kinds={"msg_recv"})

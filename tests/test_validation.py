@@ -15,21 +15,19 @@ from repro.dl.model_zoo import ModelSpec
 from repro.net import Link, StarNetwork
 from repro.net.addressing import FlowKey
 from repro.net.packet import Message
-from repro.net.qdisc import PortFilter, PrioQdisc
+from repro.tensorlights.tc import Tc
 from repro.sim import Simulator
 
 
 RATE = 1000.0  # B/s everywhere below; times come out in round numbers
 
 
-def star(hosts, segment_bytes=100, window=4, qdisc_host=None, qdisc=None):
+def star(hosts, segment_bytes=100, window=4):
     sim = Simulator(seed=0)
     net = StarNetwork(
         sim, hosts, link=Link(rate=RATE, latency=0.0),
         segment_bytes=segment_bytes, window_segments=window,
     )
-    if qdisc is not None:
-        net.nic(qdisc_host).set_qdisc(qdisc)
     return sim, net
 
 
@@ -68,14 +66,15 @@ def test_n_fifo_flows_complete_together_at_n_times_t():
 
 
 def test_strict_priority_serializes_flows_in_band_order():
-    """Under prio bands, flow k's message completes at ~(k+1)*T."""
+    """Under TensorLights' HTB bands, flow k's message completes at
+    ~(k+1)*T."""
     n, S = 3, 600
     hosts = ["src"] + [f"d{i}" for i in range(n)]
-    filt = PortFilter()
+    sim, net = star(hosts, segment_bytes=100, window=2)
+    tc = Tc(net.nic("src"))
+    tc.install_tensorlights_htb(n)
     for i in range(n):
-        filt.add_match(10 + i, i)
-    sim, net = star(hosts, segment_bytes=100, window=2,
-                    qdisc_host="src", qdisc=PrioQdisc(bands=n, filter=filt))
+        tc.set_port_band(10 + i, i)
     done = {}
     for i in range(n):
         net.transport(f"d{i}").listen(6000, lambda m, i=i: done.setdefault(i, sim.now))
