@@ -345,9 +345,9 @@ COMMANDS: Dict[str, Command] = {
                      plan=fig5a.scenarios),
     "fig5b": _figure(fig5b.generate, "fig5b", campaign=True,
                      config=_config_except("--batch"), options=("--batches",)),
-    "fig6": _figure(fig6.generate, "fig6", campaign=True),
+    "fig6": _figure(fig6.generate, "fig6", campaign=True, plan=fig6.scenarios),
     "table2": _figure(table2.generate, "table2", campaign=True,
-                      config=CONFIG + ("--sample-interval",)),
+                      config=CONFIG + ("--sample-interval",), plan=table2.scenarios),
     "fct": _figure(fct.generate, "fct"),
     "robustness": Command(
         robustness.generate, "JCT degradation under egress loss and PS crashes, per policy",
@@ -368,7 +368,7 @@ COMMANDS: Dict[str, Command] = {
         "Result #3: normalized NIC/CPU utilization, FIFO vs TLs-One vs TLs-RR",
         config=CONFIG + ("--sample-interval",), campaign=True,
         options=("--quick", "--watchdog", "--export-metrics"),
-        emit=_emit_utilization, exit=_direction,
+        emit=_emit_utilization, exit=_direction, plan=table2.scenarios,
     ),
     "campaign": Command(
         _journaled_grid,
@@ -490,7 +490,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             kwargs["campaign"] = _campaign(args)
     except ReproError as exc:
         parser.error(str(exc))
-    report = command.generate(**kwargs, **overrides)
+    # A configuration only the runs show to be unmeasurable (e.g. too short
+    # for its sample interval) is reported in one line; other errors from
+    # the runs propagate.
+    try:
+        report = command.generate(**kwargs, **overrides)
+    except ConfigError as exc:
+        print(f"tensorlights {args.command}: error: {exc}", file=sys.stderr)
+        return 2
     command.emit(args, report)
     return command.exit(report)
 

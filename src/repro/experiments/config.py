@@ -135,6 +135,8 @@ class ExperimentConfig:
             raise ConfigError("iterations must be >= 1")
         if self.link_gbps <= 0:
             raise ConfigError("link_gbps must be positive")
+        if self.sample_interval <= 0:
+            raise ConfigError("sample_interval must be positive")
         if self.n_ps < 1:
             raise ConfigError("n_ps must be >= 1")
         if not 0.0 < self.compression_ratio <= 1.0:

@@ -10,7 +10,7 @@ run-in-a-loop behaviour.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from repro.experiments.campaign import Campaign
 from repro.experiments.config import ExperimentConfig, Policy
@@ -42,17 +42,6 @@ def policy_scenarios(
         Scenario(config=cfg.replace(policy=p)).with_tags(policy=p.value)
         for p in policies
     ]
-
-
-def run_policies(
-    cfg: ExperimentConfig,
-    policies: Iterable[Policy],
-    campaign: Optional[Campaign] = None,
-) -> Dict[Policy, ExperimentResult]:
-    """Run the same configuration under several scheduling policies."""
-    policies = list(policies)
-    results = submit(policy_scenarios(cfg, policies), campaign)
-    return dict(zip(policies, results))
 
 
 ALL_POLICIES = (Policy.FIFO, Policy.TLS_ONE, Policy.TLS_RR)

@@ -10,15 +10,22 @@ the straggler indicator — drops (paper: mean/median variance reduced
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.errors import ConfigError
 from repro.experiments.campaign import Campaign
 from repro.experiments.config import ExperimentConfig, Policy
-from repro.experiments.figures.common import ALL_POLICIES, base_config, run_policies
+from repro.experiments.figures.common import (
+    ALL_POLICIES,
+    base_config,
+    policy_scenarios,
+    submit,
+)
 from repro.experiments.report import render_cdf
 from repro.experiments.runtime import ExperimentResult
+from repro.experiments.scenario import Scenario
 
 
 @dataclass
@@ -66,11 +73,22 @@ class Fig6Result:
         return "\n".join(lines)
 
 
+def scenarios(base: Optional[ExperimentConfig] = None, **overrides) -> List[Scenario]:
+    """Placement #1 under all three policies."""
+    cfg = base_config(base, **overrides).replace(placement_index=1)
+    if cfg.n_workers < 2:
+        raise ConfigError(
+            "fig6 compares barrier-wait variance across a job's workers, "
+            f"so it needs n_workers >= 2, got {cfg.n_workers}"
+        )
+    return policy_scenarios(cfg, ALL_POLICIES)
+
+
 def generate(
     base: Optional[ExperimentConfig] = None,
     campaign: Optional[Campaign] = None,
     **overrides,
 ) -> Fig6Result:
     """Run placement #1 under all three policies."""
-    cfg = base_config(base, **overrides).replace(placement_index=1)
-    return Fig6Result(results=run_policies(cfg, ALL_POLICIES, campaign))
+    results = submit(scenarios(base, **overrides), campaign)
+    return Fig6Result(results=dict(zip(ALL_POLICIES, results)))

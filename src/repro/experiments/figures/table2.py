@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.errors import ConfigError
 from repro.experiments.campaign import Campaign
 from repro.experiments.config import ExperimentConfig, Policy
 from repro.experiments.figures.common import (
@@ -25,6 +26,7 @@ from repro.experiments.figures.common import (
 )
 from repro.experiments.report import TextTable
 from repro.experiments.runtime import ExperimentResult
+from repro.experiments.scenario import Scenario
 from repro.telemetry import ActiveWindow
 
 #: Rows of the paper's Table II: (resource, series, host kind, paper One/RR).
@@ -121,6 +123,36 @@ class Table2Result:
         return table.render() + f"\n{verdict}\n"
 
 
+def scenarios(
+    base: Optional[ExperimentConfig] = None, quick: bool = False, **overrides
+) -> List[Scenario]:
+    """Placement #1 with host sampling under all three policies.
+
+    ``quick`` is CI smoke scale: fewer iterations, unchanged topology, so
+    the contention the paper measures still exists.
+    """
+    cfg = base_config(base, **overrides).replace(
+        placement_index=1, sample_hosts=True
+    )
+    if quick:
+        cfg = cfg.replace(iterations=min(cfg.iterations, 8))
+    return policy_scenarios(cfg, ALL_POLICIES)
+
+
+def _check_sampled(results: Dict[Policy, ExperimentResult], window: ActiveWindow) -> None:
+    """Every host the table reads needs a sample inside the window."""
+    for result in results.values():
+        for host in result.ps_hosts + result.worker_only_hosts():
+            if not any(window.contains(t) for t in result.samplers[host].cpu.times):
+                interval = result.config.sample_interval
+                raise ConfigError(
+                    f"no utilization sample inside the active window "
+                    f"[{window.start:.3g} s, {window.end:.3g} s): hosts are sampled "
+                    f"every {interval:g} s; run more --iterations or pass a "
+                    f"shorter --sample-interval"
+                )
+
+
 def generate(
     base: Optional[ExperimentConfig] = None,
     window: Optional[ActiveWindow] = None,
@@ -135,23 +167,20 @@ def generate(
             the result keeps one snapshot per scenario, plus the campaign's
             own counters (retries, backoff seconds, aggregated watchdog
             violations) under the extra key ``"campaign"``.
-        quick: CI smoke scale — fewer iterations, unchanged topology, so
-            the contention the paper measures still exists.
+        quick: see :func:`scenarios`.
+
+    Raises :class:`ConfigError` when the runs end before any host sample
+    falls inside the window.
     """
-    cfg = base_config(base, **overrides).replace(
-        placement_index=1, sample_hosts=True
-    )
-    if quick:
-        cfg = cfg.replace(iterations=min(cfg.iterations, 8))
     camp = campaign if campaign is not None else Campaign()
-    scenarios = policy_scenarios(cfg, ALL_POLICIES)
-    outcome = camp.run(scenarios)
+    planned = scenarios(base, quick, **overrides)
+    outcome = camp.run(planned)
     results = dict(zip(ALL_POLICIES, outcome.results))
     snapshots: Dict[str, Dict[str, Any]] = {}
     if camp.observe_metrics:
         snapshots = {
             scenario.key(): result.metrics_snapshot
-            for scenario, result in zip(scenarios, outcome.results)
+            for scenario, result in zip(planned, outcome.results)
         }
         snapshots["campaign"] = outcome.campaign_metrics
     if window is None:
@@ -165,4 +194,5 @@ def generate(
             for r in results.values()
         )
         window = ActiveWindow(0.45 * all_active_until, 0.95 * all_active_until)
+    _check_sampled(results, window)
     return Table2Result(results=results, window=window, snapshots=snapshots)

@@ -76,6 +76,7 @@ class NIC:
         self.host_id = host_id
         self.rate = rate
         self.qdisc: Qdisc = qdisc if qdisc is not None else PFifo()
+        self.qdisc.set_line_rate(rate)
         #: when True, an enqueue-time drop (e.g. netem loss) is reported
         #: through ``on_segment_dropped`` instead of raising — required
         #: for lossy qdiscs at a host NIC (robustness experiments)
@@ -130,6 +131,7 @@ class NIC:
         pending = self.qdisc.drain_all(now)
         self.qdisc = qdisc
         self.qdisc.on_drop = self._handle_qdisc_drop
+        qdisc.set_line_rate(self.rate)
         for seg in pending:
             if not qdisc.enqueue(seg, now):
                 raise NetworkError("new qdisc dropped migrated backlog")
@@ -147,6 +149,7 @@ class NIC:
         if rate <= 0:
             raise NetworkError(f"NIC rate must be positive, got {rate}")
         self.rate = rate
+        self.qdisc.set_line_rate(rate)
 
     def send(self, seg: Segment) -> None:
         """Hand a segment to the egress qdisc.

@@ -39,6 +39,13 @@ class Qdisc:
     def dequeue(self, now: float) -> Optional[Segment]:
         raise NotImplementedError
 
+    def set_line_rate(self, rate: float) -> None:
+        """The draining NIC's line rate changed (or a NIC attached).
+
+        The NIC calls this at construction, ``set_qdisc`` and ``set_rate``,
+        and dequeues no faster than ``rate``.  Only HTB uses it.
+        """
+
     def next_ready_time(self, now: float) -> Optional[float]:
         """Earliest time a backlogged-but-shaped qdisc can send.
 

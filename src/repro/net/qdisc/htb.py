@@ -27,9 +27,24 @@ priority scheduler with starvation protection.
 The datapath runs once per PS-egress segment, so :meth:`HTBQdisc.dequeue`
 is one pass over the leaves with the token-bucket refills inlined.  Which
 buckets are refilled at which instant decides the float rounding of every
-token count, and with it the fixed-seed content hashes: every backlogged
-leaf is refilled on every dequeue, exactly as a walk of the class tree
-would, never lazily.
+token count, and with it the fixed-seed content hashes.  Every backlogged
+leaf's *rate* bucket is refilled on every dequeue, exactly as a walk of
+the class tree would, never lazily: those buckets decide green against
+yellow.
+
+The other buckets (every ``ceil`` bucket, and the rate bucket of every
+interior class) are refilled and charged only while they may bind.  A
+NIC tells its qdisc its line rate ``L`` (:meth:`HTBQdisc.set_line_rate`)
+and never dequeues two segments closer than the first one's
+serialization time.  When every ``ceil >= L``, every interior
+``rate >= L`` and every leaf has a parent, each of those buckets regains
+at least what it was charged before the next dequeue, so it stays full
+up to float drift.  The qdisc then takes a fast path that refills and
+charges only the leaf rate buckets.  It keeps an upper bound on the drift
+and checks every head segment against ``burst - drift``.  The proof, the
+margin and the one transition where bucket bits can differ from the full
+tree walk are in ``docs/architecture.md`` ("Single-pass HTB dequeue").
+A qdisc that no NIC drives (``line_rate is None``) always walks the tree.
 """
 
 from __future__ import annotations
@@ -47,6 +62,10 @@ from repro.net.qdisc.tbf import TOKEN_EPSILON, TokenBucket
 DEFAULT_BURST_SECONDS = 0.002
 #: Minimum burst so tiny-rate classes can still emit one max-size segment.
 MIN_BURST_BYTES = 512 * 1024
+#: Float drift bound per fast-path dequeue, per byte/s of rate and second
+#: of clock plus per byte of burst: 2**-50 >= 8 * 2**-53 covers one clock
+#: rounding, one refill and one charge (docs/architecture.md).
+DRIFT_PER_UNIT = 2.0**-50
 
 
 class HTBClass:
@@ -140,10 +159,91 @@ class HTBQdisc(Qdisc):
         self._leaves: list[HTBClass] = []
         #: classid -> leaf, so enqueue resolves its class in one lookup
         self._leaf_by_id: Dict[int, HTBClass] = {}
+        #: the driving NIC's line rate (bytes/s); None while no NIC drives it
+        self.line_rate: Optional[float] = None
+        # Fast path (module docstring).  ``_guard``: the tree and line rate
+        # make every bucket in ``_skipped`` non-binding.  ``_fast``: the
+        # skipped buckets are no longer refilled or charged.  ``_drift``
+        # bounds how far below its burst any of them would be under the
+        # full walk, as of the dequeue at ``_fast_last``.
+        self._guard = False
+        self._fast = False
+        self._skipped: List[TokenBucket] = []
+        self._min_burst = 0.0
+        self._drift_per_s = 0.0
+        self._drift_per_deq = 0.0
+        self._idle_gap = 0.0
+        self._drift = 0.0
+        self._fast_last = 0.0
 
     def _rebuild_leaves(self) -> None:
         self._leaves = [c for c in self.classes.values() if c.is_leaf]
         self._leaf_by_id = {c.classid: c for c in self._leaves}
+
+    # -- fast-path guard ------------------------------------------------------
+
+    def set_line_rate(self, rate: float) -> None:
+        """Called by the NIC that drains this qdisc, whenever its rate is set."""
+        self.line_rate = rate
+        self._update_guard()
+
+    def _update_guard(self) -> None:
+        """Recompute the guard after a configuration or line-rate change.
+
+        The fast path survives a change that keeps the guard: a segment
+        still serializing went out at the old rate, which the old guard
+        already bounded by every skipped bucket's rate.
+        """
+        line = self.line_rate
+        skipped: List[TokenBucket] = []
+        guard = line is not None and bool(self._leaves)
+        for cls in self.classes.values():
+            skipped.append(cls.cbucket)
+            if cls.children:
+                skipped.append(cls.bucket)
+                guard = guard and cls.rate >= line
+            elif cls.parent is None:
+                guard = False  # a root leaf has no lender
+            guard = guard and cls.ceil >= line
+        # A burst below the default floor (set explicitly) could come within
+        # the drift margin of a head segment, and leaving the fast path
+        # there would not be exact; such trees keep the full walk.
+        guard = guard and all(b.burst >= MIN_BURST_BYTES for b in skipped)
+        if not guard:
+            self._leave_fast()
+        self._guard = guard
+        self._skipped = skipped
+        if guard:
+            self._min_burst = min(b.burst for b in skipped)
+            self._drift_per_s = max(b.rate for b in skipped) * DRIFT_PER_UNIT
+            self._drift_per_deq = max(b.burst for b in skipped) * DRIFT_PER_UNIT
+            # After this long without a dequeue every skipped bucket has
+            # refilled from >= 0 tokens to exactly its burst.
+            self._idle_gap = max(b.burst / b.rate for b in skipped) * (1.0 + 2.0**-40)
+
+    def _enter_fast(self, now: float) -> bool:
+        """Take the fast path if every skipped bucket is full at ``now``.
+
+        The test evaluates each bucket's refill expression without storing
+        it, so a refusal leaves every bit as the full walk expects.
+        """
+        for b in self._skipped:
+            tokens = b.tokens
+            if now > b.last_update:
+                tokens += (now - b.last_update) * b.rate
+            if tokens < b.burst:
+                return False
+        self._fast = True
+        self._drift = 0.0
+        self._fast_last = now
+        return True
+
+    def _leave_fast(self) -> None:
+        """Back to the full walk: the skipped buckets restart full."""
+        if self._fast:
+            self._fast = False
+            for b in self._skipped:
+                b.tokens = b.burst
 
     # -- configuration (tc class add/change/del) ---------------------------
 
@@ -184,6 +284,8 @@ class HTBQdisc(Qdisc):
             parent_cls.children.append(cls)
         self.classes[classid] = cls
         self._rebuild_leaves()
+        self._leave_fast()
+        self._update_guard()
         return cls
 
     def change_class(
@@ -205,6 +307,8 @@ class HTBQdisc(Qdisc):
             cls.cbucket.rate = ceil
         if prio is not None:
             cls.prio = prio
+        if rate is not None or ceil is not None:
+            self._update_guard()
 
     def del_class(self, classid: int) -> None:
         """``tc class del ...`` — queued packets of the class are dropped.
@@ -221,6 +325,8 @@ class HTBQdisc(Qdisc):
         del self.classes[classid]
         self._last_served.pop(classid, None)
         self._rebuild_leaves()
+        self._leave_fast()
+        self._update_guard()
         dropped = list(cls.queue)
         cls.queue.clear()
         self._len -= len(dropped)
@@ -279,7 +385,84 @@ class HTBQdisc(Qdisc):
         # ``tokens >= size - TOKEN_EPSILON`` (TokenBucket.can_consume).
         if self._len == 0:
             return None
+        if not self._fast and not (self._guard and self._enter_fast(now)):
+            return self._dequeue_full(now)
 
+        # Fast path: the skipped buckets all pass, so a leaf is green iff
+        # its rate bucket passes, and every backlogged leaf can borrow from
+        # its parent.  First bound their drift as of ``now``.
+        if now - self._fast_last >= self._idle_gap:
+            drift = 0.0
+        else:
+            drift = self._drift + self._drift_per_s * now + self._drift_per_deq
+        limit = self._min_burst - drift
+        green = yellow = None
+        gprio = yprio = 0
+        gtie = ytie = False
+        for leaf in self._leaves:
+            queue = leaf.queue
+            if not queue:
+                continue
+            size = queue[0].size
+            if size > limit:
+                # A skipped bucket might bind: walk the tree from here on.
+                self._leave_fast()
+                self._guard = False
+                return self._dequeue_full(now)
+            b = leaf.bucket
+            tokens = b.tokens
+            if now > b.last_update:
+                # min(burst, ...) without the call: the same float
+                tokens += (now - b.last_update) * b.rate
+                if tokens > b.burst:
+                    tokens = b.burst
+                b.tokens = tokens
+                b.last_update = now
+            prio = leaf.prio
+            if tokens >= size - TOKEN_EPSILON:
+                if green is None or prio < gprio:
+                    green, gprio, gtie = leaf, prio, False
+                elif prio == gprio:
+                    gtie = True
+            elif yellow is None or prio < yprio:
+                yellow, yprio, ytie = leaf, prio, False
+            elif prio == yprio:
+                ytie = True
+
+        # Priority first; DRR among equal priorities.  Without a green leaf
+        # every backlogged leaf is yellow.
+        if green is not None:
+            leaf = green
+            if gtie:
+                leaf = self._drr([
+                    c for c in self._leaves
+                    if c.queue and c.prio == gprio
+                    and c.bucket.tokens >= c.queue[0].size - TOKEN_EPSILON
+                ])
+        else:
+            leaf = yellow
+            if ytie:
+                leaf = self._drr([c for c in self._leaves if c.queue and c.prio == yprio])
+        self._serve_seq += 1
+        self._last_served[leaf.classid] = self._serve_seq
+
+        seg = leaf.queue.popleft()
+        size = seg.size
+        leaf.queued_bytes -= size
+        if leaf.deficit:  # max(0.0, deficit - size); DRR alone sets it
+            leaf.deficit = leaf.deficit - size if leaf.deficit > size else 0.0
+        self._len -= 1
+        self._bytes -= size
+        if green is not None:
+            leaf.bucket.tokens -= size
+        leaf.sent_bytes += size
+        self._drift = drift
+        self._fast_last = now
+        return seg
+
+    def _dequeue_full(self, now: float) -> Optional[Segment]:
+        """The tree walk: refills and charges every bucket the classic
+        green/yellow tests touch (the fast path's reference)."""
         # Green: a leaf sends on its own rate bucket and its ceil bucket.
         # The ceil bucket is refilled only when the rate bucket passes.
         backlogged = []

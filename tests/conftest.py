@@ -2,7 +2,10 @@
 
 Simulation-heavy property tests legitimately take longer than hypothesis'
 default 200 ms deadline, and wall-time deadlines are flaky on shared CI
-machines — disable them and cap example counts for a fast suite.
+machines — disable them and cap example counts for a fast suite.  The
+``heavy`` profile (``--hypothesis-profile=heavy``) runs about 1000
+examples per property for the CI job that searches harder; a test whose
+``@settings`` pins ``max_examples`` keeps its own count.
 """
 
 import pytest
@@ -14,6 +17,12 @@ settings.register_profile(
     "repro",
     deadline=None,
     max_examples=50,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+settings.register_profile(
+    "heavy",
+    deadline=None,
+    max_examples=1000,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("repro")

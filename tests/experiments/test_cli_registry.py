@@ -176,6 +176,18 @@ def test_utilization_export_observes_through_the_flag_campaign(submitted, tmp_pa
     assert campaign.cache is None
 
 
+@pytest.mark.parametrize("argv,plan_args", [
+    (["fig6", "--jobs", "3", "--workers", "2"], dict(n_jobs=3, n_workers=2)),
+    (["table2", "--jobs", "3", "--sample-interval", "0.1"],
+     dict(n_jobs=3, sample_interval=0.1)),
+    (["utilization", "--quick", "--jobs", "3"], dict(quick=True, n_jobs=3)),
+])
+def test_plan_builds_the_scenarios_the_command_submits(submitted, argv, plan_args):
+    _, scenarios = submitted(argv)
+    planned = COMMANDS[argv[0]].plan(**plan_args)
+    assert [s.key() for s in planned] == [s.key() for s in scenarios]
+
+
 @pytest.mark.parametrize("argv,message", [
     (["campaign", "--max-attempts", "0"], "max_attempts must be >= 1"),
     (["fig2", "--scenario-timeout", "0"], "scenario_timeout must be positive"),
@@ -197,6 +209,11 @@ def test_utilization_export_observes_through_the_flag_campaign(submitted, tmp_pa
      "ring all-reduce needs n_workers >= 2"),
     (["fig3", "--workers", "1", "--jobs", "2", "--iterations", "2"],
      "needs n_workers >= 2"),
+    (["fig6", "--workers", "1", "--jobs", "2", "--iterations", "2"],
+     "needs n_workers >= 2"),
+    (["table2", "--jobs", "0"], "n_jobs must be >= 1"),
+    (["utilization", "--quick", "--sample-interval", "0"],
+     "sample_interval must be positive"),
 ])
 def test_bad_flag_values_are_usage_errors(monkeypatch, tmp_path, capsys, argv, message):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

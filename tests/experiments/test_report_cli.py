@@ -156,6 +156,18 @@ def test_cli_table2(capsys):
     assert "Table II" in capsys.readouterr().out
 
 
+def test_cli_table2_too_short_for_its_sample_interval_is_one_line(capsys):
+    # Every job ends before the first 1 s host sample: no utilization
+    # mean exists, so the command fails with one line, not a traceback.
+    assert main(["table2", "--jobs", "2", "--workers", "2", "--iterations", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("tensorlights table2: error: no utilization sample")
+    assert "--iterations" in err[0] and "--sample-interval" in err[0]
+
+
 def test_cli_utilization(tmp_path, capsys):
     out = tmp_path / "metrics.jsonl"
     code = main([
