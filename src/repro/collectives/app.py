@@ -1,12 +1,13 @@
 """Wires one ring all-reduce job onto the cluster.
 
 :class:`AllReduceApplication` is the all-reduce twin of
-:class:`~repro.dl.application.DLApplication`: same :class:`JobSpec`
-surface (``architecture="allreduce"``, ``n_workers`` = ring size), same
-:class:`~repro.dl.metrics.JobMetrics` / barrier-wait accounting, and the
-same controller-facing protocol (``classification_ranges()``, ``done``,
-``failed``), so TensorLights, the experiment runtime, and every figure
-treat the two architectures uniformly.
+:class:`~repro.dl.application.DLApplication`: both are an
+:class:`~repro.dl.application.Application`, with the same
+:class:`JobSpec` surface (``architecture="allreduce"``, ``n_workers`` =
+ring size), the same :class:`~repro.dl.metrics.JobMetrics` /
+barrier-wait accounting and the same lifecycle, so TensorLights, the
+experiment runtime, and every figure treat the two architectures
+uniformly.
 
 The key difference is *where* the job's traffic concentrates: a PS job's
 update fan-out leaves one (PS) host, while an all-reduce job sends from
@@ -17,20 +18,18 @@ that range on each host — the port-range flow classification scheme.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, List, Tuple, TYPE_CHECKING
 
 from repro.collectives.ring import RingAllReduceTask, RingEndpoint
+from repro.dl.application import Application
 from repro.dl.job import JobSpec
-from repro.dl.metrics import JobMetrics
 from repro.errors import PlacementError
-from repro.sim.primitives import AllOf, Signal
-from repro.sim.process import Process, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
 
 
-class AllReduceApplication:
+class AllReduceApplication(Application):
     """A deployed ring all-reduce training job.
 
     Construction allocates one port range per member and registers
@@ -72,17 +71,8 @@ class AllReduceApplication:
             )
         if channels < 1:
             raise PlacementError(f"{spec.job_id}: channels must be >= 1")
-        self.spec = spec
-        self.cluster = cluster
+        super().__init__(spec, cluster)
         self.channels = channels
-        #: controller-protocol parity with DLApplication (the TensorLights
-        #: reconciler treats a failed job like a departed one)
-        self.failed = False
-        self.metrics = JobMetrics(
-            job_id=spec.job_id,
-            n_workers=spec.n_workers,
-            arrival_time=spec.arrival_time,
-        )
 
         self.member_endpoints: List[RingEndpoint] = []
         for hid in member_hosts:
@@ -94,32 +84,10 @@ class AllReduceApplication:
             RingAllReduceTask(spec, i, ep, self.member_endpoints, self.metrics)
             for i, ep in enumerate(self.member_endpoints)
         ]
-        self.member_procs: List[Optional[Process]] = []
-        for ep, member in zip(self.member_endpoints, self.members):
-            ep.host.add_task(member)
-
-        #: fired with the job's JobMetrics when every member has finished
-        self.done = Signal()
-        #: fired on *any* terminal state (success or permanent failure) —
-        #: same contract as :attr:`DLApplication.terminal`
-        self.terminal = Signal()
-        self._launched = False
-
-    def mark_failed(self) -> None:
-        """Record that the job can never finish (fault injection)."""
-        self.failed = True
-        if not self.terminal.fired:
-            self.terminal.fire(None)
-
-    # -- controller-facing protocol (shared with DLApplication) -------------
+        self._deploy(self.members, finishers=self.members)
 
     def classification_ranges(self) -> Dict[str, List[Tuple[int, int]]]:
-        """Source-port ranges carrying this job's egress traffic, per host.
-
-        One inclusive ``(lo, hi)`` range per member host — what
-        TensorLights installs a range filter for (the PS architecture
-        returns degenerate single-port ranges on PS hosts only).
-        """
+        """One inclusive ``(lo, hi)`` source-port range per member host."""
         return {
             ep.host_id: [(ep.port_lo, ep.port_hi)]
             for ep in self.member_endpoints
@@ -129,41 +97,3 @@ class AllReduceApplication:
     def member_hosts(self) -> List[str]:
         """Member host ids in ring order."""
         return [ep.host_id for ep in self.member_endpoints]
-
-    @property
-    def ps_host_id(self) -> str:
-        """The leader (member 0) host — result-schema parity with PS jobs.
-
-        :class:`~repro.experiments.runtime.ExperimentResult` records one
-        anchor host per job; for a ring that is the leader's host.
-        """
-        return self.member_endpoints[0].host_id
-
-    def launch(self) -> None:
-        """Spawn all member processes at ``spec.arrival_time``."""
-        if self._launched:
-            raise PlacementError(f"{self.spec.job_id} already launched")
-        self._launched = True
-        sim = self.cluster.sim
-
-        def delayed(task_gen, delay):
-            if delay > 0:
-                yield Timeout(delay)
-            yield from task_gen
-
-        delay = max(0.0, self.spec.arrival_time - sim.now)
-        for member in self.members:
-            self.member_procs.append(
-                sim.spawn(delayed(member.run(), delay), name=member.name)
-            )
-
-        def finalize():
-            yield AllOf([m.done for m in self.members])
-            for ep, member in zip(self.member_endpoints, self.members):
-                member.close()
-                ep.host.remove_task(member)
-            self.done.fire(self.metrics)
-            if not self.terminal.fired:
-                self.terminal.fire(self.metrics)
-
-        sim.spawn(finalize(), name=f"{self.spec.job_id}/finalize")

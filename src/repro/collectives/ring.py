@@ -35,6 +35,7 @@ from repro.dl.metrics import JobMetrics
 from repro.net.addressing import FlowKey
 from repro.net.packet import Message
 from repro.sim.primitives import Mailbox, Signal
+from repro.sim.process import Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.host import Host
@@ -155,8 +156,10 @@ class RingAllReduceTask:
             self._received[(msg.meta["iteration"], msg.meta["step"])] = msg
         del self._received[key]
 
-    def run(self):
-        """The member process (a simulation generator)."""
+    def run(self, delay: float = 0.0):
+        """The member process (a simulation generator), ``delay`` late."""
+        if delay > 0:
+            yield Timeout(delay)
         sim = self.endpoint.host.sim
         cpu = self.endpoint.host.cpu
         spec = self.spec

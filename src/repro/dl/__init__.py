@@ -14,9 +14,10 @@ wait times) matching the paper's instrumentation.
 from repro.dl.model_zoo import MODEL_ZOO, ModelSpec
 from repro.dl.job import JobSpec
 from repro.dl.metrics import BarrierSeries, JobMetrics
-from repro.dl.application import DLApplication
+from repro.dl.application import Application, DLApplication
 
 __all__ = [
+    "Application",
     "BarrierSeries",
     "DLApplication",
     "JobMetrics",

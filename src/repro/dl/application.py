@@ -1,23 +1,116 @@
-"""Wires one DL job onto the cluster: PS(es) + workers + processes + metrics."""
+"""Deployed training jobs: the lifecycle every architecture shares.
+
+:class:`Application` is what TensorLights, the experiment runtime and
+the watchdog see of a job: its metrics, the ``done``/``terminal``
+signals, the ``failed`` flag, and the source-port ranges its traffic
+leaves each host on (:meth:`Application.classification_ranges`).  It
+owns launch and teardown; a subclass only places its tasks —
+:class:`DLApplication` (PS + workers) here, and
+:class:`~repro.collectives.app.AllReduceApplication` (ring members).
+"""
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union, TYPE_CHECKING
+from typing import Dict, List, Optional, Sequence, Tuple, Union, TYPE_CHECKING
 
 from repro.dl.job import JobSpec
 from repro.dl.metrics import JobMetrics
 from repro.dl.tasks import PSTask, TaskEndpoint, WorkerTask
 from repro.errors import PlacementError
 from repro.sim.primitives import AllOf, Signal
-from repro.sim.process import Process, Timeout
+from repro.sim.process import Process
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
     from repro.faults.plan import RecoverySpec
 
 
-class DLApplication:
-    """A deployed distributed DL job.
+class Application:
+    """A deployed job: its tasks, one process per task, and its lifecycle.
+
+    A subclass builds its tasks (each with a ``name``, an ``endpoint``
+    on a host, ``run(delay)`` and ``close()``) and hands them to
+    :meth:`_deploy`.  :meth:`launch` spawns one process per task at
+    ``spec.arrival_time`` plus one finalize process that waits for the
+    finishing tasks, tears every task down and fires ``done``.
+    """
+
+    def __init__(self, spec: JobSpec, cluster: "Cluster") -> None:
+        self.spec = spec
+        self.cluster = cluster
+        #: set when the job can never finish (e.g. a permanent PS crash);
+        #: TensorLights' reconciler treats a failed job like a departed one
+        self.failed = False
+        self.metrics = JobMetrics(
+            job_id=spec.job_id,
+            n_workers=spec.n_workers,
+            arrival_time=spec.arrival_time,
+        )
+        self.tasks: list = []
+        #: one process per task, in ``tasks`` order (``None`` once a fault
+        #: hook killed it); empty until :meth:`launch`
+        self.procs: List[Optional[Process]] = []
+        self._finishers: List[Signal] = []
+        #: fired with the job's JobMetrics when the job has finished
+        self.done = Signal()
+        #: fired when the job reaches *any* terminal state — completion or
+        #: permanent failure.  Unlike ``done`` (success only), waiting on
+        #: this never hangs, so run-scoped services (samplers, telemetry)
+        #: key their shutdown on it.
+        self.terminal = Signal()
+        self._launched = False
+
+    def _deploy(self, tasks: list, finishers: list) -> None:
+        """Make ``tasks`` resident; the job ends when every finisher is done."""
+        self.tasks = tasks
+        self._finishers = [task.done for task in finishers]
+        for task in tasks:
+            task.endpoint.host.add_task(task)
+
+    def classification_ranges(self) -> Dict[str, List[Tuple[int, int]]]:
+        """Source-port ranges carrying this job's egress traffic, per host."""
+        raise NotImplementedError
+
+    @property
+    def ps_host_id(self) -> str:
+        """The job's anchor host: its (first) PS, or a ring's leader."""
+        return self.tasks[0].endpoint.host_id
+
+    def mark_failed(self) -> None:
+        """Record that the job can never finish (fault injection)."""
+        self.failed = True
+        if not self.terminal.fired:
+            self.terminal.fire(None)
+
+    def launch(self) -> None:
+        """Spawn all task processes at ``spec.arrival_time``."""
+        if self._launched:
+            raise PlacementError(f"{self.spec.job_id} already launched")
+        self._launched = True
+        sim = self.cluster.sim
+        delay = max(0.0, self.spec.arrival_time - sim.now)
+        self.procs = [
+            sim.spawn(task.run(delay), name=task.name) for task in self.tasks
+        ]
+        sim.spawn(self._finalize(), name=f"{self.spec.job_id}/finalize")
+
+    def _finalize(self):
+        yield AllOf(self._finishers)
+        # Recoverable workers linger to answer post-crash replays; the
+        # job is over — reap them.
+        for proc in self.procs:
+            if proc is not None and proc.alive:
+                proc.kill()
+        for task in self.tasks:
+            task.close()
+            task.endpoint.host.remove_task(task)
+        self.done.fire(self.metrics)
+        if not self.terminal.fired:
+            self.terminal.fire(self.metrics)
+
+
+class DLApplication(Application):
+    """A deployed parameter-server DL job.
 
     Construction allocates ports and registers listeners; :meth:`launch`
     spawns the PS and worker processes (honoring ``spec.arrival_time``).
@@ -55,18 +148,8 @@ class DLApplication:
                 f"{spec.job_id}: hosts {sorted(overlap)} are both PS and "
                 "worker hosts"
             )
-        self.spec = spec
-        self.cluster = cluster
+        super().__init__(spec, cluster)
         self.recovery = recovery
-        #: set by the fault injector when the job cannot finish (e.g. a
-        #: permanent PS crash); TensorLights' reconciler treats a failed
-        #: job like a departed one
-        self.failed = False
-        self.metrics = JobMetrics(
-            job_id=spec.job_id,
-            n_workers=spec.n_workers,
-            arrival_time=spec.arrival_time,
-        )
 
         self.ps_endpoints: List[TaskEndpoint] = []
         for hid in ps_hosts:
@@ -92,40 +175,15 @@ class DLApplication:
                        recovery=recovery)
             for i, ep in enumerate(self.worker_endpoints)
         ]
-        self.ps_procs: List[Optional[Process]] = []
-        self.worker_procs: List[Optional[Process]] = []
-        for ep, ps in zip(self.ps_endpoints, self.ps_tasks):
-            ep.host.add_task(ps)
-        for ep, wk in zip(self.worker_endpoints, self.workers):
-            ep.host.add_task(wk)
+        self._deploy([*self.ps_tasks, *self.workers], finishers=self.ps_tasks)
 
-        #: fired with the job's JobMetrics when every PS shard has finished
-        self.done = Signal()
-        #: fired when the job reaches *any* terminal state — completion or
-        #: permanent failure.  Unlike ``done`` (success only), waiting on
-        #: this never hangs, so run-scoped services (samplers, telemetry)
-        #: key their shutdown on it.
-        self.terminal = Signal()
-        self._launched = False
+    def classification_ranges(self) -> Dict[str, List[Tuple[int, int]]]:
+        """One degenerate ``(port, port)`` range per PS endpoint.
 
-    def mark_failed(self) -> None:
-        """Record that the job can never finish (fault injection)."""
-        self.failed = True
-        if not self.terminal.fired:
-            self.terminal.fire(None)
-
-    # -- controller-facing protocol (shared with AllReduceApplication) -------
-
-    def classification_ranges(self) -> "dict[str, List[tuple[int, int]]]":
-        """Source-port ranges carrying this job's egress traffic, per host.
-
-        For the PS architecture these are degenerate single-port ranges
-        — one ``(port, port)`` per PS endpoint, on PS hosts only.  The
-        same protocol on :class:`~repro.collectives.AllReduceApplication`
-        yields one true range per member host, which is what lets
-        TensorLights band both architectures uniformly.
+        Only PS hosts appear: the model-update fan-out is the traffic
+        TensorLights bands.
         """
-        out: "dict[str, List[tuple[int, int]]]" = {}
+        out: Dict[str, List[Tuple[int, int]]] = {}
         for ep in self.ps_endpoints:
             out.setdefault(ep.host_id, []).append((ep.port, ep.port))
         return out
@@ -138,63 +196,12 @@ class DLApplication:
         return self.ps_tasks[0]
 
     @property
-    def ps_endpoint(self) -> TaskEndpoint:
-        return self.ps_endpoints[0]
-
-    @property
-    def ps_host_id(self) -> str:
-        return self.ps_endpoints[0].host_id
-
-    @property
     def ps_port(self) -> int:
         return self.ps_endpoints[0].port
 
     @property
     def ps_ports(self) -> List[int]:
         return [ep.port for ep in self.ps_endpoints]
-
-    def launch(self) -> None:
-        """Spawn all task processes at ``spec.arrival_time``."""
-        if self._launched:
-            raise PlacementError(f"{self.spec.job_id} already launched")
-        self._launched = True
-        sim = self.cluster.sim
-
-        def delayed(task_gen, delay):
-            if delay > 0:
-                yield Timeout(delay)
-            yield from task_gen
-
-        delay = max(0.0, self.spec.arrival_time - sim.now)
-        for ps in self.ps_tasks:
-            self.ps_procs.append(
-                sim.spawn(delayed(ps.run(), delay), name=ps.name)
-            )
-        for wk in self.workers:
-            self.worker_procs.append(
-                sim.spawn(delayed(wk.run(), delay), name=wk.name)
-            )
-
-        # Fire `done` and release resources when every PS shard completes.
-        def finalize():
-            yield AllOf([ps.done for ps in self.ps_tasks])
-            if self.recovery is not None:
-                # Recoverable workers linger to answer post-crash replays;
-                # the job is over — reap them.
-                for proc in self.worker_procs:
-                    if proc is not None and proc.alive:
-                        proc.kill()
-            for wk in self.workers:
-                wk.close()
-            for ep, ps in zip(self.ps_endpoints, self.ps_tasks):
-                ep.host.remove_task(ps)
-            for ep, wk in zip(self.worker_endpoints, self.workers):
-                ep.host.remove_task(wk)
-            self.done.fire(self.metrics)
-            if not self.terminal.fired:
-                self.terminal.fire(self.metrics)
-
-        sim.spawn(finalize(), name=f"{self.spec.job_id}/finalize")
 
     # -- fault injection hooks (driven by repro.faults.injector) -----------
 
@@ -203,11 +210,11 @@ class DLApplication:
         ps = self.ps_tasks[index]
         if ps.done.fired or ps.crashed:
             return
-        if self.ps_procs:
-            proc = self.ps_procs[index]
+        if self.procs:
+            proc = self.procs[index]
             if proc is not None and proc.alive:
                 proc.kill()
-            self.ps_procs[index] = None
+            self.procs[index] = None
         ps.crash()
 
     def recover_ps(self, index: int = 0, lost_iterations: int = 0) -> None:
@@ -221,15 +228,16 @@ class DLApplication:
             )
         sim = self.cluster.sim
         proc = sim.spawn(ps.recover(lost_iterations), name=f"{ps.name}/recover")
-        if self.ps_procs:
-            self.ps_procs[index] = proc
+        if self.procs:
+            self.procs[index] = proc
 
     def kill_worker(self, index: int) -> None:
         """Kill worker ``index`` permanently (it never comes back)."""
         wk = self.workers[index]
-        if self.worker_procs:
-            proc = self.worker_procs[index]
+        if self.procs:
+            slot = len(self.ps_tasks) + index
+            proc = self.procs[slot]
             if proc is not None and proc.alive:
                 proc.kill()
-            self.worker_procs[index] = None
+            self.procs[slot] = None
         wk.close()

@@ -1,50 +1,37 @@
 """DL-layer invariant checks for the runtime watchdog.
 
-One check: completed jobs must have torn their network state down.  Every
-application's teardown path (``DLApplication`` finalize, ring member
-``close``) frees its allocated ports by unlistening them; a listener that
-survives a fired ``done`` signal is a port-range leak — respawned jobs or
-later experiments on the same host would collide with it.
+One check: completed jobs must have torn their network state down.  An
+application's teardown (``Application`` finalize closes every task) frees
+its allocated ports by unlistening them; a listener that survives a
+fired ``done`` signal is a port-range leak — respawned jobs or later
+experiments on the same host would collide with it.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Tuple, TYPE_CHECKING
+from typing import Any, Dict, List, Set, Tuple, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
+    from repro.dl.application import Application
     from repro.sim.watchdog import Watchdog
 
 Violations = List[Tuple[str, Dict[str, Any]]]
 
 
-def app_port_ranges(app) -> Dict[str, List[Tuple[int, int]]]:
-    """Every port range a job holds, per host.
-
-    The classification ranges (PS ports / ring member ranges) plus, for
-    PS jobs, the worker endpoints — the complete set ``launch()``
-    listened on and teardown must free.
-    """
-    ranges: Dict[str, List[Tuple[int, int]]] = {
-        host: list(r) for host, r in app.classification_ranges().items()
-    }
-    for ep in getattr(app, "worker_endpoints", []):
-        ranges.setdefault(ep.host_id, []).append((ep.port, ep.port))
-    return ranges
-
-
-def check_port_leaks(cluster: "Cluster", apps) -> Violations:
-    """Completed jobs must hold no listeners in their port ranges."""
+def check_port_leaks(cluster: "Cluster", apps: "List[Application]") -> Violations:
+    """Completed jobs must hold no listeners on any of their tasks' ports."""
     out: Violations = []
     for app in apps:
         if not app.done.fired:
             continue
-        for host_id, ranges in app_port_ranges(app).items():
+        held: Dict[str, Set[int]] = {}
+        for task in app.tasks:
+            ep = task.endpoint
+            held.setdefault(ep.host_id, set()).update(ep.ports)
+        for host_id, ports in held.items():
             listeners = cluster.host(host_id).transport._listeners
-            leaked = sorted(
-                port for port in listeners
-                if any(lo <= port <= hi for lo, hi in ranges)
-            )
+            leaked = sorted(ports.intersection(listeners))
             if leaked:
                 out.append((
                     f"job {app.spec.job_id} finished but still listens on "
@@ -55,7 +42,9 @@ def check_port_leaks(cluster: "Cluster", apps) -> Violations:
     return out
 
 
-def register_dl_checks(watchdog: "Watchdog", cluster: "Cluster", apps) -> None:
+def register_dl_checks(
+    watchdog: "Watchdog", cluster: "Cluster", apps: "List[Application]"
+) -> None:
     """Wire the DL-layer teardown invariant into a watchdog."""
     # Periodic, not final-only: teardown frees ports before ``done``
     # fires, so the invariant holds at every instant after completion.

@@ -30,6 +30,7 @@ from repro.dl.metrics import JobMetrics
 from repro.net.addressing import FlowKey
 from repro.net.packet import Message
 from repro.sim.primitives import Mailbox, Signal
+from repro.sim.process import Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.host import Host
@@ -66,6 +67,11 @@ class TaskEndpoint:
     @property
     def host_id(self) -> str:
         return self.host.host_id
+
+    @property
+    def ports(self) -> List[int]:
+        """The one listening port (same shape as ``RingEndpoint.ports``)."""
+        return [self.port]
 
 
 class WorkerTask:
@@ -110,8 +116,10 @@ class WorkerTask:
             )
             self.endpoint.host.transport.send_message(gradient)
 
-    def run(self):
-        """The worker process (a simulation generator)."""
+    def run(self, delay: float = 0.0):
+        """The worker process (a simulation generator), ``delay`` late."""
+        if delay > 0:
+            yield Timeout(delay)
         if self.recovery is not None:
             yield from self._run_recoverable()
             return
@@ -296,7 +304,10 @@ class PSTask:
         if self.metrics.start_time < 0 or sim.now < self.metrics.start_time:
             self.metrics.start_time = sim.now
 
-    def run(self):
+    def run(self, delay: float = 0.0):
+        """The PS process (a simulation generator), ``delay`` late."""
+        if delay > 0:
+            yield Timeout(delay)
         if self.recovery is not None and self.spec.sync:
             yield from self._run_sync_recoverable(0)
         elif self.spec.sync:
@@ -407,7 +418,7 @@ class PSTask:
             return
         self.crashed = True
         self.crash_iteration = self._iteration
-        self.endpoint.host.transport.unlisten(self.endpoint.port)
+        self.close()
         self.inbox = Mailbox(self.endpoint.host.sim, name=f"{self.name}/restart")
 
     def recover(self, lost_iterations: int = 0):
@@ -449,5 +460,9 @@ class PSTask:
     def _finish(self, sim) -> None:
         if sim.now > self.metrics.end_time:
             self.metrics.end_time = sim.now
-        self.endpoint.host.transport.unlisten(self.endpoint.port)
+        self.close()
         self.done.fire(self.metrics)
+
+    def close(self) -> None:
+        """Stop listening on the PS port (idempotent)."""
+        self.endpoint.host.transport.unlisten(self.endpoint.port)

@@ -53,7 +53,11 @@ from repro.experiments.export import (
     result_from_full_dict,
     result_to_full_dict,
 )
-from repro.experiments.journal import CampaignJournal, JOURNAL_SCHEMA
+from repro.experiments.journal import (
+    JOURNAL_SCHEMA,
+    CampaignJournal,
+    default_journal_dir,
+)
 from repro.experiments.runtime import ExperimentResult, execute_scenario
 from repro.experiments.scenario import Scenario
 from repro.telemetry.metrics import MetricsRegistry
@@ -693,8 +697,8 @@ class Campaign:
             fresh retry budget).  Requires ``cache``.
         run_id: explicit run id for a fresh journaled run (defaults to a
             generated timestamp id).
-        journal_dir: where journals live (default:
-            ``<cache dir>/journals``).
+        journal_dir: where journals live (default: ``journals`` under
+            ``cache``'s directory, else under the default cache directory).
         observe_metrics: run every scenario with the per-run metrics
             registry enabled (results gain ``metrics_snapshot``).
         watchdog: runtime invariant watchdog mode for every scenario —
@@ -756,6 +760,8 @@ class Campaign:
         self.journal = journal or resume is not None or run_id is not None
         self.resume = resume
         self.run_id = run_id
+        if journal_dir is None and cache is not None:
+            journal_dir = default_journal_dir(cache.path)
         self.journal_dir = journal_dir
         self.observe_metrics = observe_metrics
         self.watchdog = None if watchdog == "off" else watchdog

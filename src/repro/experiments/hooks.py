@@ -174,6 +174,7 @@ def _rate_control_post_build(rt: "Runtime", params: Dict[str, Any]) -> None:
     an under-estimating one leaves bandwidth idle — the paper's §VII
     argument for work-conserving priorities.
     """
+    from repro.dl import DLApplication
     from repro.net.qdisc import HTBQdisc, PortFilter
 
     accuracy = float(params.get("accuracy", 1.0))
@@ -184,7 +185,7 @@ def _rate_control_post_build(rt: "Runtime", params: Dict[str, Any]) -> None:
     cfg = rt.scenario.config
     by_host: Dict[str, List[Any]] = {}
     for app in rt.apps:
-        if getattr(app, "ps_port", None) is None:
+        if not isinstance(app, DLApplication):
             continue  # ring jobs have no single PS port to shape
         by_host.setdefault(app.ps_host_id, []).append(app)
     for host_id, host_apps in by_host.items():

@@ -28,13 +28,13 @@ import os
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
 from repro.cluster import Cluster, ClusterScheduler, default_host_ids
 from repro.collectives import AllReduceApplication
-from repro.dl import DLApplication, JobSpec
+from repro.dl import Application, DLApplication, JobSpec
 from repro.dl.metrics import JobMetrics
 from repro.dl.model_zoo import get_model
 from repro.errors import ConfigError, FaultError
@@ -168,7 +168,7 @@ class Runtime:
     #: each job's anchor host — its (first) PS host, or for an all-reduce
     #: job the ring leader's host
     ps_hosts: List[str]
-    apps: List[Union[DLApplication, AllReduceApplication]]
+    apps: List[Application]
     controller: Optional[TensorLights]
     samplers: Dict[str, HostSampler]
     _wall_start: float
@@ -417,7 +417,7 @@ def materialize(
         )
 
     ring_jobs = config.allreduce_jobs()
-    apps: List[Union[DLApplication, AllReduceApplication]] = []
+    apps: List[Application] = []
     ps_hosts: List[str] = []  # per-job anchor host (PS host / ring leader)
     for j in range(config.n_jobs):
         ring = j in ring_jobs
@@ -434,7 +434,7 @@ def materialize(
             compression_ratio=config.compression_ratio,
             architecture="allreduce" if ring else "ps",
         )
-        app: Union[DLApplication, AllReduceApplication]
+        app: Application
         if ring:
             member_hosts = scheduler.ring_hosts(config.n_workers)
             app = AllReduceApplication(

@@ -16,13 +16,13 @@ roles.  This module generates such streams and runs them end to end:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cluster import Cluster, ClusterScheduler, SchedulingPolicy
 from repro.collectives import AllReduceApplication
-from repro.dl import DLApplication, JobSpec
+from repro.dl import Application, DLApplication, JobSpec
 from repro.dl.model_zoo import ModelSpec, get_model
 from repro.errors import WorkloadError
 from repro.experiments.config import ExperimentConfig
@@ -168,7 +168,7 @@ def run_dynamic_cluster(
         if tensorlights is not None
         else None
     )
-    apps: List[Union[DLApplication, AllReduceApplication]] = []
+    apps: List[Application] = []
     max_coloc = {"v": 0}
 
     def submitter():
@@ -180,7 +180,7 @@ def run_dynamic_cluster(
             import dataclasses
 
             live_spec = dataclasses.replace(job, arrival_time=sim.now)
-            app: Union[DLApplication, AllReduceApplication]
+            app: Application
             if job.architecture == "allreduce":
                 member_hosts = scheduler.ring_hosts(job.n_workers)
                 app = AllReduceApplication(live_spec, cluster, member_hosts)

@@ -21,30 +21,28 @@ class FlowFilter:
 
 
 class PortFilter(FlowFilter):
-    """Classify by source port (and optionally destination port).
+    """Classify by source port.
 
     ``add_match(port, classid)`` mirrors
     ``tc filter add ... match ip sport <port> ... flowid 1:<classid>``;
     ``add_range_match(lo, hi, classid)`` mirrors a flower source-port
     range filter (``... flower ip_proto tcp src_port <lo>-<hi>``), the
     scheme ring all-reduce jobs are classified with: one range covers
-    every chunk channel a member sends from on its host.
+    every chunk channel a member sends from on its host.  An exact port
+    match wins over a range.
     """
 
     def __init__(self, default_class: Optional[int] = None) -> None:
         self._by_src: Dict[int, int] = {}
-        self._by_dst: Dict[int, int] = {}
         #: (lo, hi) inclusive source-port ranges, first match wins
         self._src_ranges: List[Tuple[int, int, int]] = []
         self.default_class = default_class
 
-    def add_match(self, port: int, classid: int, direction: str = "src") -> None:
-        table = self._by_src if direction == "src" else self._by_dst
-        table[port] = classid
+    def add_match(self, port: int, classid: int) -> None:
+        self._by_src[port] = classid
 
-    def remove_match(self, port: int, direction: str = "src") -> None:
-        table = self._by_src if direction == "src" else self._by_dst
-        table.pop(port, None)
+    def remove_match(self, port: int) -> None:
+        self._by_src.pop(port, None)
 
     def add_range_match(self, lo: int, hi: int, classid: int) -> None:
         """Classify source ports in inclusive ``[lo, hi]`` (add or move)."""
@@ -58,18 +56,15 @@ class PortFilter(FlowFilter):
         self._src_ranges = [r for r in self._src_ranges if r[:2] != (lo, hi)]
 
     def classify(self, seg: Segment) -> Optional[int]:
-        flow = seg.flow
-        classid = self._by_src.get(flow.src_port)
+        sport = seg.flow.src_port
+        classid = self._by_src.get(sport)
         if classid is not None:
             return classid
         for lo, hi, range_class in self._src_ranges:
-            if lo <= flow.src_port <= hi:
+            if lo <= sport <= hi:
                 return range_class
-        classid = self._by_dst.get(flow.dst_port)
-        if classid is not None:
-            return classid
         return self.default_class
 
     @property
     def n_matches(self) -> int:
-        return len(self._by_src) + len(self._by_dst) + len(self._src_ranges)
+        return len(self._by_src) + len(self._src_ranges)

@@ -2,11 +2,11 @@
 
 A small, fast simpy-flavoured kernel: an event heap, a clock, and
 generator-based processes that ``yield`` *waitables* (timeouts, mailbox
-gets, barrier waits, resource requests).
+gets, signals).
 
 Public surface::
 
-    from repro.sim import Simulator, Timeout, Mailbox, Barrier, Resource, Signal
+    from repro.sim import Simulator, Timeout, Mailbox, Signal, AllOf
 
     sim = Simulator(seed=1)
 
@@ -21,19 +21,17 @@ Public surface::
 from repro.sim.events import Event, EventQueue
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process, Timeout, Waitable
-from repro.sim.primitives import AllOf, Barrier, Mailbox, Resource, Signal
+from repro.sim.primitives import AllOf, Mailbox, Signal
 from repro.sim.rng import RandomStreams
 from repro.sim.watchdog import Watchdog, WatchdogViolation
 
 __all__ = [
     "AllOf",
-    "Barrier",
     "Event",
     "EventQueue",
     "Mailbox",
     "Process",
     "RandomStreams",
-    "Resource",
     "Signal",
     "Simulator",
     "Timeout",

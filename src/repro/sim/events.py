@@ -41,9 +41,8 @@ _MIN_COMPACT = 64
 class Event:
     """A scheduled callback.
 
-    Instances are created through :meth:`EventQueue.push` /
-    :meth:`Simulator.schedule`; user code normally only keeps a reference
-    in order to :meth:`cancel` it.
+    Instances are created by :meth:`Simulator.schedule`; user code
+    normally only keeps a reference in order to cancel it.
     """
 
     __slots__ = ("time", "priority", "seq", "fn", "args", "cancelled", "pending")
@@ -75,13 +74,6 @@ class Event:
         self.fn = None  # drop references early
         self.args = ()
 
-    def __lt__(self, other: "Event") -> bool:
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<Event t={self.time:.6f} prio={self.priority} seq={self.seq} {state}>"
@@ -100,7 +92,12 @@ Entry = Tuple[float, int, int, Optional[Event]]
 
 
 class EventQueue:
-    """A binary-heap priority queue of :class:`Event` objects."""
+    """The heap of entries behind :class:`~repro.sim.kernel.Simulator`.
+
+    The simulator pushes and pops entries inline (its schedule entry
+    points and run loop); the queue owns the live/tombstone bookkeeping
+    and cancellation.
+    """
 
     __slots__ = ("_heap", "_seq", "_live", "_tombstones", "cancels")
 
@@ -115,50 +112,6 @@ class EventQueue:
 
     def __len__(self) -> int:
         return self._live
-
-    def __bool__(self) -> bool:
-        return self._live > 0
-
-    def push(
-        self,
-        time: float,
-        fn: Callable[..., Any],
-        args: tuple = (),
-        priority: int = PRIORITY_NORMAL,
-    ) -> Event:
-        """Schedule ``fn(*args)`` at absolute simulated ``time``."""
-        if time != time:  # NaN guard
-            raise SimulationError("event time is NaN")
-        seq = self._seq
-        self._seq = seq + 1
-        ev = Event(time, priority, seq, fn, args)
-        heapq.heappush(self._heap, (time, priority, seq, ev))
-        self._live += 1
-        return ev
-
-    def pop(self) -> Event:
-        """Remove and return the earliest non-cancelled event.
-
-        Raises :class:`SimulationError` when empty.
-        """
-        heap = self._heap
-        while heap:
-            entry = heapq.heappop(heap)
-            ev = entry[3]
-            if ev is None:
-                # Raw fire-and-forget entry: wrap it so callers see the
-                # uniform Event interface (only the non-hot `step` path).
-                self._live -= 1
-                ev = Event(entry[0], entry[1], entry[2], entry[4], entry[5])
-                ev.pending = False
-                return ev
-            if ev.cancelled:
-                self._tombstones -= 1
-                continue
-            ev.pending = False
-            self._live -= 1
-            return ev
-        raise SimulationError("pop from empty event queue")
 
     def cancel(self, ev: Event) -> None:
         """Cancel a pending event (idempotent; safe after execution).
@@ -186,26 +139,7 @@ class EventQueue:
         heapq.heapify(heap)
         self._tombstones = 0
 
-    def peek_time(self) -> Optional[float]:
-        """Time of the next live event, or ``None`` when empty."""
-        heap = self._heap
-        while heap:
-            ev = heap[0][3]
-            if ev is None or not ev.cancelled:
-                break
-            heapq.heappop(heap)
-            self._tombstones -= 1
-        return heap[0][0] if heap else None
-
     @property
     def heap_size(self) -> int:
         """Physical heap entries, live plus tombstones (monitoring aid)."""
         return len(self._heap)
-
-    def clear(self) -> None:
-        for entry in self._heap:
-            if entry[3] is not None:
-                entry[3].pending = False
-        self._heap.clear()
-        self._live = 0
-        self._tombstones = 0

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import gc
 from heapq import heappop, heappush
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
 from repro.sim.events import PRIORITY_NORMAL, Event, EventQueue
@@ -62,8 +62,8 @@ class Simulator:
     ) -> Event:
         """Run ``fn(*args)`` after ``delay`` simulated seconds.
 
-        This is :meth:`EventQueue.push` inlined (schedule is the single
-        most-called kernel entry point; the extra call layer was measurable).
+        Pushes onto the heap inline (schedule is the single most-called
+        kernel entry point; an extra call layer was measurable).
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay!r})")
@@ -77,20 +77,6 @@ class Simulator:
         heappush(events._heap, (time, priority, seq, ev))
         events._live += 1
         return ev
-
-    def schedule_at(
-        self,
-        time: float,
-        fn: Callable[..., Any],
-        args: tuple = (),
-        priority: int = PRIORITY_NORMAL,
-    ) -> Event:
-        """Run ``fn(*args)`` at absolute simulated ``time`` (>= now)."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule into the past (time={time!r} < now={self.now!r})"
-            )
-        return self.events.push(time, fn, args, priority)
 
     def schedule_fire(self, delay: float, fn: Callable[..., Any], args: tuple = ()) -> None:
         """Fire-and-forget schedule for the per-segment hot path.
@@ -137,25 +123,7 @@ class Simulator:
         self.schedule_fire(0.0, proc._start)
         return proc
 
-    def spawn_all(self, gens: Iterable[tuple[ProcessGen, str]]) -> list[Process]:
-        """Spawn many ``(generator, name)`` pairs."""
-        return [self.spawn(g, n) for g, n in gens]
-
     # -- the loop ------------------------------------------------------------
-
-    def step(self) -> bool:
-        """Execute one event.  Returns False when the queue is empty."""
-        if not self.events:
-            return False
-        ev = self.events.pop()
-        if ev.time < self.now:
-            raise SimulationError("event queue went backwards in time")
-        self.now = ev.time
-        fn, args = ev.fn, ev.args
-        assert fn is not None
-        self._steps += 1
-        fn(*args)
-        return True
 
     def run(self, until: Optional[float] = None, max_steps: Optional[int] = None) -> float:
         """Run until the queue drains, ``until`` is reached, or ``max_steps``.
@@ -163,10 +131,10 @@ class Simulator:
         Returns the final clock value.  When stopping at ``until`` the clock
         is advanced to exactly ``until`` (pending events stay queued).
 
-        The loop pops heap entries directly rather than going through
-        ``peek_time``/``step`` — one event dispatch is a handful of C-level
-        operations plus the callback itself.  ``EventQueue._compact``
-        rebuilds the heap *in place*, so the local alias stays valid.
+        The loop pops heap entries directly — one event dispatch is a
+        handful of C-level operations plus the callback itself.
+        ``EventQueue._compact`` rebuilds the heap *in place*, so the local
+        alias stays valid.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")

@@ -5,8 +5,8 @@ their blocking operations, so they compose with the generator-process
 protocol::
 
     msg = yield mailbox.get()
-    yield barrier.wait()
-    grant = yield resource.request()
+    value = yield signal
+    values = yield AllOf([a, b])
 """
 
 from __future__ import annotations
@@ -129,88 +129,8 @@ class Mailbox:
             self._getters.append(tok)
         return tok
 
-    def try_get(self) -> tuple[bool, Any]:
-        """Non-blocking get: ``(True, item)`` or ``(False, None)``."""
-        if self._items:
-            return True, self._items.popleft()
-        return False, None
-
     def __len__(self) -> int:
         return len(self._items)
-
-
-class Barrier:
-    """A reusable cyclic barrier for ``parties`` processes.
-
-    Each ``yield barrier.wait()`` blocks until ``parties`` processes have
-    arrived; then all are released and the barrier resets for the next
-    cycle.  The value delivered is the (0-based) cycle index.
-    """
-
-    __slots__ = ("sim", "parties", "_waiting", "cycles")
-
-    def __init__(self, sim: "Simulator", parties: int) -> None:
-        if parties < 1:
-            raise SimulationError(f"barrier parties must be >= 1, got {parties}")
-        self.sim = sim
-        self.parties = parties
-        self._waiting: List[_Suspend] = []
-        self.cycles = 0
-
-    def wait(self) -> Waitable:
-        tok = _Suspend()
-        self._waiting.append(tok)
-        if len(self._waiting) >= self.parties:
-            cycle = self.cycles
-            self.cycles += 1
-            waiting, self._waiting = self._waiting, []
-            for t in waiting:
-                t.complete(self.sim, cycle)
-        return tok
-
-    @property
-    def n_waiting(self) -> int:
-        return len(self._waiting)
-
-
-class Resource:
-    """A counted resource with FIFO grant order (like simpy.Resource).
-
-    ``yield resource.request()`` blocks until a unit is available; the
-    holder must call :meth:`release` exactly once.
-    """
-
-    __slots__ = ("sim", "capacity", "in_use", "_queue")
-
-    def __init__(self, sim: "Simulator", capacity: int = 1) -> None:
-        if capacity < 1:
-            raise SimulationError(f"resource capacity must be >= 1, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self.in_use = 0
-        self._queue: Deque[_Suspend] = deque()
-
-    def request(self) -> Waitable:
-        tok = _Suspend()
-        if self.in_use < self.capacity:
-            self.in_use += 1
-            tok.complete(self.sim)
-        else:
-            self._queue.append(tok)
-        return tok
-
-    def release(self) -> None:
-        if self.in_use <= 0:
-            raise SimulationError("release of an idle resource")
-        if self._queue:
-            tok = self._queue.popleft()
-            tok.complete(self.sim)  # hand the unit directly to the next waiter
-        else:
-            self.in_use -= 1
-
-    @property
-    def n_queued(self) -> int:
-        return len(self._queue)
 
 
 class AllOf(Waitable):

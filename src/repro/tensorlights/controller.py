@@ -20,7 +20,7 @@ hosts with contending PSes and leave other hosts unchanged").
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Optional, Set, Tuple, Union, TYPE_CHECKING
+from typing import Dict, List, Optional, Set, Tuple, TYPE_CHECKING
 
 from repro.errors import ConfigError
 from repro.sim.process import Timeout
@@ -30,12 +30,7 @@ from repro.tensorlights.tc import Tc
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
-    from repro.collectives.app import AllReduceApplication
-    from repro.dl.application import DLApplication
-
-    #: anything exposing the classification protocol: ``spec``, ``done``,
-    #: ``failed`` and ``classification_ranges()``
-    Application = Union["DLApplication", "AllReduceApplication"]
+    from repro.dl.application import Application
 
 
 class TLMode(str, enum.Enum):

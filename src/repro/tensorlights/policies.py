@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import List, Protocol, Sequence, TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.dl.application import DLApplication
+    from repro.dl.application import Application
     from repro.sim.rng import RandomStreams
 
 
@@ -27,8 +27,8 @@ class PriorityPolicy(Protocol):
     """Orders contending jobs; earlier in the returned list = higher prio."""
 
     def rank(
-        self, apps: Sequence["DLApplication"], rng: "RandomStreams"
-    ) -> List["DLApplication"]: ...
+        self, apps: Sequence["Application"], rng: "RandomStreams"
+    ) -> List["Application"]: ...
 
 
 class ArrivalOrderPolicy:

@@ -2,10 +2,9 @@
 
 The paper deploys TensorLights purely through ``tc``: an HTB root qdisc,
 one class per priority band, and filters matching each PS's TCP source
-port (§V, Implementation).  :class:`Tc` exposes that workflow as methods;
-:class:`TcShell` additionally accepts a practical subset of real ``tc``
-command lines, so the configuration used in experiments can be rendered
-exactly as it would be typed on the testbed.
+port (§V, Implementation).  :class:`Tc` exposes that workflow as
+methods, and :meth:`Tc.render_commands` prints the configuration used in
+experiments exactly as it would be typed on the testbed.
 
 Standard TensorLights shape (``Tc.install_tensorlights_htb``)::
 
@@ -18,8 +17,6 @@ Standard TensorLights shape (``Tc.install_tensorlights_htb``)::
 
 from __future__ import annotations
 
-import re
-import shlex
 from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.errors import TcError
@@ -218,85 +215,4 @@ class Tc:
                 f"ip_proto tcp src_port {lo}-{hi} classid "
                 f"1:{BAND_CLASSID_BASE + band}"
             )
-        return out
-
-
-class TcShell:
-    """Parses a practical subset of ``tc`` command lines onto :class:`Tc`.
-
-    Supported grammar (whitespace-separated, ``tc`` prefix optional)::
-
-        qdisc replace dev <dev> root handle 1: htb bands <n>
-        qdisc del dev <dev> root
-        filter add dev <dev> sport <port> band <n>
-        filter del dev <dev> sport <port>
-        filter add dev <dev> sport_range <lo>-<hi> band <n>
-        filter del dev <dev> sport_range <lo>-<hi>
-        class change dev <dev> band <n> prio <p>
-    """
-
-    def __init__(self, nics: Dict[str, "NIC"]) -> None:
-        self._tcs: Dict[str, Tc] = {}
-        self._nics = nics
-
-    def tc_for(self, dev: str) -> Tc:
-        tc = self._tcs.get(dev)
-        if tc is None:
-            nic = self._nics.get(dev)
-            if nic is None:
-                raise TcError(f"unknown device {dev!r}")
-            tc = Tc(nic)
-            self._tcs[dev] = tc
-        return tc
-
-    def run(self, command: str) -> None:
-        tokens = shlex.split(command)
-        if tokens and tokens[0] == "tc":
-            tokens = tokens[1:]
-        if not tokens:
-            raise TcError("empty tc command")
-        args = self._kv(tokens)
-        kind = tokens[0]
-        action = tokens[1] if len(tokens) > 1 else ""
-        dev = args.get("dev")
-        if dev is None:
-            raise TcError(f"missing 'dev' in: {command}")
-        tc = self.tc_for(dev)
-
-        if kind == "qdisc" and action == "replace":
-            if "htb" not in tokens:
-                raise TcError(f"only htb qdiscs supported: {command}")
-            tc.install_tensorlights_htb(int(args.get("bands", "6")))
-        elif kind == "qdisc" and action == "del":
-            tc.remove()
-        elif kind == "filter" and action == "add" and "sport_range" in args:
-            lo, hi = self._range(args["sport_range"])
-            tc.set_range_band(lo, hi, int(args["band"]))
-        elif kind == "filter" and action == "del" and "sport_range" in args:
-            lo, hi = self._range(args["sport_range"])
-            tc.del_range(lo, hi)
-        elif kind == "filter" and action == "add":
-            tc.set_port_band(int(args["sport"]), int(args["band"]))
-        elif kind == "filter" and action == "del":
-            tc.del_port(int(args["sport"]))
-        elif kind == "class" and action == "change":
-            tc.change_band_prio(int(args["band"]), int(args["prio"]))
-        else:
-            raise TcError(f"unsupported tc command: {command}")
-
-    @staticmethod
-    def _range(text: str) -> Tuple[int, int]:
-        """Parse ``"<lo>-<hi>"`` into an inclusive port range."""
-        m = re.fullmatch(r"(\d+)-(\d+)", text)
-        if m is None:
-            raise TcError(f"bad port range {text!r} (want lo-hi)")
-        return int(m.group(1)), int(m.group(2))
-
-    @staticmethod
-    def _kv(tokens: list[str]) -> Dict[str, str]:
-        """key-value pairs from alternating tokens (tc's CLI convention)."""
-        out: Dict[str, str] = {}
-        for i, tok in enumerate(tokens[:-1]):
-            if re.fullmatch(r"[a-z_]+", tok):
-                out.setdefault(tok, tokens[i + 1])
         return out

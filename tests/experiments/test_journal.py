@@ -186,3 +186,19 @@ def test_list_runs_newest_first(tmp_path):
 
 def test_new_run_ids_do_not_collide():
     assert new_run_id() != new_run_id()
+
+
+def test_journal_defaults_to_the_campaign_cache_dir(tmp_path, monkeypatch):
+    """A journaled campaign with an explicit cache journals beside it,
+    not under ``$REPRO_CACHE_DIR`` or the home directory."""
+    from repro.experiments.campaign import CACHE_DIR_ENV, Campaign, ResultCache
+
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "env-cache"))
+    cache = ResultCache(tmp_path / "cache")
+    campaign = Campaign(cache=cache, journal=True, run_id="beside")
+    assert campaign.journal_dir == tmp_path / "cache" / "journals"
+    campaign.run([_scenario(1)])
+    assert [run["run_id"] for run in list_runs(campaign.journal_dir)] == ["beside"]
+    assert not (tmp_path / "env-cache").exists()
+    assert not (tmp_path / "home").exists()

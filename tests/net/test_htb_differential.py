@@ -142,7 +142,9 @@ def port_for(index, n_leaves):
     return PORT_BASE + index
 
 
-@settings(max_examples=150)
+# 150 examples at least; a heavier profile (``--hypothesis-profile=heavy``)
+# searches harder.
+@settings(max_examples=max(150, settings.default.max_examples))
 @given(spec=trees(), program=ops)
 def test_single_pass_dequeue_matches_reference_bit_for_bit(spec, program):
     new, ref = build_pair(spec)

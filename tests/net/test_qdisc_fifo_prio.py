@@ -82,20 +82,6 @@ def test_port_filter_src_match():
     assert f.classify(seg(sport=5001)) == 9
 
 
-def test_port_filter_dst_match():
-    f = PortFilter()
-    f.add_match(6000, 2, direction="dst")
-    assert f.classify(seg(dport=6000)) == 2
-    assert f.classify(seg(dport=6001)) is None
-
-
-def test_port_filter_src_wins_over_dst():
-    f = PortFilter()
-    f.add_match(5000, 1, direction="src")
-    f.add_match(6000, 2, direction="dst")
-    assert f.classify(seg(sport=5000, dport=6000)) == 1
-
-
 def test_port_filter_remove_match():
     f = PortFilter(default_class=0)
     f.add_match(5000, 1)

@@ -1,93 +1,73 @@
-"""Unit tests for the event heap."""
+"""Unit tests for the event heap, driven through the simulator."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.events import PRIORITY_HIGH, PRIORITY_LOW, PRIORITY_NORMAL, EventQueue
+from repro.sim import Simulator
+from repro.sim.events import PRIORITY_HIGH, PRIORITY_LOW, PRIORITY_NORMAL
 
 
 def test_empty_queue_is_falsy():
-    q = EventQueue()
+    q = Simulator().events
     assert not q
     assert len(q) == 0
-    assert q.peek_time() is None
-
-
-def test_pop_empty_raises():
-    q = EventQueue()
-    with pytest.raises(SimulationError):
-        q.pop()
 
 
 def test_events_pop_in_time_order():
-    q = EventQueue()
+    sim = Simulator()
     order = []
     for t in [3.0, 1.0, 2.0]:
-        q.push(t, order.append, (t,))
-    while q:
-        ev = q.pop()
-        ev.fn(*ev.args)
+        sim.schedule(t, order.append, (t,))
+    sim.run()
     assert order == [1.0, 2.0, 3.0]
 
 
 def test_ties_break_by_priority_then_seq():
-    q = EventQueue()
-    q.push(1.0, lambda: None, priority=PRIORITY_NORMAL)
-    hi = q.push(1.0, lambda: None, priority=PRIORITY_HIGH)
-    lo = q.push(1.0, lambda: None, priority=PRIORITY_LOW)
-    first = q.pop()
-    assert first is hi
-    second = q.pop()
-    assert second is not lo  # the normal one, inserted first
-    assert q.pop() is lo
+    sim = Simulator()
+    order = []
+    sim.schedule(1.0, order.append, ("normal",), priority=PRIORITY_NORMAL)
+    sim.schedule(1.0, order.append, ("high",), priority=PRIORITY_HIGH)
+    sim.schedule(1.0, order.append, ("low",), priority=PRIORITY_LOW)
+    sim.schedule(1.0, order.append, ("normal-2",))
+    sim.run()
+    assert order == ["high", "normal", "normal-2", "low"]
 
 
 def test_same_time_same_priority_fifo():
-    q = EventQueue()
-    evs = [q.push(5.0, lambda: None) for _ in range(10)]
-    popped = [q.pop() for _ in range(10)]
-    assert popped == evs
+    sim = Simulator()
+    order = []
+    for i in range(10):
+        sim.schedule(5.0, order.append, (i,))
+    sim.run()
+    assert order == list(range(10))
 
 
 def test_cancel_is_skipped_and_len_updates():
-    q = EventQueue()
-    a = q.push(1.0, lambda: None)
-    b = q.push(2.0, lambda: None)
-    q.cancel(a)
-    assert len(q) == 1
-    assert q.pop() is b
-    assert not q
+    sim = Simulator()
+    ran = []
+    a = sim.schedule(1.0, ran.append, ("a",))
+    sim.schedule(2.0, ran.append, ("b",))
+    sim.cancel(a)
+    assert len(sim.events) == 1
+    sim.run()
+    assert ran == ["b"]
+    assert not sim.events
 
 
 def test_cancel_idempotent():
-    q = EventQueue()
-    a = q.push(1.0, lambda: None)
-    q.cancel(a)
-    q.cancel(a)
-    assert len(q) == 0
-
-
-def test_peek_time_skips_cancelled():
-    q = EventQueue()
-    a = q.push(1.0, lambda: None)
-    q.push(2.0, lambda: None)
-    q.cancel(a)
-    assert q.peek_time() == 2.0
+    sim = Simulator()
+    a = sim.schedule(1.0, lambda: None)
+    sim.cancel(a)
+    sim.cancel(a)
+    assert len(sim.events) == 0
+    assert sim.events.cancels == 1
 
 
 def test_nan_time_rejected():
-    q = EventQueue()
+    sim = Simulator()
     with pytest.raises(SimulationError):
-        q.push(float("nan"), lambda: None)
-
-
-def test_clear():
-    q = EventQueue()
-    for t in range(5):
-        q.push(float(t), lambda: None)
-    q.clear()
-    assert not q
+        sim.schedule(float("nan"), lambda: None)
 
 
 def test_cancelled_events_do_not_accumulate():
@@ -97,50 +77,54 @@ def test_cancelled_events_do_not_accumulate():
     the heap until its time surfaced, so a schedule/cancel loop (the NIC
     retry-timer pattern) grew the heap linearly with simulated time.
     """
-    q = EventQueue()
-    anchor = q.push(1e9, lambda: None)  # far-future event pins the heap
+    sim = Simulator()
+    ran = []
+    sim.schedule(1e9, ran.append, ("anchor",))  # far-future event pins the heap
     for i in range(50_000):
-        ev = q.push(1.0 + i * 1e-6, lambda: None)
-        q.cancel(ev)
-    assert len(q) == 1
+        sim.cancel(sim.schedule(1.0 + i * 1e-6, ran.append, (i,)))
+    assert len(sim.events) == 1
     # bounded: compaction keeps physical entries ~O(live), not O(cancels)
-    assert q.heap_size < 200
-    assert q.pop() is anchor
+    assert sim.events.heap_size < 200
+    sim.run()
+    assert ran == ["anchor"]
 
 
 def test_cancel_after_pop_is_noop():
     """Cancelling an already-executed event must not corrupt accounting."""
-    q = EventQueue()
-    a = q.push(1.0, lambda: None)
-    b = q.push(2.0, lambda: None)
-    assert q.pop() is a
-    q.cancel(a)  # already ran: must not decrement the live count
-    assert len(q) == 1
-    assert q.pop() is b
-    assert len(q) == 0
+    sim = Simulator()
+    ran = []
+    a = sim.schedule(1.0, ran.append, ("a",))
+    sim.schedule(2.0, ran.append, ("b",))
+    sim.run(until=1.5)
+    assert ran == ["a"]
+    sim.cancel(a)  # already ran: must not decrement the live count
+    assert len(sim.events) == 1
+    sim.run()
+    assert ran == ["a", "b"]
+    assert len(sim.events) == 0
 
 
 def test_compaction_preserves_pop_order():
-    q = EventQueue()
-    handles = [q.push(float(i), lambda: None) for i in range(500)]
+    sim = Simulator()
+    ran = []
+    handles = [sim.schedule(float(i), ran.append, (float(i),)) for i in range(500)]
     for ev in handles[::2]:
-        q.cancel(ev)
-    # push/cancel more to force compaction past the floor
+        sim.cancel(ev)
+    # schedule/cancel more to force compaction past the floor
     for i in range(500):
-        q.cancel(q.push(1000.0 + i, lambda: None))
-    popped = [q.pop().time for _ in range(len(q))]
-    assert popped == [float(i) for i in range(1, 500, 2)]
+        sim.cancel(sim.schedule(1000.0 + i, ran.append, (1000.0 + i,)))
+    sim.run()
+    assert ran == [float(i) for i in range(1, 500, 2)]
 
 
 @given(st.lists(st.floats(min_value=0, max_value=1e6, allow_nan=False), min_size=1, max_size=200))
 def test_property_pop_order_is_sorted(times):
-    q = EventQueue()
+    sim = Simulator()
+    ran = []
     for t in times:
-        q.push(t, lambda: None)
-    popped = []
-    while q:
-        popped.append(q.pop().time)
-    assert popped == sorted(times)
+        sim.schedule(t, ran.append, (t,))
+    sim.run()
+    assert ran == sorted(times)
 
 
 @given(
@@ -154,19 +138,19 @@ def test_property_pop_order_is_sorted(times):
     )
 )
 def test_property_cancellation_never_leaks(spec):
-    """After cancelling a subset, exactly the live events pop, in order."""
-    q = EventQueue()
+    """After cancelling a subset, exactly the live events run, in order."""
+    sim = Simulator()
+    ran = []
     live_times = []
     handles = []
     for t, keep in spec:
-        handles.append((q.push(t, lambda: None), keep, t))
+        handles.append((sim.schedule(t, ran.append, (t,)), keep, t))
     for ev, keep, t in handles:
         if keep:
             live_times.append(t)
         else:
-            q.cancel(ev)
-    assert len(q) == len(live_times)
-    popped = []
-    while q:
-        popped.append(q.pop().time)
-    assert popped == sorted(live_times)
+            sim.cancel(ev)
+    assert len(sim.events) == len(live_times)
+    sim.run()
+    assert ran == sorted(live_times)
+    assert len(sim.events) == 0

@@ -32,7 +32,7 @@ def test_schedule_at_past_rejected():
     sim.schedule(1.0, lambda: None)
     sim.run()
     with pytest.raises(SimulationError):
-        sim.schedule_at(0.5, lambda: None)
+        sim.schedule_at_fire(0.5, lambda: None)
 
 
 def test_run_until_stops_clock_at_until():

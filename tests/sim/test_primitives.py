@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim import AllOf, Barrier, Mailbox, Resource, Signal, Simulator, Timeout
+from repro.sim import AllOf, Mailbox, Signal, Simulator, Timeout
 
 
 # ---------------------------------------------------------------- Mailbox
@@ -70,15 +70,6 @@ def test_mailbox_multiple_getters_served_fifo():
     assert got == [("first", "a"), ("second", "b")]
 
 
-def test_mailbox_try_get():
-    sim = Simulator()
-    mb = Mailbox(sim)
-    assert mb.try_get() == (False, None)
-    mb.put(9)
-    assert mb.try_get() == (True, 9)
-    assert len(mb) == 0
-
-
 @given(st.lists(st.integers(), max_size=50))
 def test_property_mailbox_preserves_order(items):
     sim = Simulator()
@@ -94,146 +85,6 @@ def test_property_mailbox_preserves_order(items):
     sim.spawn(consumer())
     sim.run()
     assert got == items
-
-
-# ---------------------------------------------------------------- Barrier
-
-
-def test_barrier_releases_all_at_once():
-    sim = Simulator()
-    bar = Barrier(sim, 3)
-    releases = []
-
-    def member(delay):
-        yield Timeout(delay)
-        cycle = yield bar.wait()
-        releases.append((sim.now, cycle))
-
-    for d in (1.0, 2.0, 5.0):
-        sim.spawn(member(d))
-    sim.run()
-    assert [t for t, _ in releases] == [5.0, 5.0, 5.0]
-    assert {c for _, c in releases} == {0}
-
-
-def test_barrier_is_cyclic():
-    sim = Simulator()
-    bar = Barrier(sim, 2)
-    cycles = []
-
-    def member():
-        for _ in range(3):
-            cycles.append((yield bar.wait()))
-
-    sim.spawn(member())
-    sim.spawn(member())
-    sim.run()
-    assert sorted(cycles) == [0, 0, 1, 1, 2, 2]
-    assert bar.cycles == 3
-
-
-def test_barrier_single_party_never_blocks():
-    sim = Simulator()
-    bar = Barrier(sim, 1)
-    out = []
-
-    def member():
-        yield bar.wait()
-        out.append(sim.now)
-
-    sim.spawn(member())
-    sim.run()
-    assert out == [0.0]
-
-
-def test_barrier_invalid_parties():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        Barrier(sim, 0)
-
-
-def test_barrier_n_waiting():
-    sim = Simulator()
-    bar = Barrier(sim, 2)
-
-    def member():
-        yield bar.wait()
-
-    sim.spawn(member())
-    sim.run()
-    assert bar.n_waiting == 1
-
-
-# ---------------------------------------------------------------- Resource
-
-
-def test_resource_serializes_holders():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    spans = []
-
-    def holder(name, hold):
-        yield res.request()
-        start = sim.now
-        yield Timeout(hold)
-        res.release()
-        spans.append((name, start, sim.now))
-
-    sim.spawn(holder("a", 2.0))
-    sim.spawn(holder("b", 1.0))
-    sim.run()
-    assert spans == [("a", 0.0, 2.0), ("b", 2.0, 3.0)]
-
-
-def test_resource_capacity_two_runs_in_parallel():
-    sim = Simulator()
-    res = Resource(sim, capacity=2)
-    done = []
-
-    def holder(name):
-        yield res.request()
-        yield Timeout(1.0)
-        res.release()
-        done.append((name, sim.now))
-
-    for n in "abc":
-        sim.spawn(holder(n))
-    sim.run()
-    assert done == [("a", 1.0), ("b", 1.0), ("c", 2.0)]
-
-
-def test_resource_release_idle_raises():
-    sim = Simulator()
-    res = Resource(sim)
-    with pytest.raises(SimulationError):
-        res.release()
-
-
-def test_resource_invalid_capacity():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        Resource(sim, capacity=0)
-
-
-@given(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=20))
-def test_property_resource_never_exceeds_capacity(capacity, n_procs):
-    sim = Simulator()
-    res = Resource(sim, capacity=capacity)
-    concurrent = {"n": 0, "max": 0}
-
-    def holder():
-        yield res.request()
-        concurrent["n"] += 1
-        concurrent["max"] = max(concurrent["max"], concurrent["n"])
-        yield Timeout(1.0)
-        concurrent["n"] -= 1
-        res.release()
-
-    for _ in range(n_procs):
-        sim.spawn(holder())
-    sim.run()
-    assert concurrent["max"] <= capacity
-    assert concurrent["n"] == 0
 
 
 # ---------------------------------------------------------------- Signal
@@ -352,37 +203,3 @@ def test_all_of_same_signal_twice():
     sim.schedule(1.0, sig.fire, ("v",))
     sim.run()
     assert got == [["v", "v"]]
-
-
-def test_barrier_more_arrivals_than_parties_start_next_cycle():
-    sim = Simulator()
-    bar = Barrier(sim, 2)
-    out = []
-
-    def member(name):
-        cycle = yield bar.wait()
-        out.append((name, cycle))
-
-    for n in "abc":
-        sim.spawn(member(n))
-    sim.run()
-    # a+b complete cycle 0; c waits for a 4th member that never comes
-    assert sorted(out) == [("a", 0), ("b", 0)]
-    assert bar.n_waiting == 1
-
-
-def test_resource_handoff_preserves_fifo_order():
-    sim = Simulator()
-    res = Resource(sim, capacity=1)
-    order = []
-
-    def holder(name, hold):
-        yield res.request()
-        order.append(name)
-        yield Timeout(hold)
-        res.release()
-
-    for i in range(5):
-        sim.spawn(holder(f"p{i}", 0.1))
-    sim.run()
-    assert order == [f"p{i}" for i in range(5)]

@@ -146,18 +146,3 @@ def test_mailbox_get_across_kill_does_not_leak():
     # victim's token absorbed "a" but the dead process ignores the resume;
     # survivor gets "b".  No crash, no cross-delivery.
     assert got == ["b"]
-
-
-def test_spawn_all_helper():
-    sim = Simulator()
-    done = []
-
-    def proc(n):
-        yield Timeout(float(n))
-        done.append(n)
-
-    procs = sim.spawn_all([(proc(i), f"p{i}") for i in range(3)])
-    sim.run()
-    assert len(procs) == 3
-    assert done == [0, 1, 2]
-    assert [p.name for p in procs] == ["p0", "p1", "p2"]

@@ -1,4 +1,4 @@
-"""Unit tests for the tc facade and tc-command shell."""
+"""Unit tests for the tc facade."""
 
 import pytest
 
@@ -6,7 +6,7 @@ from repro.errors import TcError
 from repro.net.nic import NIC
 from repro.net.qdisc import HTBQdisc, PFifo
 from repro.sim import Simulator
-from repro.tensorlights.tc import BAND_CLASSID_BASE, Tc, TcShell
+from repro.tensorlights.tc import BAND_CLASSID_BASE, Tc
 from repro.units import gbps
 
 from tests.net.helpers import seg
@@ -126,57 +126,6 @@ def test_render_commands_shape():
 def test_render_commands_uninstalled():
     tc = Tc(make_nic())
     assert tc.render_commands() == ["tc qdisc del dev h00 root"]
-
-
-# ---------------------------------------------------------------- TcShell
-
-
-def shell():
-    sim = Simulator()
-    nic = make_nic(sim)
-    return TcShell({"h00": nic}), nic
-
-
-def test_shell_full_flow():
-    sh, nic = shell()
-    sh.run("tc qdisc replace dev h00 root handle 1: htb bands 3")
-    sh.run("tc filter add dev h00 sport 5000 band 0")
-    sh.run("tc class change dev h00 band 0 prio 2")
-    assert isinstance(nic.qdisc, HTBQdisc)
-    assert sh.tc_for("h00").band_of_port(5000) == 0
-    sh.run("tc filter del dev h00 sport 5000")
-    assert sh.tc_for("h00").band_of_port(5000) is None
-    sh.run("tc qdisc del dev h00 root")
-    assert isinstance(nic.qdisc, PFifo)
-
-
-def test_shell_tc_prefix_optional():
-    sh, nic = shell()
-    sh.run("qdisc replace dev h00 root htb bands 2")
-    assert isinstance(nic.qdisc, HTBQdisc)
-
-
-def test_shell_errors():
-    sh, _ = shell()
-    with pytest.raises(TcError, match="unknown device"):
-        sh.run("tc qdisc replace dev h99 root htb bands 2")
-    with pytest.raises(TcError, match="empty"):
-        sh.run("tc")
-    with pytest.raises(TcError, match="dev"):
-        sh.run("tc qdisc replace root htb")
-    with pytest.raises(TcError, match="unsupported"):
-        sh.run("tc qdisc show dev h00")
-    with pytest.raises(TcError, match="htb"):
-        sh.run("tc qdisc replace dev h00 root sfq")
-
-
-def test_kv_parser_first_value_wins():
-    from repro.tensorlights.tc import TcShell
-
-    kv = TcShell._kv(["filter", "add", "dev", "h00", "sport", "5000",
-                      "band", "0", "dev", "ignored"])
-    assert kv["dev"] == "h00"  # setdefault: first occurrence wins
-    assert kv["sport"] == "5000"
 
 
 def test_install_replaces_existing_htb():
