@@ -129,6 +129,7 @@ OPTIONS: Dict[str, Dict[str, Any]] = {
     "--placement-policies": dict(dest="placements", nargs="+", metavar="NAME",
                                  help="placement-policy axis, with 'oblivious' and a smart one"),
     "--list-runs": dict(action="store_true", help="list journaled campaign runs and exit"),
+    "--resume": dict(metavar="RUN_ID", help="resume a journaled campaign"),
 }
 
 #: Flags read by :func:`_campaign` (campaign settings) or by a command's
@@ -145,7 +146,6 @@ SETTINGS: Dict[str, Dict[str, Any]] = {
     "--metrics": dict(dest="observe_metrics", action="store_true",
                       help="run every scenario with the metrics registry on"),
     "--run-id": dict(help="explicit journal run id for a fresh campaign"),
-    "--resume": dict(metavar="RUN_ID", help="resume a journaled campaign"),
     "--journal-dir": dict(metavar="DIR", help="journal directory (default: <cache dir>/journals)"),
     "--max-attempts": dict(type=int, help="attempts per scenario whose worker dies"),
     "--retry-base-delay": dict(dest="base_delay", type=float, metavar="S",
@@ -276,9 +276,24 @@ def _run_one(campaign: Campaign, **overrides) -> Any:
     return campaign.run_one(_one(**overrides)[0])
 
 
+def _campaign_grid(list_runs: bool = False, resume: Optional[str] = None,
+                   placements: Sequence[int] = (1,),
+                   policies: Sequence[Policy] = ALL_POLICIES,
+                   **overrides) -> List[Scenario]:
+    """The placement x policy grid a fresh ``campaign`` journals (none when
+    it resumes a journaled run or lists the runs)."""
+    if list_runs or resume is not None:
+        return []
+    cfg = ExperimentConfig(**overrides)
+    return [
+        Scenario(config=cfg.replace(placement_index=pl, policy=pol))
+        .with_tags(policy=pol.value, placement=str(pl))
+        for pl in placements for pol in policies
+    ]
+
+
 def _journaled_grid(campaign: Campaign, list_runs: bool = False,
-                    placements: Sequence[int] = (1,),
-                    policies: Sequence[Policy] = ALL_POLICIES, **overrides) -> Any:
+                    resume: Optional[str] = None, **grid) -> Any:
     """The ``campaign`` command: a journaled placement x policy grid."""
     if list_runs:
         from repro.experiments.journal import list_runs as journaled_runs
@@ -289,12 +304,7 @@ def _journaled_grid(campaign: Campaign, list_runs: bool = False,
         for run in runs:
             print(f"{run['run_id']}  {run['bytes']:>8} bytes  {run['path']}")
         return None
-    cfg = ExperimentConfig(**overrides)
-    return campaign.run(None if campaign.resume is not None else [
-        Scenario(config=cfg.replace(placement_index=pl, policy=pol))
-        .with_tags(policy=pol.value, placement=str(pl))
-        for pl in placements for pol in policies
-    ])
+    return campaign.run(None if resume is not None else _campaign_grid(**grid))
 
 
 # -- the registry ----------------------------------------------------------
@@ -344,7 +354,8 @@ COMMANDS: Dict[str, Command] = {
     "fig5a": _figure(fig5a.generate, "fig5a", campaign=True, options=("--placements",),
                      plan=fig5a.scenarios),
     "fig5b": _figure(fig5b.generate, "fig5b", campaign=True,
-                     config=_config_except("--batch"), options=("--batches",)),
+                     config=_config_except("--batch"), options=("--batches",),
+                     plan=fig5b.scenarios),
     "fig6": _figure(fig6.generate, "fig6", campaign=True, plan=fig6.scenarios),
     "table2": _figure(table2.generate, "table2", campaign=True,
                       config=CONFIG + ("--sample-interval",), plan=table2.scenarios),
@@ -378,6 +389,7 @@ COMMANDS: Dict[str, Command] = {
                  "--list-runs", "--max-attempts", "--retry-base-delay", "--retry-factor",
                  "--retry-max-delay", "--watchdog", "--metrics", "--hashes"),
         emit=_emit_campaign, exit=lambda result: int(bool(result and result.failures)),
+        plan=_campaign_grid,
     ),
     "ablate": Command(
         impact.generate,

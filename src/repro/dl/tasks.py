@@ -41,22 +41,6 @@ MODEL_UPDATE = "model_update"
 GRADIENT_UPDATE = "gradient_update"
 
 
-class _TimerTick:
-    """A timeout sentinel dropped into a task's own mailbox.
-
-    The sim kernel has no select-with-timeout primitive; recovery-aware
-    tasks arm a timer as ``sim.schedule(delay, inbox.put, (_TimerTick(seq),))``
-    before each blocking ``inbox.get()``.  The per-task sequence number
-    identifies the one live timer — ticks from abandoned waits are
-    discarded on receipt.
-    """
-
-    __slots__ = ("seq",)
-
-    def __init__(self, seq: int) -> None:
-        self.seq = seq
-
-
 @dataclass
 class TaskEndpoint:
     """Where a task lives: host + listening port."""
@@ -74,35 +58,54 @@ class TaskEndpoint:
         return [self.port]
 
 
-class WorkerTask:
-    """One worker: receives model shards, computes, sends gradient shards."""
+class _Task:
+    """What a PS and a worker share: a listening inbox and one timer."""
 
-    def __init__(
-        self,
-        spec: JobSpec,
-        worker_index: int,
-        endpoint: TaskEndpoint,
-        ps_endpoints: List[TaskEndpoint],
-        metrics: JobMetrics,
-        recovery: Optional["RecoverySpec"] = None,
-    ) -> None:
+    def __init__(self, spec: JobSpec, name: str, endpoint: TaskEndpoint,
+                 metrics: JobMetrics, recovery: Optional["RecoverySpec"]) -> None:
         self.spec = spec
-        self.worker_index = worker_index
-        self.name = f"{spec.job_id}/wk{worker_index:02d}"
+        self.name = name
         self.endpoint = endpoint
-        self.ps_endpoints = list(ps_endpoints)
         self.metrics = metrics
         self.recovery = recovery
-        self.inbox = Mailbox(endpoint.host.sim, name=self.name)
+        self.inbox = Mailbox(endpoint.host.sim, name=name)
         endpoint.host.transport.listen(endpoint.port, self.inbox.put)
-        self.local_step = 0
         self._wait_seq = 0
+        self._shard_bytes = spec.shard_bytes
+
+    def _arm(self, delay: float) -> int:
+        """Drop a timer tick (its ``int`` sequence number) into the inbox.
+
+        The kernel has no select-with-timeout.  A loop keeps one live
+        deadline, the latest returned, and drops a superseded tick WITHOUT
+        re-arming, else every stale tick breeds another timer and the
+        live one is never current — a silent livelock.
+        """
+        self._wait_seq += 1
+        self.endpoint.host.sim.schedule(delay, self.inbox.put, (self._wait_seq,))
+        return self._wait_seq
+
+    def close(self) -> None:
+        """Stop listening on the task's port (idempotent)."""
+        self.endpoint.host.transport.unlisten(self.endpoint.port)
+
+
+class WorkerTask(_Task):
+    """One worker: receives model shards, computes, sends gradient shards."""
+
+    def __init__(self, spec: JobSpec, worker_index: int, endpoint: TaskEndpoint,
+                 ps_endpoints: List[TaskEndpoint], metrics: JobMetrics,
+                 recovery: Optional["RecoverySpec"] = None) -> None:
+        super().__init__(spec, f"{spec.job_id}/wk{worker_index:02d}",
+                         endpoint, metrics, recovery)
+        self.worker_index = worker_index
+        self.ps_endpoints = list(ps_endpoints)
+        self.local_step = 0
         # One flow per PS, built once: endpoints are fixed for the run.
         self._gradient_flows: List[FlowKey] = [
             FlowKey(endpoint.host_id, endpoint.port, ps.host_id, ps.port)
             for ps in self.ps_endpoints
         ]
-        self._shard_bytes = spec.shard_bytes
 
     def _send_gradient(self, iteration: int) -> None:
         """Send this iteration's gradient shard to every PS."""
@@ -117,75 +120,36 @@ class WorkerTask:
             self.endpoint.host.transport.send_message(gradient)
 
     def run(self, delay: float = 0.0):
-        """The worker process (a simulation generator), ``delay`` late."""
+        """The worker process (a simulation generator), ``delay`` late.
+
+        Driven by the model update's iteration: the barrier exits on the
+        last of its ``n_ps`` shards.  Without ``recovery`` the worker
+        returns after ``spec.local_steps_per_worker`` steps and arms no
+        timer.  With it, a silent PS gets gradient re-sends (exponential
+        backoff, at most ``max_retries``), a checkpoint replay gets the
+        gradient already computed, and the worker stays to answer replays
+        until the application kills it at job completion.
+        """
         if delay > 0:
             yield Timeout(delay)
-        if self.recovery is not None:
-            yield from self._run_recoverable()
-            return
-        sim = self.endpoint.host.sim
-        cpu = self.endpoint.host.cpu
-        spec = self.spec
-        n_shards = len(self.ps_endpoints)
-        barrier_entered_at: Optional[float] = None
-
-        for iteration in range(spec.local_steps_per_worker):
-            # Wait for the model update — one shard from every PS
-            # (barrier exit happens when the *last* shard lands).
-            for _ in range(n_shards):
-                msg = yield self.inbox.get()
-                assert msg.kind == MODEL_UPDATE, f"{self.name} got {msg.kind}"
-            if barrier_entered_at is not None:
-                wait = sim.now - barrier_entered_at
-                self.metrics.barriers.record(iteration - 1, wait)
-                if sim.metrics.enabled:
-                    sim.metrics.histogram(
-                        "dl_barrier_wait_seconds", job=self.spec.job_id
-                    ).observe(wait)
-            # Compute on the local batch.
-            jitter = sim.rng.lognormal_factor(
-                f"compute/{self.name}", spec.compute_jitter_sigma
-            )
-            yield cpu.run(spec.compute_demand_per_step * jitter)
-            self.local_step += 1
-            self.metrics.local_steps[self.name] = self.local_step
-            # Send the gradient shards (barrier entry = last send handed
-            # to the transport).
-            self._send_gradient(iteration)
-            barrier_entered_at = sim.now
-
-    def _run_recoverable(self):
-        """The fault-tolerant worker loop (single-PS jobs).
-
-        Differences from the fixed-iteration loop above: the worker is
-        event-driven by the *model update's* iteration number (so a
-        checkpoint-rewound PS replays old iterations without confusing
-        it), and every blocking wait is bounded by a timer — a silent PS
-        triggers gradient re-sends with exponential backoff, bounded by
-        ``recovery.max_retries``.
-        """
         sim = self.endpoint.host.sim
         cpu = self.endpoint.host.cpu
         spec = self.spec
         rec = self.recovery
+        n_shards = len(self.ps_endpoints)
+        shards = 0                  # shards of the next iteration received
         last_done = -1              # highest iteration fully processed
         barrier_entered_at: Optional[float] = None
         retries = 0
-        wait = rec.worker_timeout
-        # Timer discipline: at most one *live* deadline (the latest armed
-        # seq).  A superseded tick must be dropped WITHOUT arming a fresh
-        # timer, else every stale tick breeds another timer and the live
-        # one is never current — a silent livelock.
+        wait = rec.worker_timeout if rec is not None else 0.0
         live_seq: Optional[int] = None
 
-        while True:
-            if live_seq is None:
-                self._wait_seq += 1
-                live_seq = self._wait_seq
-                sim.schedule(wait, self.inbox.put, (_TimerTick(live_seq),))
+        while rec is not None or self.local_step < spec.local_steps_per_worker:
+            if rec is not None and live_seq is None:
+                live_seq = self._arm(wait)
             msg = yield self.inbox.get()
-            if isinstance(msg, _TimerTick):
-                if msg.seq != live_seq:
+            if isinstance(msg, int):
+                if msg != live_seq:
                     continue        # superseded deadline: drop, don't re-arm
                 live_seq = None     # consumed; re-arm at the loop top
                 if retries >= rec.max_retries:
@@ -198,16 +162,20 @@ class WorkerTask:
                     self._send_gradient(last_done)
                 continue
             assert msg.kind == MODEL_UPDATE, f"{self.name} got {msg.kind}"
-            retries = 0
-            wait = rec.worker_timeout
-            live_seq = None         # real traffic: restart the silence window
+            if rec is not None:
+                retries = 0
+                wait = rec.worker_timeout
+                live_seq = None     # real traffic: restart the silence window
             iteration = msg.meta["iteration"]
             if iteration <= last_done:
-                # A recovered PS replaying an old iteration: the gradient
-                # is already computed — resend it, don't recompute.
-                self._send_gradient(iteration)
+                self._send_gradient(iteration)  # a replay: don't recompute
                 continue
+            shards += 1
+            if shards < n_shards:
+                continue
+            shards = 0
             if barrier_entered_at is not None:
+                # Also overwrites the retry timeout (ROADMAP item 1, cause 2).
                 wait = sim.now - barrier_entered_at
                 self.metrics.barriers.record(iteration - 1, wait)
                 if sim.metrics.enabled:
@@ -220,18 +188,13 @@ class WorkerTask:
             yield cpu.run(spec.compute_demand_per_step * jitter)
             self.local_step += 1
             self.metrics.local_steps[self.name] = self.local_step
+            # Barrier entry = last gradient shard handed to the transport.
             self._send_gradient(iteration)
             barrier_entered_at = sim.now
             last_done = iteration
-            # After the final iteration the worker stays to answer
-            # post-crash replays; the retry budget above bounds the wait
-            # and the application kills us at job completion.
-
-    def close(self) -> None:
-        self.endpoint.host.transport.unlisten(self.endpoint.port)
 
 
-class PSTask:
+class PSTask(_Task):
     """One parameter server (or one shard of a multi-PS job).
 
     Synchronous mode barriers on all workers' gradient shards before
@@ -239,45 +202,29 @@ class PSTask:
     as its gradient arrives.
     """
 
-    def __init__(
-        self,
-        spec: JobSpec,
-        endpoint: TaskEndpoint,
-        worker_endpoints: List[TaskEndpoint],
-        metrics: JobMetrics,
-        shard_index: int = 0,
-        recovery: Optional["RecoverySpec"] = None,
-    ) -> None:
-        self.spec = spec
+    def __init__(self, spec: JobSpec, endpoint: TaskEndpoint,
+                 worker_endpoints: List[TaskEndpoint], metrics: JobMetrics,
+                 shard_index: int = 0, recovery: Optional["RecoverySpec"] = None) -> None:
+        name = f"{spec.job_id}/ps" if spec.n_ps == 1 else f"{spec.job_id}/ps{shard_index}"
+        super().__init__(spec, name, endpoint, metrics, recovery)
         self.shard_index = shard_index
-        self.name = (
-            f"{spec.job_id}/ps" if spec.n_ps == 1
-            else f"{spec.job_id}/ps{shard_index}"
-        )
-        self.endpoint = endpoint
         self.worker_endpoints = worker_endpoints
-        self.metrics = metrics
-        self.recovery = recovery
-        self.inbox = Mailbox(endpoint.host.sim, name=self.name)
-        endpoint.host.transport.listen(endpoint.port, self.inbox.put)
         self.done = Signal()
-        #: invoked if the recoverable loop abandons the job (every worker
-        #: silent past the retry budget) — the application marks the job
+        #: invoked if the proceed-mode sync loop abandons the job (every
+        #: worker silent past the retry budget) — the application marks the job
         #: failed so run-scoped services see a terminal state
         self.on_abandon: Optional[Callable[[], None]] = None
         self.global_step = 0
-        # fault-injection state (recovery-aware sync loop only)
+        # fault-injection state (sync loop only)
         self.crashed = False
         self.crash_iteration = 0
         self._iteration = 0
-        self._wait_seq = 0
         # One flow per worker (indexed like ``worker_endpoints``), built
         # once: endpoints are fixed for the run.
         self._model_flows: List[FlowKey] = [
             FlowKey(endpoint.host_id, endpoint.port, w.host_id, w.port)
             for w in worker_endpoints
         ]
-        self._shard_bytes = spec.shard_bytes
 
     def _broadcast(
         self, iteration: int, workers: Optional[Iterable[int]] = None
@@ -308,66 +255,36 @@ class PSTask:
         """The PS process (a simulation generator), ``delay`` late."""
         if delay > 0:
             yield Timeout(delay)
-        if self.recovery is not None and self.spec.sync:
-            yield from self._run_sync_recoverable(0)
-        elif self.spec.sync:
-            yield from self._run_sync()
-        else:
-            yield from self._run_async()
+        yield from (self._run_sync(0) if self.spec.sync else self._run_async())
 
-    def _run_sync(self):
-        sim = self.endpoint.host.sim
-        cpu = self.endpoint.host.cpu
-        spec = self.spec
-        self._mark_progress(sim)
-        n = spec.n_workers
-        for iteration in range(spec.n_iterations):
-            self._broadcast(iteration)
-            # Barrier: wait for every worker's gradient shard.
-            for _ in range(n):
-                msg = yield self.inbox.get()
-                assert msg.kind == GRADIENT_UPDATE, f"{self.name} got {msg.kind}"
-                # Fold the gradient shard into the model shard.
-                if spec.ps_update_compute_per_shard > 0:
-                    yield cpu.run(spec.ps_update_compute_per_shard)
-                self.global_step += 1
-            if self.shard_index == 0:
-                self.metrics.iterations_done = iteration + 1
-        self._finish(sim)
+    def _run_sync(self, start_iteration: int):
+        """The synchronous loop, from ``start_iteration`` to the end.
 
-    def _run_sync_recoverable(self, start_iteration: int):
-        """The fault-tolerant sync loop (single-PS jobs).
-
-        Same protocol as :meth:`_run_sync`, but the barrier is idempotent
-        (gradients deduplicated per worker and iteration, stale ones
-        ignored) so worker retries and checkpoint replays are harmless,
-        and in ``barrier_mode="proceed"`` each wait is bounded by a timer
-        so the iteration can close with surviving workers.
+        The barrier is idempotent (gradients deduplicated per worker and
+        iteration, stale ones ignored) so worker retries and checkpoint
+        replays are harmless.  Only in ``barrier_mode="proceed"`` is each
+        wait bounded by a timer, so the iteration can close with the
+        surviving workers.
         """
         sim = self.endpoint.host.sim
         cpu = self.endpoint.host.cpu
         spec = self.spec
         rec = self.recovery
+        proceed = rec is not None and rec.barrier_mode == "proceed"
         self._mark_progress(sim)
         n = spec.n_workers
-        self._iteration = start_iteration
-        while self._iteration < spec.n_iterations:
-            iteration = self._iteration
+        for iteration in range(start_iteration, spec.n_iterations):
+            self._iteration = iteration
             self._broadcast(iteration)
             got: Set[int] = set()
             stalls = 0
-            # Same single-live-deadline discipline as the worker loop: a
-            # superseded tick never arms a replacement.
-            timer_seq: Optional[int] = None
+            timer_seq: Optional[int] = None     # the live deadline (_arm)
             while len(got) < n:
-                if rec.barrier_mode == "proceed" and timer_seq is None:
-                    self._wait_seq += 1
-                    timer_seq = self._wait_seq
-                    sim.schedule(rec.barrier_timeout, self.inbox.put,
-                                 (_TimerTick(timer_seq),))
+                if proceed and timer_seq is None:
+                    timer_seq = self._arm(rec.barrier_timeout)
                 msg = yield self.inbox.get()
-                if isinstance(msg, _TimerTick):
-                    if msg.seq != timer_seq:
+                if isinstance(msg, int):
+                    if msg != timer_seq:
                         continue        # superseded deadline: drop
                     timer_seq = None    # consumed; re-arm at the loop top
                     stalls += 1
@@ -400,7 +317,6 @@ class PSTask:
                 self.metrics.iterations_done = max(
                     self.metrics.iterations_done, iteration + 1
                 )
-            self._iteration = iteration + 1
         self._finish(sim)
 
     # -- crash / checkpoint-restart (driven by the fault injector) ---------
@@ -432,7 +348,7 @@ class PSTask:
         resume = max(0, self.crash_iteration - lost_iterations)
         self._iteration = resume
         self.endpoint.host.transport.listen(self.endpoint.port, self.inbox.put)
-        return self._run_sync_recoverable(resume)
+        return self._run_sync(resume)
 
     def _run_async(self):
         sim = self.endpoint.host.sim
@@ -462,7 +378,3 @@ class PSTask:
             self.metrics.end_time = sim.now
         self.close()
         self.done.fire(self.metrics)
-
-    def close(self) -> None:
-        """Stop listening on the PS port (idempotent)."""
-        self.endpoint.host.transport.unlisten(self.endpoint.port)

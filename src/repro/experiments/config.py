@@ -131,6 +131,10 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.n_jobs < 1:
             raise ConfigError("n_jobs must be >= 1")
+        if self.n_workers < 1:
+            raise ConfigError("n_workers must be >= 1")
+        if self.local_batch_size < 1:
+            raise ConfigError("local_batch_size must be >= 1")
         if self.iterations < 1:
             raise ConfigError("iterations must be >= 1")
         if self.link_gbps <= 0:

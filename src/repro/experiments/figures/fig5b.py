@@ -9,7 +9,7 @@ heavier traffic contention.  Paper: TLs-One's improvement grows to 31 %
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from repro.experiments.figures.common import (
 )
 from repro.experiments.report import TextTable
 from repro.experiments.runtime import ExperimentResult
+from repro.experiments.scenario import Scenario
 
 DEFAULT_BATCH_SIZES = (1, 2, 4, 8, 16)
 
@@ -64,6 +65,22 @@ class Fig5bResult:
         )
 
 
+def scenarios(
+    base: Optional[ExperimentConfig] = None,
+    batch_sizes: Sequence[int] = DEFAULT_BATCH_SIZES,
+    **overrides,
+) -> List[Scenario]:
+    """Every policy at each local batch size, at placement #1."""
+    cfg = base_config(base, **overrides).replace(placement_index=1)
+    return [
+        scenario.with_tags(batch=batch)
+        for batch in batch_sizes
+        for scenario in policy_scenarios(
+            cfg.replace(local_batch_size=batch), ALL_POLICIES
+        )
+    ]
+
+
 def generate(
     base: Optional[ExperimentConfig] = None,
     batch_sizes: Sequence[int] = DEFAULT_BATCH_SIZES,
@@ -71,14 +88,7 @@ def generate(
     **overrides,
 ) -> Fig5bResult:
     """Sweep the local batch size at placement #1 under all policies."""
-    cfg = base_config(base, **overrides).replace(placement_index=1)
-    grid = [
-        scenario.with_tags(batch=batch)
-        for batch in batch_sizes
-        for scenario in policy_scenarios(
-            cfg.replace(local_batch_size=batch), ALL_POLICIES
-        )
-    ]
+    grid = scenarios(base, batch_sizes, **overrides)
     flat = submit(grid, campaign)
     results: Dict[int, Dict[Policy, ExperimentResult]] = {}
     for scenario, result in zip(grid, flat):

@@ -16,6 +16,7 @@ import pytest
 from repro.cli import COMMANDS, build_parser, main
 from repro.experiments import figures
 from repro.experiments.campaign import Campaign, ParallelExecutor
+from repro.experiments.config import Policy
 
 DOCS = Path(__file__).resolve().parents[2] / "docs"
 
@@ -181,6 +182,9 @@ def test_utilization_export_observes_through_the_flag_campaign(submitted, tmp_pa
     (["table2", "--jobs", "3", "--sample-interval", "0.1"],
      dict(n_jobs=3, sample_interval=0.1)),
     (["utilization", "--quick", "--jobs", "3"], dict(quick=True, n_jobs=3)),
+    (["fig5b", "--batches", "2", "8", "--jobs", "3"], dict(batch_sizes=[2, 8], n_jobs=3)),
+    (["campaign", "--placements", "2", "4", "--policies", "tls-one", "--jobs", "4"],
+     dict(placements=[2, 4], policies=[Policy.TLS_ONE], n_jobs=4)),
 ])
 def test_plan_builds_the_scenarios_the_command_submits(submitted, argv, plan_args):
     _, scenarios = submitted(argv)
@@ -212,6 +216,12 @@ def test_plan_builds_the_scenarios_the_command_submits(submitted, argv, plan_arg
     (["fig6", "--workers", "1", "--jobs", "2", "--iterations", "2"],
      "needs n_workers >= 2"),
     (["table2", "--jobs", "0"], "n_jobs must be >= 1"),
+    (["run", "--jobs", "2", "--batch", "0"], "local_batch_size must be >= 1"),
+    (["run", "--jobs", "2", "--workers", "0"], "n_workers must be >= 1"),
+    (["fig5b", "--batches", "0", "--jobs", "2", "--workers", "2", "--iterations", "2"],
+     "local_batch_size must be >= 1"),
+    (["campaign", "--placements", "5", "--jobs", "3", "--workers", "3", "--iterations", "2"],
+     "cannot scale placement #5 (4 groups) down to 3 jobs"),
     (["utilization", "--quick", "--sample-interval", "0"],
      "sample_interval must be positive"),
 ])

@@ -85,6 +85,33 @@ GOLDEN = [
         "d6dff3e1bf52fe18f4da0ee09c66c861530d84f6d5004be54808efd85416d66c",
         id="placement-override-2-2",
     ),
+    # Sharded-model and asynchronous jobs pin the multi-shard worker
+    # barrier and the async PS echo loop (captured at commit 9a04736).
+    pytest.param(
+        Scenario(config=ExperimentConfig.tiny(n_ps=2)),
+        "46c8a31401df1b05b27427d22e0a4b8f4ebe9fd8684cce43f772c8a92c1a2099",
+        id="sharded-2ps",
+    ),
+    pytest.param(
+        Scenario(config=ExperimentConfig.tiny(n_ps=3, policy=Policy.TLS_RR)),
+        "997d480b896206ab0b7ca63f87ea56eb05b8f18a8d0320fd40adfb1e87265934",
+        id="sharded-3ps-tls-rr",
+    ),
+    pytest.param(
+        Scenario(config=ExperimentConfig.tiny(sync=False)),
+        "19511abefb61648a86e40d4377c73c428b510d4a6f644ee0a1ff103ccf9c3970",
+        id="async-fifo",
+    ),
+    pytest.param(
+        Scenario(config=ExperimentConfig.tiny(sync=False, policy=Policy.TLS_ONE)),
+        "54dbc59aa4d801d6fe702c305303999b246356c491f9319b673ffa9a011d06e0",
+        id="async-tls-one",
+    ),
+    pytest.param(
+        Scenario(config=ExperimentConfig.tiny(sync=False, n_ps=2)),
+        "4d9af20a109115b9af4cc14ea743b778c9331d8cf6f0f33fb1b977e79fbae109",
+        id="async-sharded-2ps",
+    ),
 ]
 
 

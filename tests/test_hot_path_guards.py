@@ -35,7 +35,6 @@ OBSERVATIONS = {
     ("net/transport.py", "Transport._on_segment_arrival"):
         "transport_msg_latency_seconds",
     ("dl/tasks.py", "WorkerTask.run"): "dl_barrier_wait_seconds",
-    ("dl/tasks.py", "WorkerTask._run_recoverable"): "dl_barrier_wait_seconds",
 }
 
 INSTRUMENTS = {"counter", "gauge", "histogram", "span"}
