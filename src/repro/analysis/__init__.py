@@ -1,39 +1,21 @@
 """Statistical analysis: CDFs, normalization, fairness, CIs, timelines."""
 
-from repro.analysis.stats import Cdf, describe, percentile
-from repro.analysis.normalize import (
-    normalized_jct,
-    performance_gap,
-    normalize_map,
-)
-from repro.analysis.fairness import (
-    coefficient_of_variation,
-    jain_index,
-    progress_fairness,
-    spread,
-)
-from repro.analysis.barchart import Bar, bars_from_pairs, render_barchart
-from repro.analysis.ci import ConfidenceInterval, bootstrap_ci, bootstrap_ratio_ci
-from repro.analysis.timeline import Span, render_timeline, spans_from_bursts
+from repro.analysis.stats import Cdf
+from repro.analysis.normalize import normalized_jct, performance_gap
+from repro.analysis.fairness import jain_index
+from repro.analysis.barchart import Bar, render_barchart
+from repro.analysis.ci import ConfidenceInterval, bootstrap_ratio_ci
+from repro.analysis.timeline import Span, render_timeline
 
 __all__ = [
     "Bar",
     "Cdf",
     "ConfidenceInterval",
     "Span",
-    "bars_from_pairs",
-    "bootstrap_ci",
     "bootstrap_ratio_ci",
-    "coefficient_of_variation",
-    "describe",
     "jain_index",
-    "normalize_map",
     "normalized_jct",
-    "percentile",
     "performance_gap",
-    "progress_fairness",
     "render_barchart",
     "render_timeline",
-    "spans_from_bursts",
-    "spread",
 ]

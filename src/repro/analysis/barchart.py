@@ -8,7 +8,7 @@ paper's bar figures (2, 5a, 5b) convey.  No plotting dependency needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.errors import ConfigError
 
@@ -68,17 +68,3 @@ def render_barchart(
             suffix += f" ({b.annotation})"
         lines.append(f"{b.label:<{label_w}} {''.join(row)}{suffix}")
     return "\n".join(lines)
-
-
-def bars_from_pairs(
-    pairs: Sequence[Tuple[str, float]], annotations: Optional[Sequence[str]] = None
-) -> List[Bar]:
-    """Convenience: (label, value) tuples -> Bar list."""
-    if annotations is None:
-        return [Bar(label, value) for label, value in pairs]
-    if len(annotations) != len(pairs):
-        raise ConfigError("annotations length mismatch")
-    return [
-        Bar(label, value, note)
-        for (label, value), note in zip(pairs, annotations)
-    ]

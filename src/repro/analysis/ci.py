@@ -1,15 +1,15 @@
 """Bootstrap confidence intervals for seed-sweep statistics.
 
 Simulations are deterministic per seed, so uncertainty comes from seed
-sweeps.  These helpers compute percentile-bootstrap CIs over per-seed
-summaries (e.g. avg JCT per seed) and over ratio statistics like the
-normalized JCT, which must be resampled *pairwise*.
+sweeps.  :func:`bootstrap_ratio_ci` computes a percentile-bootstrap CI
+of a ratio of per-seed summaries (e.g. the normalized JCT), resampling
+numerator and denominator *pairwise*.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -33,31 +33,6 @@ class ConfidenceInterval:
         return f"{self.estimate:.4g} [{self.low:.4g}, {self.high:.4g}] ({pct}% CI)"
 
 
-def bootstrap_ci(
-    samples: Sequence[float],
-    statistic: Callable[[np.ndarray], float] = np.mean,
-    confidence: float = 0.95,
-    n_resamples: int = 2000,
-    seed: int = 0,
-) -> ConfidenceInterval:
-    """Percentile bootstrap CI of ``statistic`` over ``samples``."""
-    arr = np.asarray(list(samples), dtype=float)
-    if arr.size < 2:
-        raise ConfigError("bootstrap needs at least 2 samples")
-    if not 0.0 < confidence < 1.0:
-        raise ConfigError(f"confidence must be in (0, 1), got {confidence}")
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, arr.size, size=(n_resamples, arr.size))
-    stats = np.apply_along_axis(statistic, 1, arr[idx])
-    alpha = (1.0 - confidence) / 2.0
-    return ConfidenceInterval(
-        estimate=float(statistic(arr)),
-        low=float(np.quantile(stats, alpha)),
-        high=float(np.quantile(stats, 1.0 - alpha)),
-        confidence=confidence,
-    )
-
-
 def bootstrap_ratio_ci(
     numerators: Sequence[float],
     denominators: Sequence[float],
@@ -78,6 +53,8 @@ def bootstrap_ratio_ci(
         raise ConfigError("bootstrap needs at least 2 samples")
     if (den <= 0).any():
         raise ConfigError("denominators must be positive")
+    if not 0.0 < confidence < 1.0:
+        raise ConfigError(f"confidence must be in (0, 1), got {confidence}")
     rng = np.random.default_rng(seed)
     idx = rng.integers(0, num.size, size=(n_resamples, num.size))
     ratios = num[idx].mean(axis=1) / den[idx].mean(axis=1)

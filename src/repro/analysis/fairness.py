@@ -1,14 +1,14 @@
-"""Fairness metrics for concurrent jobs.
+"""Fairness of concurrent jobs: Jain's index.
 
 The paper motivates TLs-RR with grid-search fairness: "when all search
 instances have made similar progress, a DL engineer may compare the
-accuracy performance of concurrent grid-search instances" (§IV-C).  These
-metrics quantify that.
+accuracy performance of concurrent grid-search instances" (§IV-C).  Jain's
+index over per-job JCTs quantifies that.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,36 +31,3 @@ def jain_index(values: Sequence[float]) -> float:
     if denom == 0:
         return 1.0  # all zeros: equal
     return float(arr.sum() ** 2 / denom)
-
-
-def progress_fairness(local_steps: Mapping[str, int]) -> float:
-    """Jain's index over per-job progress (global steps at an instant).
-
-    Follows :func:`jain_index`'s degenerate-input convention: no jobs, or
-    all jobs at step zero (e.g. sampled before the first barrier), is 1.0.
-    """
-    return jain_index(list(local_steps.values()))
-
-
-def spread(values: Sequence[float]) -> float:
-    """Max - min; the paper's visual 'finish spread' in Figure 5 scatters."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        raise ConfigError("spread of zero values")
-    return float(arr.max() - arr.min())
-
-
-def coefficient_of_variation(values: Sequence[float]) -> float:
-    """std / mean — scale-free dispersion of JCTs.
-
-    Degenerate inputs return 0.0 (no dispersion) instead of raising: an
-    empty population has nothing to vary, and a zero-mean population of
-    non-negative JCTs is all zeros.
-    """
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        return 0.0  # nothing varies
-    mean = arr.mean()
-    if mean == 0:
-        return 0.0  # all-zero population: no dispersion
-    return float(arr.std() / mean)

@@ -48,23 +48,3 @@ def performance_gap(values: Sequence[float]) -> float:
     if best <= 0:
         raise ConfigError("performance gap undefined for non-positive best value")
     return float((arr.max() - best) / best)
-
-
-def normalize_map(
-    values: Mapping[str, float], baseline: Mapping[str, float]
-) -> Dict[str, float]:
-    """Key-wise ``value / baseline`` (Table II utilization ratios)."""
-    out = {}
-    for key, v in values.items():
-        if key not in baseline:
-            raise ConfigError(f"no baseline for {key!r}")
-        b = baseline[key]
-        if b <= 0:
-            raise ConfigError(f"non-positive baseline for {key!r}: {b}")
-        out[key] = v / b
-    return out
-
-
-def improvement(normalized: float) -> float:
-    """A normalized JCT of 0.73 is a 27 % improvement."""
-    return 1.0 - normalized

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -45,40 +44,3 @@ class Cdf:
         """(value, cumulative probability) pairs for plotting/printing."""
         qs = np.linspace(0.0, 1.0, n_points)
         return [(float(np.quantile(self._sorted, q)), float(q)) for q in qs]
-
-
-def percentile(samples: Sequence[float], p: float) -> float:
-    """p-th percentile (0-100) of a non-empty sample set."""
-    arr = np.asarray(list(samples), dtype=float)
-    if arr.size == 0:
-        raise ConfigError("percentile of zero samples")
-    return float(np.percentile(arr, p))
-
-
-@dataclass(frozen=True)
-class Description:
-    n: int
-    mean: float
-    std: float
-    minimum: float
-    p25: float
-    median: float
-    p75: float
-    maximum: float
-
-
-def describe(samples: Sequence[float]) -> Description:
-    """Summary statistics of a non-empty sample set."""
-    arr = np.asarray(list(samples), dtype=float)
-    if arr.size == 0:
-        raise ConfigError("describe of zero samples")
-    return Description(
-        n=int(arr.size),
-        mean=float(arr.mean()),
-        std=float(arr.std()),
-        minimum=float(arr.min()),
-        p25=float(np.percentile(arr, 25)),
-        median=float(np.percentile(arr, 50)),
-        p75=float(np.percentile(arr, 75)),
-        maximum=float(arr.max()),
-    )

@@ -8,7 +8,7 @@ dependency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from repro.errors import ConfigError
 
@@ -66,10 +66,3 @@ def render_timeline(
         + f"{hi:.4g}"
     )
     return "\n".join(lines + [axis, legend])
-
-
-def spans_from_bursts(
-    bursts: Sequence[Tuple[str, float, float]]
-) -> List[Span]:
-    """Convenience: (label, first, last) tuples -> Span list."""
-    return [Span(label, first, last) for label, first, last in bursts]

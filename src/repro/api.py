@@ -43,7 +43,7 @@ from repro.experiments.runtime import (
     execute_scenario,
     materialize,
 )
-from repro.experiments.scenario import Scenario, scenario_grid
+from repro.experiments.scenario import Scenario
 from repro.experiments.study import (
     Axis,
     Component,
@@ -52,6 +52,7 @@ from repro.experiments.study import (
     get_component,
     register_component,
     run_study,
+    scenario_grid,
 )
 from repro.experiments.workloads import WorkloadSpec
 from repro.faults.plan import FaultPlan

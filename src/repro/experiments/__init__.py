@@ -31,7 +31,8 @@ from repro.experiments.campaign import (
 )
 from repro.experiments.config import Architecture, ExperimentConfig, Policy
 from repro.experiments.runtime import ExperimentResult, execute_scenario, materialize
-from repro.experiments.scenario import Scenario, scenario_grid
+from repro.experiments.scenario import Scenario
+from repro.experiments.study.spec import scenario_grid
 
 __all__ = [
     "Architecture",

@@ -25,7 +25,6 @@ Example::
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import threading
@@ -60,6 +59,7 @@ from repro.experiments.journal import (
 )
 from repro.experiments.runtime import ExperimentResult, execute_scenario
 from repro.experiments.scenario import Scenario
+from repro.fileio import atomic_write_text
 from repro.telemetry.metrics import MetricsRegistry
 
 #: Environment variable overriding the default cache directory.
@@ -150,8 +150,6 @@ class ResultCache:
     the entry count past the bound evicts the oldest entries (by mtime).
     """
 
-    _tmp_counter = itertools.count()
-
     def __init__(
         self,
         path: Optional[os.PathLike] = None,
@@ -227,13 +225,7 @@ class ResultCache:
             "scenario": scenario.to_dict(),
             "result": result_to_full_dict(result),
         }
-        # Unique per writer: pid distinguishes processes, the counter
-        # distinguishes threads/re-entries within one process.
-        tmp = entry.with_name(
-            f"{entry.stem}.{os.getpid()}.{next(self._tmp_counter)}.tmp"
-        )
-        tmp.write_text(json.dumps(payload))
-        os.replace(tmp, entry)
+        atomic_write_text(entry, json.dumps(payload))
         if self.max_entries is not None:
             self.purge(keep=self.max_entries)
         return entry

@@ -103,7 +103,8 @@ class ExperimentConfig:
     window_jitter: float = 0.5
     #: per-switch-port egress buffer (bytes); a shallow ToR-like buffer so
     #: fan-in bursts (PS gradient incast, worker model-update fan-in)
-    #: experience real loss.  None = infinite (fluid model, no losses).
+    #: experience real loss.  None = infinite (fluid model, no losses);
+    #: otherwise at least ``segment_bytes``, so every segment can fit.
     switch_buffer_bytes: Optional[float] = 4e6
     #: TCP retransmission timeout after an incast drop, scaled to the
     #: simulated iteration length (Linux's 200 ms min RTO is ~10% of the
@@ -141,6 +142,13 @@ class ExperimentConfig:
             raise ConfigError("link_gbps must be positive")
         if self.sample_interval <= 0:
             raise ConfigError("sample_interval must be positive")
+        if (self.switch_buffer_bytes is not None
+                and self.switch_buffer_bytes < self.segment_bytes):
+            # a segment that can never fit is tail-dropped and resent forever
+            raise ConfigError(
+                "switch_buffer_bytes must be >= segment_bytes "
+                f"({self.segment_bytes}), got {self.switch_buffer_bytes:g}"
+            )
         if self.n_ps < 1:
             raise ConfigError("n_ps must be >= 1")
         if not 0.0 < self.compression_ratio <= 1.0:

@@ -37,7 +37,8 @@ from repro.experiments.config import ExperimentConfig, Policy
 from repro.experiments.figures.common import base_config
 from repro.experiments.report import TextTable
 from repro.experiments.runtime import ExperimentResult
-from repro.experiments.scenario import Scenario
+from repro.experiments.study.components import Axis
+from repro.experiments.study.spec import StudySpec
 
 #: Default placement axis: the oblivious baseline plus both
 #: fingerprint-driven policies (duty-cycle balancing and CASSINI-style
@@ -56,10 +57,6 @@ DEFAULT_POLICIES: Tuple[Policy, ...] = (
 
 #: Slack on the direction check: speedups are seed-sweep means.
 DIRECTION_EPSILON = 0.02
-
-
-def _cell_tag(placement: str, policy: Policy) -> str:
-    return f"{placement}|{policy.value}"
 
 
 @dataclass
@@ -261,34 +258,26 @@ def generate(
             f"the paired bootstrap needs >= 2 seeds, got {list(seed_sweep)}"
         )
 
-    scenarios: List[Scenario] = []
-    for seed in seed_sweep:
-        for placement in placement_axis:
-            for policy in policy_axis:
-                scenarios.append(
-                    Scenario(config=cfg.replace(
-                        seed=seed,
-                        placement_policy=placement,
-                        policy=policy,
-                    )).with_tags(
-                        study="codesign",
-                        cell=_cell_tag(placement, policy),
-                        placement_policy=placement,
-                        policy=policy.value,
-                        seed=seed,
-                    )
-                )
+    grid = StudySpec(
+        name="codesign",
+        base=cfg,
+        axes=(Axis("placement_policy", placement_axis),
+              Axis("policy", policy_axis)),
+        seeds=seed_sweep,
+    ).expand()
 
     store = FingerprintStore.default()
     hits0, misses0 = store.hits, store.misses
     camp = campaign if campaign is not None else Campaign()
-    outcome = camp.run(scenarios)
-    by_cell = outcome.by_tag("cell")
+    outcome = camp.run([point.scenario for point in grid])
 
-    cells: Dict[Tuple[str, Policy], List[ExperimentResult]] = {
-        (placement, policy): by_cell[_cell_tag(placement, policy)]
-        for placement in placement_axis for policy in policy_axis
-    }
+    # Seeds are the outer loop of the grid, so each cell's list is in
+    # seed-sweep order.
+    cells: Dict[Tuple[str, Policy], List[ExperimentResult]] = {}
+    for point, result in zip(grid, outcome.results):
+        cell = tuple(value for _, value in point.overrides)
+        cells.setdefault(cell, []).append(result)
+
     return CodesignReport(
         config=cfg,
         placements=placement_axis,

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import itertools
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.cluster.placement import PlacementSpec
 from repro.errors import ConfigError
@@ -275,35 +274,3 @@ def scenario_from_dict(data: Mapping[str, Any]) -> Scenario:
         ),
         tags=tuple((str(k), str(v)) for k, v in data.get("tags", [])),
     )
-
-
-def scenario_grid(
-    base: ExperimentConfig, axes: Mapping[str, Sequence[Any]]
-) -> List[Scenario]:
-    """The cartesian product of config overrides as a tagged scenario list.
-
-    Each axis name must be an :class:`ExperimentConfig` field; every
-    scenario is tagged with its axis values, so campaign results regroup
-    without re-deriving the product order::
-
-        scenarios = scenario_grid(cfg, {"placement_index": [1, 4, 8],
-                                        "policy": list(ALL_POLICIES)})
-    """
-    if not axes:
-        raise ConfigError("scenario_grid needs at least one axis")
-    for name, values in axes.items():
-        if not values:
-            raise ConfigError(f"axis {name!r} has no values")
-        if not hasattr(base, name):
-            raise ConfigError(f"unknown config field {name!r}")
-    names = list(axes)
-    out: List[Scenario] = []
-    for combo in itertools.product(*(axes[n] for n in names)):
-        overrides = dict(zip(names, combo))
-        cfg = base.replace(**overrides)
-        tags = tuple(
-            (n, v.value if hasattr(v, "value") else str(v))
-            for n, v in overrides.items()
-        )
-        out.append(Scenario(config=cfg, tags=tags))
-    return out

@@ -12,7 +12,8 @@ declarative layers:
 * :mod:`~repro.experiments.study.spec` — a :class:`StudySpec` that
   expands a set of axes into a full or one-at-a-time grid of
   content-hashable :class:`~repro.experiments.scenario.Scenario`s
-  (deterministic, axis-order independent keys).
+  (deterministic, axis-order independent keys); ``scenario_grid`` is its
+  one-call form over raw config fields.
 * :mod:`~repro.experiments.study.impact` — :func:`run_study`, which runs
   per-component knockouts plus FIFO/TLs baselines over a seed sweep as
   ONE :class:`~repro.experiments.campaign.Campaign` submission (so a
@@ -35,7 +36,7 @@ from repro.experiments.study.impact import (
     ImpactReport,
     run_study,
 )
-from repro.experiments.study.spec import StudyPoint, StudySpec
+from repro.experiments.study.spec import StudyPoint, StudySpec, scenario_grid
 
 __all__ = [
     "Axis",
@@ -48,4 +49,5 @@ __all__ = [
     "get_component",
     "register_component",
     "run_study",
+    "scenario_grid",
 ]

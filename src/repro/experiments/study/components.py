@@ -12,7 +12,7 @@ grid axes, and :func:`~repro.experiments.study.impact.run_study` uses the
 
 An :class:`Axis` is one grid dimension: either a component swept over
 (a subset of) its declared values, or a raw config field (the form
-``sweeps.sweep`` uses).
+:func:`~repro.experiments.study.spec.scenario_grid` uses).
 """
 
 from __future__ import annotations
@@ -134,6 +134,11 @@ class Axis:
         if not self.values:
             raise ConfigError(f"axis {self.name!r} has no values")
         object.__setattr__(self, "values", tuple(self.values))
+
+    @property
+    def field(self) -> Optional[str]:
+        """The config field this axis sets (``None`` for a build hook)."""
+        return self.name if self.component is None else self.component.field
 
     def apply(self, scenario: Scenario, value: Any) -> Scenario:
         """Apply one value of this axis to a scenario."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 from repro.experiments.config import ExperimentConfig
@@ -53,6 +53,15 @@ def merge_hooks(hooks: Tuple[HookSpec, ...]) -> Tuple[HookSpec, ...]:
     return tuple(
         (name, tuple(sorted(params.items())))
         for name, params in sorted(merged.items())
+    )
+
+
+def _with_fields(scenario: Scenario, fields: Dict[str, Any]) -> Scenario:
+    """``scenario`` with config ``fields`` set in one validated ``replace``."""
+    if not fields:
+        return scenario
+    return dataclasses.replace(
+        scenario, config=scenario.config.replace(**fields)
     )
 
 
@@ -171,18 +180,26 @@ class StudySpec:
     ) -> StudyPoint:
         """Seal one grid point into a tagged, hook-normalized scenario."""
         value_of = dict(overrides)
+        # Runs of config-field settings go through one ``replace``, so a
+        # point is validated whole, never half-applied (``architecture``
+        # before the ``n_ps`` it needs).
         scenario = Scenario(config=cfg)
+        fields: Dict[str, Any] = {}
         for axis in self.axes:
-            scenario = axis.apply(scenario, value_of[axis.name])
+            if axis.field is not None:
+                fields[axis.field] = value_of[axis.name]
+            else:
+                scenario = _with_fields(scenario, fields)
+                fields = {}
+                scenario = axis.apply(scenario, value_of[axis.name])
+        scenario = _with_fields(scenario, fields)
+        tags = (("study", self.name),) + tuple(
+            (axis.name, axis.format(value_of[axis.name])) for axis in self.axes
+        )
+        if "seed" not in value_of:  # a seed axis already tags its value
+            tags += (("seed", str(seed)),)
         scenario = dataclasses.replace(
-            scenario,
-            hooks=merge_hooks(scenario.hooks),
-            tags=(("study", self.name),)
-            + tuple(
-                (axis.name, axis.format(value_of[axis.name]))
-                for axis in self.axes
-            )
-            + (("seed", str(seed)),),
+            scenario, hooks=merge_hooks(scenario.hooks), tags=tags
         )
         return StudyPoint(overrides=overrides, scenario=scenario, seed=seed)
 
@@ -197,3 +214,23 @@ class StudySpec:
     def size(self) -> int:
         """How many scenarios :meth:`expand` will generate."""
         return len(self.expand())
+
+
+def scenario_grid(
+    base: ExperimentConfig, axes: Mapping[str, Sequence[Any]]
+) -> List[Scenario]:
+    """The cartesian product of config overrides as a tagged scenario list.
+
+    Each axis name must be an :class:`ExperimentConfig` field; every
+    scenario is tagged with its axis values (plus ``study=grid`` and its
+    seed), so campaign results regroup without re-deriving the product
+    order::
+
+        scenarios = scenario_grid(cfg, {"placement_index": [1, 4, 8],
+                                        "policy": list(ALL_POLICIES)})
+    """
+    return StudySpec(
+        name="grid",
+        base=base,
+        axes=tuple(Axis(name, tuple(values)) for name, values in axes.items()),
+    ).scenarios()

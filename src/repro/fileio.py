@@ -1,0 +1,23 @@
+"""Atomic file writes shared by the on-disk result and fingerprint caches."""
+
+from __future__ import annotations
+
+import itertools
+import os
+from pathlib import Path
+
+_staging = itertools.count()
+
+
+def atomic_write_text(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` so a reader only ever sees a whole file.
+
+    Each writer stages into its own temp file beside ``path`` (the pid
+    tells processes apart, the counter threads and re-entries within
+    one), then ``os.replace``s it over ``path``.  Concurrent writers of
+    one path therefore last-write-win instead of moving each other's
+    staging file away.
+    """
+    tmp = path.with_name(f"{path.stem}.{os.getpid()}.{next(_staging)}.tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Dict, Optional, TYPE_CHECKING
 
 from repro.errors import ConfigError
+from repro.fileio import atomic_write_text
 from repro.placement.fingerprint import (
     JobFingerprint,
     fingerprint_from_dict,
@@ -88,10 +89,10 @@ class FingerprintStore:
         """Cache ``fingerprint`` under its own shape key (both tiers)."""
         self._memory[fingerprint.shape_key] = fingerprint
         if self._directory is not None:
-            path = self._path(fingerprint.shape_key)
-            tmp = path.with_suffix(".tmp")
-            tmp.write_text(json.dumps(fingerprint.to_dict(), sort_keys=True))
-            tmp.replace(path)
+            atomic_write_text(
+                self._path(fingerprint.shape_key),
+                json.dumps(fingerprint.to_dict(), sort_keys=True),
+            )
 
     def clear(self) -> None:
         """Drop the in-memory tier and reset the counters (tests)."""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.barchart import Bar, bars_from_pairs, render_barchart
+from repro.analysis.barchart import Bar, render_barchart
 from repro.errors import ConfigError
 
 
@@ -61,19 +61,10 @@ def test_zero_values_render():
     assert "zero" in text
 
 
-def test_bars_from_pairs():
-    bars = bars_from_pairs([("a", 1.0), ("b", 2.0)], annotations=["x", "y"])
-    assert bars[1].annotation == "y"
-    with pytest.raises(ConfigError):
-        bars_from_pairs([("a", 1.0)], annotations=["x", "y"])
-
-
 def test_normalized_jct_chart_shape():
     """The Figure-5a use case: normalized bars against the FIFO line."""
-    bars = bars_from_pairs(
-        [("fifo", 1.0), ("tls-one", 0.70), ("tls-rr", 0.74)],
-        annotations=["baseline", "-30%", "-26%"],
-    )
+    bars = [Bar("fifo", 1.0, "baseline"), Bar("tls-one", 0.70, "-30%"),
+            Bar("tls-rr", 0.74, "-26%")]
     text = render_barchart(bars, width=40, reference=1.0,
                            title="normalized JCT (placement #1)")
     lines = text.splitlines()

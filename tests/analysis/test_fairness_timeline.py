@@ -3,13 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.analysis.fairness import (
-    coefficient_of_variation,
-    jain_index,
-    progress_fairness,
-    spread,
-)
-from repro.analysis.timeline import Span, render_timeline, spans_from_bursts
+from repro.analysis.fairness import jain_index
+from repro.analysis.timeline import Span, render_timeline
 from repro.errors import ConfigError
 
 
@@ -34,29 +29,6 @@ def test_jain_degenerate_inputs_are_fair():
     assert jain_index([]) == 1.0
     assert jain_index([0.0, 0.0]) == 1.0
     assert jain_index([0]) == 1.0
-
-
-def test_progress_fairness_over_mapping():
-    assert progress_fairness({"a": 10, "b": 10}) == pytest.approx(1.0)
-    assert progress_fairness({"a": 10, "b": 0}) == pytest.approx(0.5)
-
-
-def test_progress_fairness_degenerate_inputs():
-    # No jobs yet / everyone still at step zero: fair by convention.
-    assert progress_fairness({}) == 1.0
-    assert progress_fairness({"a": 0, "b": 0}) == 1.0
-
-
-def test_spread_and_cv():
-    assert spread([1.0, 4.0, 2.0]) == 3.0
-    assert coefficient_of_variation([2.0, 2.0]) == 0.0
-    with pytest.raises(ConfigError):
-        spread([])
-
-
-def test_cv_degenerate_inputs_have_no_dispersion():
-    assert coefficient_of_variation([]) == 0.0
-    assert coefficient_of_variation([0.0, 0.0]) == 0.0
 
 
 @given(st.lists(st.floats(min_value=0.001, max_value=1e6), min_size=1, max_size=50))
@@ -109,12 +81,6 @@ def test_render_timeline_axis_and_legend():
     lines = text.splitlines()
     assert "-" * 20 in lines[-2]
     assert "0" in lines[-1] and "10" in lines[-1]
-
-
-def test_spans_from_bursts():
-    spans = spans_from_bursts([("j0", 0.0, 1.0), ("j1", 1.0, 2.0)])
-    assert [s.label for s in spans] == ["j0", "j1"]
-    assert spans[1].end == 2.0
 
 
 def test_render_with_explicit_window():

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.analysis import Cdf, describe, normalize_map, normalized_jct, percentile
-from repro.analysis.normalize import improvement, performance_gap
+from repro.analysis import Cdf, normalized_jct, performance_gap
 from repro.errors import ConfigError
 
 
@@ -52,26 +51,6 @@ def test_property_cdf_at_is_valid_probability(samples):
         assert 0.0 < p <= 1.0  # x itself is included (right side)
 
 
-# ---------------------------------------------------------------- describe/percentile
-
-
-def test_percentile():
-    assert percentile([1, 2, 3, 4, 5], 50) == 3.0
-    with pytest.raises(ConfigError):
-        percentile([], 50)
-
-
-def test_describe():
-    d = describe([1.0, 2.0, 3.0])
-    assert d.n == 3
-    assert d.mean == 2.0
-    assert d.minimum == 1.0
-    assert d.maximum == 3.0
-    assert d.median == 2.0
-    with pytest.raises(ConfigError):
-        describe([])
-
-
 # ---------------------------------------------------------------- normalize
 
 
@@ -98,20 +77,6 @@ def test_performance_gap():
         performance_gap([1.0])
     with pytest.raises(ConfigError):
         performance_gap([0.0, 1.0])
-
-
-def test_normalize_map():
-    out = normalize_map({"cpu": 0.6}, {"cpu": 0.5})
-    assert out["cpu"] == pytest.approx(1.2)
-    with pytest.raises(ConfigError):
-        normalize_map({"x": 1.0}, {})
-    with pytest.raises(ConfigError):
-        normalize_map({"x": 1.0}, {"x": 0.0})
-
-
-def test_improvement():
-    assert improvement(0.73) == pytest.approx(0.27)
-    assert improvement(1.0) == 0.0
 
 
 @given(

@@ -218,6 +218,10 @@ def test_plan_builds_the_scenarios_the_command_submits(submitted, argv, plan_arg
     (["table2", "--jobs", "0"], "n_jobs must be >= 1"),
     (["run", "--jobs", "2", "--batch", "0"], "local_batch_size must be >= 1"),
     (["run", "--jobs", "2", "--workers", "0"], "n_workers must be >= 1"),
+    (["run", "--jobs", "2", "--workers", "2", "--iterations", "2",
+      "--switch-buffer", "255KiB"], "switch_buffer_bytes must be >= segment_bytes"),
+    (["run", "--jobs", "2", "--workers", "2", "--iterations", "2",
+      "--switch-buffer", "0"], "switch_buffer_bytes must be >= segment_bytes"),
     (["fig5b", "--batches", "0", "--jobs", "2", "--workers", "2", "--iterations", "2"],
      "local_batch_size must be >= 1"),
     (["campaign", "--placements", "5", "--jobs", "3", "--workers", "3", "--iterations", "2"],

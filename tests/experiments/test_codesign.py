@@ -134,6 +134,57 @@ def test_codesign_quick_study_runs_as_one_cached_campaign(tmp_path):
     assert warm.combined_speedup() == pytest.approx(report.combined_speedup())
 
 
+class _Submitted(Exception):
+    """Raised by :class:`_RecordingCampaign` once it has the scenarios."""
+
+
+class _RecordingCampaign(Campaign):
+    """Records the submitted scenario list instead of running it."""
+
+    def run(self, scenarios, **kwargs):
+        self.submitted = list(scenarios)
+        raise _Submitted
+
+
+def _submitted(**kwargs):
+    campaign = _RecordingCampaign()
+    with pytest.raises(_Submitted):
+        codesign.generate(campaign=campaign, **kwargs)
+    return campaign.submitted
+
+
+def _nested_loop_oracle(cfg, placements, policies, seeds):
+    """The matrix as three explicit loops: seed, then placement, then policy."""
+    cells = []
+    for seed in seeds:
+        for placement in placements:
+            for policy in policies:
+                cells.append((seed, placement, policy, Scenario(
+                    config=cfg.replace(seed=seed, placement_policy=placement,
+                                       policy=policy)
+                )))
+    return cells
+
+
+@pytest.mark.parametrize("quick, n_cells", [(True, 12), (False, 27)])
+def test_codesign_submits_the_nested_loop_matrix(quick, n_cells):
+    six = ExperimentConfig.tiny(n_jobs=6, n_workers=4, iterations=6)
+    submitted = _submitted(quick=True) if quick else _submitted(base=six)
+    oracle = _nested_loop_oracle(
+        six.replace(placement_index=1),
+        codesign.QUICK_PLACEMENTS if quick else codesign.DEFAULT_PLACEMENTS,
+        codesign.DEFAULT_POLICIES,
+        (42, 43) if quick else (42, 43, 44),
+    )
+    assert len(submitted) == len(oracle) == n_cells
+    assert [s.key() for s in submitted] == [o.key() for *_, o in oracle]
+    for scenario, (seed, placement, policy, _) in zip(submitted, oracle):
+        assert scenario.tag("study") == "codesign"
+        assert scenario.tag("placement_policy") == placement
+        assert scenario.tag("policy") == policy.value
+        assert scenario.tag("seed") == str(seed)
+
+
 def test_codesign_validates_its_axes():
     with pytest.raises(ConfigError):
         codesign.generate(quick=True, placements=("oblivious",))

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cluster.placement import PlacementSpec
 from repro.errors import ConfigError
-from repro.experiments import ExperimentConfig, Policy, Scenario, scenario_grid
+from repro.experiments import Architecture, ExperimentConfig, Policy, Scenario, scenario_grid
 from repro.experiments.scenario import scenario_from_dict
 
 MICRO = ExperimentConfig.tiny(n_jobs=2, n_workers=2, iterations=3)
@@ -70,3 +70,42 @@ def test_scenario_grid_cartesian_product():
     assert ("1", "fifo") in tags and ("8", "tls-one") in tags
     # All four configs are distinct scenarios.
     assert len({s.key() for s in grid}) == 4
+
+
+def test_scenario_grid_keys_and_tags_match_the_product_oracle():
+    axes = {"placement_index": [1, 8],
+            "policy": [Policy.FIFO, Policy.TLS_ONE],
+            "seed": [3, 4]}
+    grid = scenario_grid(MICRO, axes)
+    oracle = [
+        {"placement_index": p, "policy": pol, "seed": seed}
+        for p in axes["placement_index"]
+        for pol in axes["policy"]
+        for seed in axes["seed"]
+    ]
+    assert [s.key() for s in grid] == [
+        Scenario(config=MICRO.replace(**point)).key() for point in oracle
+    ]
+    for scenario, point in zip(grid, oracle):
+        assert scenario.tag("placement_index") == str(point["placement_index"])
+        assert scenario.tag("policy") == point["policy"].value
+        assert scenario.tag("seed") == str(point["seed"])
+
+
+def test_scenario_grid_rejects_bad_axes():
+    with pytest.raises(ConfigError):
+        scenario_grid(MICRO, {})
+    with pytest.raises(ConfigError):
+        scenario_grid(MICRO, {"placement_index": []})
+    with pytest.raises(ConfigError):
+        scenario_grid(MICRO, {"not_a_field": [1]})
+
+
+def test_scenario_grid_validates_each_point_as_a_whole():
+    # Switching to all-reduce is only valid together with n_ps=1; applying
+    # the axes one at a time would reject the half-applied config.
+    [scenario] = scenario_grid(
+        MICRO.replace(n_ps=2),
+        {"architecture": [Architecture.ALLREDUCE], "n_ps": [1]},
+    )
+    assert scenario.config == MICRO.replace(architecture=Architecture.ALLREDUCE)

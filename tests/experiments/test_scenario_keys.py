@@ -156,6 +156,7 @@ def configs(draw):
         st.sampled_from(list(_valid_combinations()))
     )
     ps = arch == Architecture.PS
+    segment = draw(st.sampled_from([64 * 1024, 256 * 1024]))
     return ExperimentConfig(
         n_jobs=draw(st.integers(1, 21)),
         n_workers=draw(st.integers(2, 20)),
@@ -171,9 +172,9 @@ def configs(draw):
         placement_index=draw(st.integers(1, 8)),
         placement_policy=placement_policy,
         link_gbps=draw(st.sampled_from([1, 1.0, 10.0, 40.0])),
-        segment_bytes=draw(st.sampled_from([64 * 1024, 256 * 1024])),
+        segment_bytes=segment,
         switch_buffer_bytes=draw(st.one_of(
-            st.none(), st.floats(1e3, 1e8), st.integers(1000, 10**8),
+            st.none(), st.floats(segment, 1e8), st.integers(segment, 10**8),
         )),
         netem_loss=draw(st.floats(0.0, 0.5)) if ps else 0.0,
         netem_jitter=draw(st.sampled_from([0.0, 1e-4])),

@@ -1,5 +1,8 @@
 """Fingerprinting: determinism, round-trip, shape keys, store semantics."""
 
+import os
+import threading
+
 import pytest
 
 from repro.errors import ConfigError
@@ -145,6 +148,38 @@ def test_store_disk_tier_round_trips(tmp_path):
     assert got == fp
     assert reopened.get_or_profile(TINY) == fp
     assert reopened.misses == 0
+
+
+def test_interleaved_disk_writers_of_one_shape_both_succeed(tmp_path, monkeypatch):
+    """Two writers stage before either publishes; neither loses its file."""
+    fp = FingerprintStore().get_or_profile(TINY)
+    both_staged = threading.Barrier(2, timeout=10)
+    real_replace = os.replace
+
+    def replace_after_both_staged(src, dst):
+        both_staged.wait()
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_after_both_staged)
+    errors = []
+
+    def write():
+        try:
+            FingerprintStore(tmp_path).put(fp)
+        except Exception as exc:  # reported below, on the main thread
+            errors.append(exc)
+            both_staged.abort()
+
+    writers = [threading.Thread(target=write) for _ in range(2)]
+    for w in writers:
+        w.start()
+    for w in writers:
+        w.join(timeout=30)
+        assert not w.is_alive()
+    monkeypatch.undo()
+    assert errors == []
+    assert FingerprintStore(tmp_path).get(fp.shape_key) == fp
+    assert [p.name for p in tmp_path.iterdir()] == [f"{fp.shape_key}.json"]
 
 
 def test_store_disk_tier_rejects_corruption(tmp_path):
