@@ -395,7 +395,7 @@ COMMANDS: Dict[str, Command] = {
         impact.generate,
         "ranked component-impact study: knock each mechanism out of TLs-RR, bootstrap CIs",
         campaign=True, options=("--quick", "--components", "--seeds", "--csv"),
-        emit=_study_emitter("impact table"),
+        emit=_study_emitter("impact table"), plan=impact.scenarios,
     ),
     "codesign": Command(
         codesign.generate,
@@ -403,6 +403,7 @@ COMMANDS: Dict[str, Command] = {
         campaign=True,
         options=("--quick", "--placement-policies", "--policies", "--seeds", "--csv"),
         emit=_study_emitter("co-design matrix"), exit=_direction,
+        plan=codesign.scenarios,
     ),
     "run": Command(
         _run_one, "run one raw experiment",
@@ -493,8 +494,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if given.get("resume") and (overrides or given["placements"] or given["policies"]):
             raise ConfigError("--resume runs the journaled plan; it takes no "
                               "--placements, --policies or config flags")
-        if given.get("seeds") is not None and len(given["seeds"]) < 2:
-            raise ConfigError(f"--seeds needs >= 2 seeds for bootstrap CIs, got {given['seeds']}")
         if command.plan is not None:
             for scenario in command.plan(**kwargs, **overrides):
                 check_scenario(scenario)

@@ -4,7 +4,7 @@ A :class:`Campaign` owns the *how* of running many scenarios — which
 executor drives them (in-process serial by default, a
 ``ProcessPoolExecutor`` fan-out with :class:`ParallelExecutor`) and
 whether results come from / go to a content-addressed on-disk
-:class:`ResultCache`.  The figure generators, ablations, sweeps, CLI and
+:class:`ResultCache`.  The figure generators, studies, ablations, CLI and
 benchmarks all build scenario lists and submit them here, so one
 ``Campaign(executor=ParallelExecutor(8), cache=ResultCache(path))``
 parallelizes and incrementalizes the whole paper reproduction.

@@ -1,4 +1,4 @@
-"""The placement-vs-TensorLights co-design study (ROADMAP item 1).
+"""The placement-vs-TensorLights co-design study.
 
 The paper fixes placement (Table I) and varies the end-host policy; the
 :mod:`repro.placement` subsystem fixes the policy axis's blind spot and
@@ -24,7 +24,7 @@ the subsystem composed wrongly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,8 +37,9 @@ from repro.experiments.config import ExperimentConfig, Policy
 from repro.experiments.figures.common import base_config
 from repro.experiments.report import TextTable
 from repro.experiments.runtime import ExperimentResult
+from repro.experiments.scenario import Scenario
 from repro.experiments.study.components import Axis
-from repro.experiments.study.spec import StudySpec
+from repro.experiments.study.spec import StudySpec, seed_sweep
 
 #: Default placement axis: the oblivious baseline plus both
 #: fingerprint-driven policies (duty-cycle balancing and CASSINI-style
@@ -78,9 +79,8 @@ class CodesignReport:
     cache_hits: int = 0
     executed: int = 0
     wall_seconds: float = 0.0
-    #: fingerprint cache traffic of the generating process (observability
-    #: only — worker processes profile into their own stores)
-    fingerprint_hits: int = 0
+    #: shapes the generating process profiled (observability only —
+    #: worker processes profile into their own stores)
     fingerprint_misses: int = 0
 
     def jcts(self, placement: str, policy: Policy) -> List[float]:
@@ -192,17 +192,15 @@ class CodesignReport:
         return self._table().to_csv()
 
 
-def generate(
+def _spec(
     base: Optional[ExperimentConfig] = None,
     placements: Optional[Sequence[str]] = None,
     policies: Optional[Sequence[Policy]] = None,
     seeds: Optional[Sequence[int]] = None,
-    campaign: Optional[Campaign] = None,
     quick: bool = False,
-    confidence: float = 0.95,
     **overrides,
-) -> CodesignReport:
-    """Run the co-design matrix as one campaign submission.
+) -> StudySpec:
+    """The co-design matrix: a placement x policy grid over a seed sweep.
 
     Args:
         base: starting configuration (default: ``ExperimentConfig()``
@@ -215,17 +213,12 @@ def generate(
         policies: scheduling-policy axis; must include ``Policy.FIFO``
             and at least one TensorLights mode (default:
             :data:`DEFAULT_POLICIES`).
-        seeds: the seed sweep (needs >= 2 for the paired bootstrap;
-            default: three consecutive seeds from the config's, two
-            under ``quick``).
-        campaign: campaign to submit through (parallel executor /
-            result cache); default: serial, uncached.
+        seeds: the seed sweep (needs >= 2 distinct seeds for the paired
+            bootstrap; default: three consecutive seeds from the
+            config's, two under ``quick``).
         quick: CI smoke scale — the contended miniature, two placements,
             two seeds, a few iterations.
-        confidence: CI level for the bootstrap speedups.
     """
-    from repro.placement.store import FingerprintStore
-
     if quick:
         if base is None:
             # 6 jobs on 5 hosts: every PS colocates somewhere even under
@@ -241,9 +234,6 @@ def generate(
 
     placement_axis = tuple(placements) if placements is not None else DEFAULT_PLACEMENTS
     policy_axis = tuple(policies) if policies is not None else DEFAULT_POLICIES
-    seed_sweep = (tuple(seeds) if seeds is not None
-                  else tuple(cfg.seed + i for i in range(2 if quick else 3)))
-
     if "oblivious" not in placement_axis:
         raise ConfigError("the co-design study needs the oblivious baseline")
     if len(placement_axis) < 2:
@@ -253,21 +243,38 @@ def generate(
         raise ConfigError("the co-design study needs the FIFO baseline")
     if all(p not in (Policy.TLS_ONE, Policy.TLS_RR) for p in policy_axis):
         raise ConfigError("the co-design study needs a TensorLights policy")
-    if len(seed_sweep) < 2:
-        raise ConfigError(
-            f"the paired bootstrap needs >= 2 seeds, got {list(seed_sweep)}"
-        )
-
-    grid = StudySpec(
+    return StudySpec(
         name="codesign",
         base=cfg,
         axes=(Axis("placement_policy", placement_axis),
               Axis("policy", policy_axis)),
-        seeds=seed_sweep,
-    ).expand()
+        seeds=seed_sweep(seeds, cfg, 2 if quick else 3),
+    )
 
+
+def scenarios(**kwargs) -> List[Scenario]:
+    """The scenarios :func:`generate` submits, in order (``kwargs`` as
+    for :func:`_spec`)."""
+    return _spec(**kwargs).scenarios()
+
+
+def generate(
+    campaign: Optional[Campaign] = None, confidence: float = 0.95, **kwargs
+) -> CodesignReport:
+    """Run the co-design matrix as one campaign submission.
+
+    Args:
+        campaign: campaign to submit through (parallel executor /
+            result cache); default: serial, uncached.
+        confidence: CI level for the bootstrap speedups.
+        kwargs: the study's axes and configuration, as for :func:`_spec`.
+    """
+    from repro.placement.store import FingerprintStore
+
+    spec = _spec(**kwargs)
+    grid = spec.expand()
     store = FingerprintStore.default()
-    hits0, misses0 = store.hits, store.misses
+    misses0 = store.misses
     camp = campaign if campaign is not None else Campaign()
     outcome = camp.run([point.scenario for point in grid])
 
@@ -278,16 +285,16 @@ def generate(
         cell = tuple(value for _, value in point.overrides)
         cells.setdefault(cell, []).append(result)
 
+    placement_axis, policy_axis = spec.axes
     return CodesignReport(
-        config=cfg,
-        placements=placement_axis,
-        policies=policy_axis,
-        seeds=seed_sweep,
+        config=spec.base,
+        placements=placement_axis.values,
+        policies=policy_axis.values,
+        seeds=spec.seeds,
         cells=cells,
         confidence=confidence,
         cache_hits=outcome.cache_hits,
         executed=outcome.executed,
         wall_seconds=outcome.wall_seconds,
-        fingerprint_hits=store.hits - hits0,
         fingerprint_misses=store.misses - misses0,
     )

@@ -16,12 +16,13 @@ hooks, the parallel executor, and the cache in seconds.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.campaign import Campaign
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures.common import base_config
-from repro.experiments.study.impact import ImpactReport, run_study
+from repro.experiments.scenario import Scenario
+from repro.experiments.study.impact import ImpactReport, impact_spec, run_study
 
 #: The two-component fractional grid ``--quick`` (and CI) runs: one
 #: config-field knockout and one that exercises nothing but the config
@@ -30,16 +31,15 @@ from repro.experiments.study.impact import ImpactReport, run_study
 QUICK_COMPONENTS: Tuple[str, ...] = ("bands", "slow_start")
 
 
-def generate(
+def _study(
     base: Optional[ExperimentConfig] = None,
     quick: bool = False,
     components: Optional[Sequence[str]] = None,
     seeds: Optional[Sequence[int]] = None,
-    campaign: Optional[Campaign] = None,
-    confidence: float = 0.95,
     **overrides,
-) -> ImpactReport:
-    """Run the component-impact study (optionally the quick CI subset).
+) -> Dict[str, Any]:
+    """The :func:`~repro.experiments.study.impact.run_study` arguments of
+    one study.
 
     Args:
         base: starting configuration; default ``ExperimentConfig()``
@@ -47,8 +47,7 @@ def generate(
         quick: CI smoke mode — tiny config (``overrides`` apply on top),
             ``QUICK_COMPONENTS``, two seeds from the config's, unless
             those are given explicitly.
-        components / seeds / campaign / confidence: forwarded to
-            :func:`repro.experiments.study.impact.run_study`.
+        components / seeds / overrides: forwarded to ``run_study``.
     """
     if quick:
         # Overrides apply on top of the quick base, so a seed override
@@ -57,15 +56,21 @@ def generate(
             ExperimentConfig.tiny() if base is None else base, **overrides
         )
         overrides = {}
-        if components is None:
-            components = QUICK_COMPONENTS
-        if seeds is None:
-            seeds = (base.seed, base.seed + 1)
-    return run_study(
-        base=base,
-        components=components,
-        seeds=seeds,
-        campaign=campaign,
-        confidence=confidence,
-        **overrides,
-    )
+        components = QUICK_COMPONENTS if components is None else components
+        seeds = (base.seed, base.seed + 1) if seeds is None else seeds
+    return dict(base=base, components=components, seeds=seeds, **overrides)
+
+
+def scenarios(**kwargs) -> List[Scenario]:
+    """The scenarios :func:`generate` submits, in order (``kwargs`` as
+    for :func:`_study`)."""
+    return impact_spec(**_study(**kwargs)).scenarios()
+
+
+def generate(
+    campaign: Optional[Campaign] = None, confidence: float = 0.95, **kwargs
+) -> ImpactReport:
+    """Run the component-impact study (optionally the quick CI subset)
+    through ``campaign`` at CI level ``confidence``; ``kwargs`` as for
+    :func:`_study`."""
+    return run_study(**_study(**kwargs), campaign=campaign, confidence=confidence)

@@ -1,12 +1,9 @@
 """Registered build hooks: picklable mid-build Scenario extensions.
 
-Historically, studies needing mid-build access (A6's rate-limiting
-qdiscs, A10's adaptive controller) passed live callables to
-:func:`~repro.experiments.runtime.materialize` — which meant they could
-not cross process boundaries and were invisible to the result cache, so
-those ablations bypassed the Campaign layer entirely.
-
-A :class:`BuildHook` fixes that by *naming* the extension: a
+A study that needs mid-build access (A6's rate-limiting qdiscs, A10's
+adaptive controller) cannot pass a live callable through a campaign: it
+would not cross process boundaries and would be invisible to the result
+cache.  A :class:`BuildHook` *names* the extension instead: a
 :class:`~repro.experiments.scenario.Scenario` carries only the hook's
 registered name plus JSON-scalar parameters (part of its content key),
 and ``materialize`` resolves the name through this registry inside

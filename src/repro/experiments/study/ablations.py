@@ -1,13 +1,12 @@
-"""The A1–A10 ablation tables, rebuilt on the declarative study engine.
+"""The A1–A10 ablation tables, built on the declarative study engine.
 
-Same tables, same titles, same rows as the legacy hand-written grid
-functions (byte-identity pinned by ``tests/experiments/test_study_shims``)
-— but every grid comes from a
-:class:`~repro.experiments.study.spec.StudySpec` over registered
-components, and the two ablations that used to bypass the Scenario layer
-(A6's rate-limiting qdiscs, A10's alternative controllers) now run
-through declarative build hooks, so every ablation — hooks included —
-submits one flat scenario list through one
+Rows are pinned byte-identical by ``tests/experiments/test_study_shims``.
+Grids come from a :class:`~repro.experiments.study.spec.StudySpec` over
+registered components; A5 (placement objects), A6 and A10 (raw hook
+parameter sets) build short explicit scenario lists.  A6's rate-limiting
+qdiscs and A10's alternative controllers run through declarative build
+hooks, so every ablation — hooks included — submits one flat scenario
+list through one
 :class:`~repro.experiments.campaign.Campaign` (pass ``campaign=`` to
 parallelize or cache).
 """
@@ -58,6 +57,38 @@ class AblationResult:
     def to_csv(self) -> str:
         """The same table as CSV (identical headers and cell formatting)."""
         return self._table().to_csv()
+
+
+def _fifo_vs_tls(
+    name: str,
+    cfg: ExperimentConfig,
+    component: str,
+    values: Sequence,
+    campaign: Optional[Campaign],
+) -> List[tuple]:
+    """``(value, fifo, tls-one)`` result triples, one per component value."""
+    spec = StudySpec(
+        name=name,
+        base=cfg,
+        axes=(
+            get_component(component).axis(tuple(values)),
+            Axis(name="policy", values=(Policy.FIFO, Policy.TLS_ONE)),
+        ),
+    )
+    results = submit(spec.scenarios(), campaign)
+    return [(v, results[2 * i], results[2 * i + 1]) for i, v in enumerate(values)]
+
+
+def _per_policy(
+    name: str,
+    cfg: ExperimentConfig,
+    policies: Sequence[Policy],
+    campaign: Optional[Campaign],
+) -> List[tuple]:
+    """``(policy, result, JCT / the first policy's JCT)`` per policy."""
+    spec = StudySpec(name=name, base=cfg, axes=(Axis("policy", tuple(policies)),))
+    results = submit(spec.scenarios(), campaign)
+    return [(p, r, r.avg_jct / results[0].avg_jct) for p, r in zip(policies, results)]
 
 
 # --------------------------------------------------------------------- A1
@@ -159,22 +190,12 @@ def transport(
     grow — evidence the mechanism is interleaving, not bandwidth.
     """
     cfg = base_config(base, **overrides).replace(placement_index=1)
-    spec = StudySpec(
-        name="a3-transport",
-        base=cfg,
-        axes=(
-            get_component("segment_size").axis(tuple(segment_sizes)),
-            Axis(name="policy", values=(Policy.FIFO, Policy.TLS_ONE)),
-        ),
-    )
-    results = submit(spec.scenarios(), campaign)
-    rows = []
-    for i, seg_bytes in enumerate(segment_sizes):
-        fifo, tls = results[2 * i], results[2 * i + 1]
-        rows.append(
-            (f"{seg_bytes // 1024} KiB", fifo.avg_jct, tls.avg_jct,
-             tls.avg_jct / fifo.avg_jct)
-        )
+    rows = [
+        (f"{seg_bytes // 1024} KiB", fifo.avg_jct, tls.avg_jct,
+         tls.avg_jct / fifo.avg_jct)
+        for seg_bytes, fifo, tls in _fifo_vs_tls(
+            "a3-transport", cfg, "segment_size", segment_sizes, campaign)
+    ]
     return AblationResult(
         title="A3: transport segment size vs TensorLights benefit (placement #1)",
         headers=["Segment", "FIFO JCT (s)", "TLs-One JCT (s)", "Norm JCT"],
@@ -198,17 +219,10 @@ def fair_queue(
     """
     cfg = base_config(base, **overrides).replace(placement_index=1)
     policies = (Policy.FIFO, Policy.DRR, Policy.TLS_ONE)
-    spec = StudySpec(
-        name="a4-fair-queue",
-        base=cfg,
-        axes=(Axis(name="policy", values=policies),),
-    )
-    results = submit(spec.scenarios(), campaign)
-    fifo = results[0]
     rows = [
-        (policy.value, res.avg_jct, res.avg_jct / fifo.avg_jct,
+        (policy.value, res.avg_jct, norm,
          float(np.median(res.barrier_wait_variances())))
-        for policy, res in zip(policies, results)
+        for policy, res, norm in _per_policy("a4-fair-queue", cfg, policies, campaign)
     ]
     return AblationResult(
         title="A4: fair queueing is not enough (placement #1)",
@@ -334,16 +348,9 @@ def async_mode(
     """
     cfg = base_config(base, **overrides).replace(placement_index=1, sync=False)
     policies = (Policy.FIFO, Policy.TLS_ONE, Policy.TLS_RR)
-    spec = StudySpec(
-        name="a7-async",
-        base=cfg,
-        axes=(Axis(name="policy", values=policies),),
-    )
-    results = submit(spec.scenarios(), campaign)
-    fifo = results[0]
     rows = [
-        (policy.value, res.avg_jct, res.avg_jct / fifo.avg_jct)
-        for policy, res in zip(policies, results)
+        (policy.value, res.avg_jct, norm)
+        for policy, res, norm in _per_policy("a7-async", cfg, policies, campaign)
     ]
     return AblationResult(
         title="A7: asynchronous training (placement #1, no barrier)",
@@ -369,21 +376,11 @@ def multi_ps(
     TensorLights prioritizes all of a job's shard ports as one unit.
     """
     cfg = base_config(base, **overrides).replace(placement_index=1)
-    spec = StudySpec(
-        name="a8-multi-ps",
-        base=cfg,
-        axes=(
-            get_component("multi_ps").axis(tuple(shard_counts)),
-            Axis(name="policy", values=(Policy.FIFO, Policy.TLS_ONE)),
-        ),
-    )
-    results = submit(spec.scenarios(), campaign)
-    rows = []
-    for i, n_ps in enumerate(shard_counts):
-        fifo, tls = results[2 * i], results[2 * i + 1]
-        rows.append(
-            (n_ps, fifo.avg_jct, tls.avg_jct, tls.avg_jct / fifo.avg_jct)
-        )
+    rows = [
+        (n_ps, fifo.avg_jct, tls.avg_jct, tls.avg_jct / fifo.avg_jct)
+        for n_ps, fifo, tls in _fifo_vs_tls(
+            "a8-multi-ps", cfg, "multi_ps", shard_counts, campaign)
+    ]
     return AblationResult(
         title="A8: multi-PS sharded jobs (placement #1, shards colocated)",
         headers=["PSes/job", "FIFO JCT (s)", "TLs-One JCT (s)", "Norm JCT"],
@@ -407,25 +404,13 @@ def compression(
     remaining contention.  Each helps with the other already applied.
     """
     cfg = base_config(base, **overrides).replace(placement_index=1)
-    spec = StudySpec(
-        name="a9-compression",
-        base=cfg,
-        axes=(
-            get_component("compression").axis(tuple(ratios)),
-            Axis(name="policy", values=(Policy.FIFO, Policy.TLS_ONE)),
-        ),
-    )
-    grid = [
-        (ratio, policy)
-        for ratio in ratios
-        for policy in (Policy.FIFO, Policy.TLS_ONE)
-    ]
-    results = submit(spec.scenarios(), campaign)
-    baseline = results[0].avg_jct
+    triples = _fifo_vs_tls("a9-compression", cfg, "compression", ratios, campaign)
+    baseline = triples[0][1].avg_jct
     rows = [
         (f"{1 / ratio:.0f}x" if ratio < 1 else "none",
          policy.value, res.avg_jct, res.avg_jct / baseline)
-        for (ratio, policy), res in zip(grid, results)
+        for ratio, fifo, tls in triples
+        for policy, res in ((Policy.FIFO, fifo), (Policy.TLS_ONE, tls))
     ]
     return AblationResult(
         title="A9: gradient compression x TensorLights (placement #1; "

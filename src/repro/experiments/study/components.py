@@ -4,11 +4,13 @@ A :class:`Component` is one mechanism of the system under study — a
 priority-band budget, the rotation period, HTB borrowing, transport slow
 start — bound either to an :class:`~repro.experiments.config.ExperimentConfig`
 field or to a registered build hook (:mod:`repro.experiments.hooks`).
-Each declaration carries the mechanism's value grid, its paper-default
-and its knockout (ablated) value, so studies never restate them:
+Each declaration carries the mechanism's value grid and its knockout
+(ablated) value, so studies never restate them:
 :class:`~repro.experiments.study.spec.StudySpec` turns components into
 grid axes, and :func:`~repro.experiments.study.impact.run_study` uses the
-``ablated`` values to measure per-component impact.
+``ablated`` values to measure per-component impact.  A field
+component's default is whatever the study's base config holds; only a
+hook component declares one, the value at which it adds no hook.
 
 An :class:`Axis` is one grid dimension: either a component swept over
 (a subset of) its declared values, or a raw config field (the form
@@ -22,13 +24,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.experiments.config import ExperimentConfig, Policy
-from repro.experiments.scenario import Scenario
-
-
-def format_axis_value(value: Any) -> str:
-    """Stringify one axis value for scenario tags (enums by ``.value``)."""
-    return value.value if hasattr(value, "value") else str(value)
+from repro.experiments.config import Policy
+from repro.experiments.scenario import HookSpec, Scenario
 
 
 @dataclass(frozen=True)
@@ -43,12 +40,12 @@ class Component:
         hook: the registered build-hook name this component drives.
         hook_param: the hook parameter the component's value becomes.
         values: the component's declared study grid.
-        default: the paper-default value.  For hook components, a
-            scenario at the default carries **no** hook (the mechanism is
-            in its paper state by construction), so defaults never
-            change scenario content keys.
+        default: hook components only: the value at which a scenario
+            carries **no** hook (the mechanism is in its paper state by
+            construction), so defaults never change content keys.  A
+            field component's default is the base config's value.
         ablated: the knockout value :func:`run_study` measures impact
-            with (must differ from ``default``).
+            with (a hook component's must differ from ``default``).
         tl_only: the mechanism only exists when a TensorLights
             controller is active (e.g. bands, rotation, HTB borrowing) —
             its knockout is meaningless under plain FIFO.
@@ -75,6 +72,11 @@ class Component:
                 f"component {self.name!r} must drive exactly one of a "
                 "config field or a build hook"
             )
+        if self.field is not None and self.default is not None:
+            raise ConfigError(
+                f"component {self.name!r} drives field {self.field!r}, "
+                "whose default is the base config's value; it takes none"
+            )
         if self.hook is not None and self.hook_param is None:
             raise ConfigError(
                 f"component {self.name!r} drives hook {self.hook!r} but "
@@ -82,7 +84,7 @@ class Component:
             )
         if not self.values:
             raise ConfigError(f"component {self.name!r} declares no values")
-        if self.ablated == self.default:
+        if self.hook is not None and self.ablated == self.default:
             raise ConfigError(
                 f"component {self.name!r}: ablated value must differ from "
                 "the default"
@@ -92,26 +94,34 @@ class Component:
             self, "config_overrides", tuple(self.config_overrides)
         )
 
-    def apply(self, scenario: Scenario, value: Any) -> Scenario:
-        """A copy of ``scenario`` with this component set to ``value``.
+    def fields(self, value: Any) -> Dict[str, Any]:
+        """The config fields that setting this component to ``value`` writes.
 
-        Field components rewrite the config; hook components append
-        their build hook (plus any ``config_overrides``) — except at the
-        component's default value, where the scenario is returned
-        unchanged (the paper state needs no hook).
+        A field component writes its field; a hook component writes its
+        ``config_overrides``, except at its default, where it writes
+        nothing.
         """
         if self.field is not None:
-            return dataclasses.replace(
-                scenario,
-                config=scenario.config.replace(**{self.field: value}),
-            )
-        if value == self.default:
+            return {self.field: value}
+        return {} if value == self.default else dict(self.config_overrides)
+
+    def hooks(self, value: Any) -> Tuple[HookSpec, ...]:
+        """The build hook that setting ``value`` adds (none at the default)."""
+        if self.hook is None or value == self.default:
+            return ()
+        return ((self.hook, ((self.hook_param, value),)),)
+
+    def apply(self, scenario: Scenario, value: Any) -> Scenario:
+        """A copy of ``scenario`` with this component set to ``value``
+        (``scenario`` itself when that writes nothing)."""
+        fields, hooks = self.fields(value), self.hooks(value)
+        if not fields and not hooks:
             return scenario
-        cfg = scenario.config
-        if self.config_overrides:
-            cfg = cfg.replace(**dict(self.config_overrides))
-        scenario = dataclasses.replace(scenario, config=cfg)
-        return scenario.with_hook(self.hook, **{self.hook_param: value})
+        return dataclasses.replace(
+            scenario,
+            config=scenario.config.replace(**fields),
+            hooks=scenario.hooks + hooks,
+        )
 
     def axis(self, values: Optional[Tuple[Any, ...]] = None) -> "Axis":
         """An :class:`Axis` sweeping this component (default: full grid)."""
@@ -135,28 +145,19 @@ class Axis:
             raise ConfigError(f"axis {self.name!r} has no values")
         object.__setattr__(self, "values", tuple(self.values))
 
-    @property
-    def field(self) -> Optional[str]:
-        """The config field this axis sets (``None`` for a build hook)."""
-        return self.name if self.component is None else self.component.field
-
-    def apply(self, scenario: Scenario, value: Any) -> Scenario:
-        """Apply one value of this axis to a scenario."""
+    def fields(self, value: Any) -> Dict[str, Any]:
+        """The config fields one value of this axis writes."""
         if self.component is not None:
-            return self.component.apply(scenario, value)
-        return dataclasses.replace(
-            scenario, config=scenario.config.replace(**{self.name: value})
-        )
+            return self.component.fields(value)
+        return {self.name: value}
 
-    def default_value(self, base: ExperimentConfig) -> Any:
-        """The axis value that leaves ``base`` unchanged (OAT designs)."""
-        if self.component is not None:
-            return self.component.default
-        return getattr(base, self.name)
+    def hooks(self, value: Any) -> Tuple[HookSpec, ...]:
+        """The build hooks one value of this axis adds."""
+        return self.component.hooks(value) if self.component is not None else ()
 
     def format(self, value: Any) -> str:
-        """The tag string for one value of this axis."""
-        return format_axis_value(value)
+        """The tag string for one value of this axis (enums by ``.value``)."""
+        return value.value if hasattr(value, "value") else str(value)
 
 
 # -- registry ---------------------------------------------------------------
@@ -192,15 +193,14 @@ def all_components() -> Dict[str, Component]:
 # -- builtin declarations ---------------------------------------------------
 #
 # One entry per mechanism the paper's 27%/16% headline bundles (plus the
-# §VII what-ifs and post-paper extensions).  Defaults mirror
-# ``ExperimentConfig()``; grids mirror the legacy A1–A10 functions.
+# §VII what-ifs and post-paper extensions).  Grids are the A1–A10
+# tables' axes.
 
 register_component(Component(
     name="bands",
     description="priority-band budget (1 degenerates to FIFO-with-HTB)",
     field="max_bands",
     values=(1, 2, 3, 6, 12),
-    default=6,
     ablated=1,
     tl_only=True,
 ))
@@ -210,7 +210,6 @@ register_component(Component(
     description="TLs-RR rotation period T (huge T never rotates: TLs-One)",
     field="tls_interval",
     values=(0.5, 1.5, 3.0, 6.0),
-    default=1.5,
     ablated=1e9,
     tl_only=True,
 ))
@@ -220,7 +219,6 @@ register_component(Component(
     description="±jitter on per-flow TCP windows (the straggler source)",
     field="window_jitter",
     values=(0.0, 0.25, 0.5),
-    default=0.5,
     ablated=0.0,
 ))
 
@@ -229,7 +227,6 @@ register_component(Component(
     description="per-port egress buffer bytes (ablated: fluid network)",
     field="switch_buffer_bytes",
     values=(1e6, 4e6, 16e6),
-    default=4e6,
     ablated=None,
 ))
 
@@ -238,7 +235,6 @@ register_component(Component(
     description="per-step compute time jitter sigma",
     field="compute_jitter_sigma",
     values=(0.0, 0.05, 0.1),
-    default=0.05,
     ablated=0.0,
 ))
 
@@ -247,7 +243,6 @@ register_component(Component(
     description="transport interleaving granularity in bytes (A3)",
     field="segment_bytes",
     values=(64 * 1024, 256 * 1024, 1024 * 1024),
-    default=256 * 1024,
     ablated=1024 * 1024,
 ))
 
@@ -256,7 +251,6 @@ register_component(Component(
     description="gradient compression ratio composed with TLs (A9)",
     field="compression_ratio",
     values=(1.0, 0.25),
-    default=1.0,
     ablated=0.25,
 ))
 
@@ -265,7 +259,6 @@ register_component(Component(
     description="parameter-server shards per job, colocated (A8)",
     field="n_ps",
     values=(1, 2, 4),
-    default=1,
     ablated=2,
 ))
 
@@ -274,7 +267,6 @@ register_component(Component(
     description="synchronous (barrier) vs asynchronous training (A7)",
     field="sync",
     values=(True, False),
-    default=True,
     ablated=False,
 ))
 

@@ -4,7 +4,9 @@
 TensorLights result by knockout: the system configuration (TLs-RR on the
 paper's contended placement) runs next to one variant per component with
 that component set to its ``ablated`` value, plus a plain-FIFO reference
-— all replicated over a seed sweep and submitted as ONE
+— one base-relative one-at-a-time
+:class:`~repro.experiments.study.spec.StudySpec` (:func:`impact_spec`)
+over a seed sweep, submitted as ONE
 :class:`~repro.experiments.campaign.Campaign` (so ``--parallel`` and the
 result cache span the entire study).  Per-component impact is the paired
 bootstrap ratio ``knockout JCT / default JCT`` over seeds
@@ -25,12 +27,12 @@ from repro.experiments.campaign import Campaign
 from repro.experiments.config import ExperimentConfig, Policy
 from repro.experiments.report import TextTable
 from repro.experiments.runtime import ExperimentResult
-from repro.experiments.scenario import Scenario
 from repro.experiments.study.components import (
     Component,
     all_components,
     get_component,
 )
+from repro.experiments.study.spec import StudySpec, seed_sweep
 
 
 def _jct_spread(result: ExperimentResult) -> float:
@@ -134,6 +136,39 @@ class ImpactReport:
         return self._table().to_csv()
 
 
+def impact_spec(
+    base: Optional[ExperimentConfig] = None,
+    components: Optional[Sequence[Union[str, Component]]] = None,
+    seeds: Optional[Sequence[int]] = None,
+    **overrides,
+) -> StudySpec:
+    """The knockout study as one base-relative one-at-a-time design.
+
+    Centred on the system configuration (TLs-RR), with one axis per
+    component at its ``ablated`` value and plain FIFO as each seed's
+    baseline.  The arguments are :func:`run_study`'s.
+    """
+    cfg = base if base is not None else ExperimentConfig()
+    if "placement_index" not in overrides:
+        overrides = dict(overrides, placement_index=1)
+    cfg = cfg.replace(**overrides)
+    selected: List[Component] = [
+        get_component(c) if isinstance(c, str) else c
+        for c in (components if components is not None
+                  else all_components().values())
+    ]
+    if not selected:
+        raise ConfigError("impact study needs at least one component")
+    return StudySpec(
+        name="impact",
+        base=cfg.replace(policy=Policy.TLS_RR),
+        axes=tuple(c.axis((c.ablated,)) for c in selected),
+        design="oat",
+        seeds=seed_sweep(seeds, cfg, 3),
+        baseline=cfg.replace(policy=Policy.FIFO),
+    )
+
+
 def run_study(
     base: Optional[ExperimentConfig] = None,
     components: Optional[Sequence[Union[str, Component]]] = None,
@@ -150,66 +185,34 @@ def run_study(
             placement, unless ``overrides`` say otherwise).
         components: which components to knock out — names or
             :class:`Component` objects; default: every registered one.
-        seeds: the seed sweep (needs >= 2 for bootstrap CIs; default:
-            three consecutive seeds from the base config's).
+        seeds: the seed sweep (needs >= 2 distinct seeds for bootstrap
+            CIs; default: three consecutive seeds from the base config's).
         campaign: the campaign to submit through (parallel executor /
             result cache); default: serial, uncached.
         confidence: CI level for the bootstrap ratios.
     """
-    cfg = base if base is not None else ExperimentConfig()
-    if "placement_index" not in overrides:
-        overrides = dict(overrides, placement_index=1)
-    cfg = cfg.replace(**overrides)
-
-    selected: List[Component] = [
-        get_component(c) if isinstance(c, str) else c
-        for c in (components if components is not None
-                  else all_components().values())
-    ]
-    if not selected:
-        raise ConfigError("impact study needs at least one component")
-    seed_sweep: Tuple[int, ...] = (
-        tuple(seeds) if seeds is not None
-        else (cfg.seed, cfg.seed + 1, cfg.seed + 2)
-    )
-    if len(seed_sweep) < 2:
-        raise ConfigError(
-            "impact study needs >= 2 seeds for bootstrap CIs, got "
-            f"{list(seed_sweep)}"
-        )
-
-    scenarios: List[Scenario] = []
-    for seed in seed_sweep:
-        seeded = cfg.replace(seed=seed)
-        system = seeded.replace(policy=Policy.TLS_RR)
-
-        def tagged(scenario: Scenario, variant: str) -> Scenario:
-            return scenario.with_tags(
-                study="impact", variant=variant, seed=seed
-            )
-
-        scenarios.append(tagged(
-            Scenario(config=seeded.replace(policy=Policy.FIFO)), "fifo"
-        ))
-        scenarios.append(tagged(Scenario(config=system), "tls-default"))
-        for component in selected:
-            scenarios.append(tagged(
-                component.apply(Scenario(config=system), component.ablated),
-                component.name,
-            ))
-
+    spec = impact_spec(base, components, seeds, **overrides)
+    points = spec.expand()
     camp = campaign if campaign is not None else Campaign()
-    outcome = camp.run(scenarios)
-    by_variant: Dict[str, List[ExperimentResult]] = outcome.by_tag("variant")
+    outcome = camp.run([point.scenario for point in points])
+    # Seeds are the outer loop of the design, so every list is in
+    # seed-sweep order and the bootstrap pairs by position.
+    runs: Dict[str, List[ExperimentResult]] = {}
+    for point, result in zip(points, outcome.results):
+        variant = ("fifo" if point.is_baseline
+                   else point.overrides[0][0] if point.overrides
+                   else "tls-default")
+        runs.setdefault(variant, []).append(result)
 
-    fifo_jcts = [r.avg_jct for r in by_variant["fifo"]]
-    default_jcts = [r.avg_jct for r in by_variant["tls-default"]]
-    default_spreads = [_jct_spread(r) for r in by_variant["tls-default"]]
+    fifo_jcts = [r.avg_jct for r in runs["fifo"]]
+    default_jcts = [r.avg_jct for r in runs["tls-default"]]
+    default_spreads = [_jct_spread(r) for r in runs["tls-default"]]
     spread_defined = all(s > 0 for s in default_spreads)
 
     impacts: List[ComponentImpact] = []
-    for component in selected:
-        results = by_variant[component.name]
+    for axis in spec.axes:
+        component = axis.component
+        results = runs[component.name]
         knock_jcts = [r.avg_jct for r in results]
         fairness = None
         if spread_defined:
@@ -230,8 +233,8 @@ def run_study(
         ))
 
     return ImpactReport(
-        config=cfg,
-        seeds=seed_sweep,
+        config=spec.base,
+        seeds=spec.seeds,
         fifo_jct=float(np.mean(fifo_jcts)),
         default_jct=float(np.mean(default_jcts)),
         default_vs_fifo=bootstrap_ratio_ci(

@@ -2,8 +2,8 @@
 
 A :class:`StudySpec` names a base configuration, a tuple of
 :class:`~repro.experiments.study.components.Axis` dimensions, a design
-(``"grid"`` for the full cartesian product, ``"oat"`` for the fractional
-one-at-a-time design) and an optional seed sweep, and expands them into a
+(``"grid"`` for the full cartesian product, ``"oat"`` for the base plus
+each axis alone) and an optional seed sweep, and expands them into a
 deterministic list of :class:`~repro.experiments.scenario.Scenario`s.
 
 The expansion guarantees two properties the campaign cache relies on:
@@ -11,15 +11,16 @@ The expansion guarantees two properties the campaign cache relies on:
 * **Determinism** — the same spec always expands to the same scenario
   list (same order, same content keys).
 * **Axis-order independence of keys** — reordering the ``axes`` tuple
-  permutes the list but yields the identical *set* of content keys:
-  config-field applications commute, and build hooks are merged (same
-  hook name: parameters unioned, conflicts rejected) and sorted by name
-  before the scenario is sealed.
+  permutes the list but yields the identical *set* of content keys, or
+  raises in every order.  A point's config-field writes are applied in
+  one ``replace``, and two axes that write one field with different
+  values (a hook component's ``config_overrides`` included) raise
+  :class:`ConfigError`; build hooks are merged (same hook name:
+  parameters unioned, conflicts rejected) and sorted by name.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -56,18 +57,11 @@ def merge_hooks(hooks: Tuple[HookSpec, ...]) -> Tuple[HookSpec, ...]:
     )
 
 
-def _with_fields(scenario: Scenario, fields: Dict[str, Any]) -> Scenario:
-    """``scenario`` with config ``fields`` set in one validated ``replace``."""
-    if not fields:
-        return scenario
-    return dataclasses.replace(
-        scenario, config=scenario.config.replace(**fields)
-    )
-
-
 @dataclass(frozen=True)
 class StudyPoint:
-    """One expanded grid point: raw axis values plus the sealed scenario."""
+    """One expanded design point: the axis values it sets, plus the sealed
+    scenario (an ``"oat"`` point sets only its varied axis, the base
+    point none)."""
 
     overrides: Tuple[Tuple[str, Any], ...]
     scenario: Scenario
@@ -86,13 +80,13 @@ class StudySpec:
     Attributes:
         name: tagged onto every generated scenario (``study=<name>``).
         base: the configuration every grid point starts from.
-        axes: the grid dimensions, applied in declaration order (the
-            resulting content keys are order-independent, see module
-            docstring).
-        design: ``"grid"`` (cartesian product) or ``"oat"`` (the
-            fractional design: the all-defaults point plus each axis
-            varied alone — ``1 + sum(len(values) - overlap)`` points
-            instead of the full product).
+        axes: the design's dimensions; their order sets the list order
+            and nothing else (see module docstring).
+        design: ``"grid"`` (cartesian product) or ``"oat"`` (one at a
+            time: the base itself, then each axis alone at each of its
+            values with every other axis left as the base has it —
+            ``1 + sum(len(values))`` points instead of the full product;
+            a value equal to the base's still gets its own point).
         seeds: replicate the whole design once per seed; empty means
             just ``base.seed``.
         baseline: optional extra reference configuration (e.g. plain
@@ -119,20 +113,22 @@ class StudySpec:
         names = [a.name for a in self.axes]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate axis names in {names}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"duplicate seeds in {list(self.seeds)}")
         for axis in self.axes:
             if axis.component is None and not hasattr(self.base, axis.name):
                 raise ConfigError(f"unknown config field {axis.name!r}")
+            if any(v in axis.values[:i] for i, v in enumerate(axis.values)):
+                raise ConfigError(
+                    f"axis {axis.name!r} repeats a value in {list(axis.values)}"
+                )
 
     # -- expansion ----------------------------------------------------------
-
-    def effective_seeds(self) -> Tuple[int, ...]:
-        """The seed sweep (defaults to the base config's single seed)."""
-        return self.seeds if self.seeds else (self.base.seed,)
 
     def expand(self) -> List[StudyPoint]:
         """Every grid point of the design, in deterministic order."""
         points: List[StudyPoint] = []
-        for seed in self.effective_seeds():
+        for seed in self.seeds or (self.base.seed,):
             cfg = self.base.replace(seed=seed)
             if self.baseline is not None:
                 scenario = Scenario(
@@ -148,58 +144,51 @@ class StudySpec:
                 for combo in itertools.product(
                     *(axis.values for axis in self.axes)
                 ):
-                    overrides = tuple(
-                        (axis.name, value)
-                        for axis, value in zip(self.axes, combo)
+                    points.append(
+                        self._point(cfg, tuple(zip(self.axes, combo)), seed)
                     )
-                    points.append(self._point(cfg, overrides, seed))
-            else:  # one-at-a-time
-                defaults = tuple(
-                    (axis.name, axis.default_value(self.base))
-                    for axis in self.axes
-                )
-                points.append(self._point(cfg, defaults, seed))
-                for varied in self.axes:
-                    for value in varied.values:
-                        if value == varied.default_value(self.base):
-                            continue  # identical to the all-defaults point
-                        overrides = tuple(
-                            (axis.name,
-                             value if axis is varied
-                             else axis.default_value(self.base))
-                            for axis in self.axes
-                        )
-                        points.append(self._point(cfg, overrides, seed))
+            else:  # one at a time, centred on the base
+                points.append(self._point(cfg, (), seed))
+                for axis in self.axes:
+                    for value in axis.values:
+                        points.append(self._point(cfg, ((axis, value),), seed))
         return points
 
     def _point(
         self,
         cfg: ExperimentConfig,
-        overrides: Tuple[Tuple[str, Any], ...],
+        settings: Tuple[Tuple[Axis, Any], ...],
         seed: int,
     ) -> StudyPoint:
-        """Seal one grid point into a tagged, hook-normalized scenario."""
-        value_of = dict(overrides)
-        # Runs of config-field settings go through one ``replace``, so a
-        # point is validated whole, never half-applied (``architecture``
-        # before the ``n_ps`` it needs).
-        scenario = Scenario(config=cfg)
-        fields: Dict[str, Any] = {}
-        for axis in self.axes:
-            if axis.field is not None:
-                fields[axis.field] = value_of[axis.name]
-            else:
-                scenario = _with_fields(scenario, fields)
-                fields = {}
-                scenario = axis.apply(scenario, value_of[axis.name])
-        scenario = _with_fields(scenario, fields)
+        """Seal one design point into a tagged, hook-normalized scenario.
+
+        Every axis in ``settings`` writes its config fields and adds its
+        hooks; the fields go through one ``replace``, so a point is
+        validated whole, never half-applied (``architecture`` before the
+        ``n_ps`` it needs).
+        """
+        written: Dict[str, Tuple[str, Any]] = {}  # field -> (axis, value)
+        hooks: List[HookSpec] = []
+        for axis, value in settings:
+            for name, new in axis.fields(value).items():
+                writer, old = written.setdefault(name, (axis.name, new))
+                if (type(old), old) != (type(new), new):
+                    raise ConfigError(
+                        f"axes {writer!r} and {axis.name!r} set {name!r} to "
+                        f"conflicting values ({old!r} vs {new!r})"
+                    )
+            hooks.extend(axis.hooks(value))
+        fields = {name: value for name, (_, value) in written.items()}
+        overrides = tuple((axis.name, value) for axis, value in settings)
         tags = (("study", self.name),) + tuple(
-            (axis.name, axis.format(value_of[axis.name])) for axis in self.axes
+            (axis.name, axis.format(value)) for axis, value in settings
         )
-        if "seed" not in value_of:  # a seed axis already tags its value
+        if "seed" not in fields:  # a seed axis already tags its value
             tags += (("seed", str(seed)),)
-        scenario = dataclasses.replace(
-            scenario, hooks=merge_hooks(scenario.hooks), tags=tags
+        scenario = Scenario(
+            config=cfg.replace(**fields) if fields else cfg,
+            hooks=merge_hooks(tuple(hooks)),
+            tags=tags,
         )
         return StudyPoint(overrides=overrides, scenario=scenario, seed=seed)
 
@@ -214,6 +203,21 @@ class StudySpec:
     def size(self) -> int:
         """How many scenarios :meth:`expand` will generate."""
         return len(self.expand())
+
+
+def seed_sweep(
+    seeds: Optional[Sequence[int]], base: ExperimentConfig, count: int
+) -> Tuple[int, ...]:
+    """A paired-bootstrap study's seed sweep: ``seeds``, else ``count``
+    consecutive seeds from ``base.seed``; it needs >= 2 distinct seeds."""
+    sweep = (tuple(seeds) if seeds is not None
+             else tuple(base.seed + i for i in range(count)))
+    if len(set(sweep)) < 2:
+        raise ConfigError(
+            f"--seeds needs >= 2 seeds, all distinct, for paired bootstrap "
+            f"CIs; got {list(sweep)}"
+        )
+    return sweep
 
 
 def scenario_grid(

@@ -185,6 +185,10 @@ def test_utilization_export_observes_through_the_flag_campaign(submitted, tmp_pa
     (["fig5b", "--batches", "2", "8", "--jobs", "3"], dict(batch_sizes=[2, 8], n_jobs=3)),
     (["campaign", "--placements", "2", "4", "--policies", "tls-one", "--jobs", "4"],
      dict(placements=[2, 4], policies=[Policy.TLS_ONE], n_jobs=4)),
+    (["ablate", "--quick", "--seed", "7", "--components", "rotation", "adaptive"],
+     dict(quick=True, seed=7, components=["rotation", "adaptive"])),
+    (["codesign", "--quick", "--seeds", "3", "5", "--policies", "fifo", "tls-rr"],
+     dict(quick=True, seeds=[3, 5], policies=[Policy.FIFO, Policy.TLS_RR])),
 ])
 def test_plan_builds_the_scenarios_the_command_submits(submitted, argv, plan_args):
     _, scenarios = submitted(argv)
@@ -228,6 +232,11 @@ def test_plan_builds_the_scenarios_the_command_submits(submitted, argv, plan_arg
      "cannot scale placement #5 (4 groups) down to 3 jobs"),
     (["utilization", "--quick", "--sample-interval", "0"],
      "sample_interval must be positive"),
+    # A repeated axis value or seed would pair a sample with itself.
+    (["codesign", "--quick", "--placement-policies", "oblivious", "least-contended",
+      "least-contended"], "axis 'placement_policy' repeats a value"),
+    (["ablate", "--quick", "--components", "bands", "bands"], "duplicate axis names"),
+    (["ablate", "--quick", "--seeds", "7", "7"], "--seeds needs >= 2 seeds"),
 ])
 def test_bad_flag_values_are_usage_errors(monkeypatch, tmp_path, capsys, argv, message):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

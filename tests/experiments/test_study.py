@@ -1,6 +1,10 @@
 """Tests for the declarative study engine: registry, grids, impact."""
 
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.experiments import Campaign, ExperimentConfig, Policy
@@ -43,8 +47,17 @@ def test_component_must_drive_exactly_one_target():
 
 def test_component_ablated_must_differ_from_default():
     with pytest.raises(ConfigError, match="must differ"):
+        Component(name="x", description="d", hook="slow_start",
+                  hook_param="enabled", values=(False, True),
+                  default=False, ablated=False)
+
+
+def test_field_component_takes_its_default_from_the_base():
+    with pytest.raises(ConfigError, match="takes none"):
         Component(name="x", description="d", field="max_bands",
-                  values=(1, 2), default=1, ablated=1)
+                  values=(1, 2), default=1, ablated=2)
+    for component in all_components().values():
+        assert component.field is None or component.default is None
 
 
 def test_field_component_apply_rewrites_config():
@@ -129,12 +142,100 @@ def test_oat_design_size_and_baseline():
         design="oat",
         baseline=TINY.replace(policy=Policy.FIFO),
     )
-    # per seed: 1 baseline + 1 all-defaults + 1 (bands: 6 is default)
-    #           + 2 (window_jitter: 0.5 is default)
+    # per seed: 1 baseline + the base + 2 (bands) + 3 (window_jitter);
+    # 6 bands and 0.5 jitter equal the base's and still get a point.
     points = spec.expand()
-    assert len(points) == 5
+    assert len(points) == 7
     assert points[0].is_baseline
     assert ("variant", "baseline") in points[0].scenario.tags
+    assert points[1].overrides == () and points[1].scenario.config == TINY
+    assert [p.overrides for p in points[2:]] == [
+        (("bands", 1),), (("bands", 6),), (("window_jitter", 0.0),),
+        (("window_jitter", 0.25),), (("window_jitter", 0.5),),
+    ]
+
+
+def test_oat_is_centred_on_the_base():
+    # tiny() rotates every 1.0 s where ExperimentConfig() uses 1.5 s:
+    # the base, not a component default, is the centre.
+    spec = StudySpec(
+        name="s", base=TINY, design="oat",
+        axes=(get_component("rotation").axis((3.0,)),
+              get_component("bands").axis((1,))),
+    )
+    centre, rotated, banded = spec.expand()
+    assert centre.scenario.config.tls_interval == 1.0
+    assert rotated.scenario.config.tls_interval == 3.0
+    assert banded.scenario.config.tls_interval == 1.0
+    assert banded.scenario.config.max_bands == 1
+    assert dict(banded.scenario.tags).keys() == {"study", "bands", "seed"}
+
+
+def test_hook_override_against_another_axis_raises_in_every_order():
+    # rate_control forces policy=fifo; a policy axis asking for tls-one
+    # at the same point contradicts it, whichever axis comes first.
+    axes = (get_component("rate_control").axis((1.0,)),
+            Axis("policy", (Policy.TLS_ONE,)))
+    for order in (axes, axes[::-1]):
+        with pytest.raises(ConfigError) as info:
+            StudySpec(name="s", base=TINY, axes=order).expand()
+        assert "'rate_control'" in str(info.value)
+        assert "'policy'" in str(info.value)
+
+
+def test_spec_rejects_duplicate_values_and_seeds():
+    with pytest.raises(ConfigError, match="repeats a value"):
+        StudySpec(name="s", base=TINY,
+                  axes=(Axis("placement_policy", ("oblivious", "oblivious")),))
+    with pytest.raises(ConfigError, match="duplicate seeds"):
+        StudySpec(name="s", base=TINY, axes=_axes(), seeds=(7, 7, 8))
+
+
+_POOL = {
+    "policy": Axis("policy", (Policy.FIFO, Policy.TLS_ONE, Policy.TLS_RR)),
+    "switch_buffer_bytes": Axis("switch_buffer_bytes", (1e6, 4e6, None)),
+    "rto": Axis("rto", (0.02, 0.2)),
+    "n_ps": Axis("n_ps", (1, 2)),
+    **{name: get_component(name).axis()
+       for name in ("rate_control", "switch_buffer", "multi_ps", "bands",
+                    "htb_borrowing", "adaptive", "slow_start")},
+}
+
+
+@st.composite
+def _specs(draw):
+    names = draw(st.lists(st.sampled_from(sorted(_POOL)), min_size=2,
+                          max_size=4, unique=True))
+    axes = tuple(
+        Axis(name, tuple(draw(st.lists(st.sampled_from(_POOL[name].values),
+                                       min_size=1, max_size=2, unique=True))),
+             _POOL[name].component)
+        for name in names
+    )
+    return axes, draw(st.sampled_from(("grid", "oat")))
+
+
+def _outcome(axes, design):
+    try:
+        points = StudySpec(name="s", base=TINY, axes=axes, design=design,
+                           baseline=TINY).expand()
+    except ConfigError:
+        return "raises"
+    by_name = {axis.name: axis for axis in axes}
+    for point in points:  # every tag says what the point runs
+        for name, value in point.overrides:
+            for field, written in by_name[name].fields(value).items():
+                assert getattr(point.scenario.config, field) == written
+    return frozenset(point.scenario.key() for point in points)
+
+
+@settings(deadline=None)
+@given(_specs())
+def test_axis_order_never_changes_what_runs(spec):
+    axes, design = spec
+    outcomes = {_outcome(order, design)
+                for order in itertools.permutations(axes)}
+    assert len(outcomes) == 1
 
 
 def test_seed_sweep_replicates_and_tags():
