@@ -26,7 +26,6 @@ from repro.experiments.campaign import (
     ExecutionOutcome,
     ParallelExecutor,
     ResultCache,
-    RetryPolicy,
     SerialExecutor,
 )
 from repro.experiments.config import Architecture, ExperimentConfig, Policy
@@ -102,7 +101,6 @@ __all__ = [
     "PlacementPolicy",
     "Policy",
     "ResultCache",
-    "RetryPolicy",
     "Runtime",
     "Scenario",
     "SerialExecutor",

@@ -42,7 +42,6 @@ from repro.experiments.campaign import (
     CampaignEvent,
     ParallelExecutor,
     ResultCache,
-    RetryPolicy,
 )
 from repro.experiments.config import (
     PAPER_SCALE,
@@ -148,10 +147,6 @@ SETTINGS: Dict[str, Dict[str, Any]] = {
     "--run-id": dict(help="explicit journal run id for a fresh campaign"),
     "--journal-dir": dict(metavar="DIR", help="journal directory (default: <cache dir>/journals)"),
     "--max-attempts": dict(type=int, help="attempts per scenario whose worker dies"),
-    "--retry-base-delay": dict(dest="base_delay", type=float, metavar="S",
-                               help="backoff before the first retry"),
-    "--retry-factor": dict(dest="factor", type=float, help="backoff growth factor"),
-    "--retry-max-delay": dict(dest="max_delay", type=float, metavar="S", help="backoff ceiling"),
     "--csv": dict(metavar="PATH", help="also write the table as CSV to PATH"),
     "--export": dict(choices=["json", "csv"], help="print machine-readable results"),
     "--output": dict(help="write the export to a file instead of stdout"),
@@ -386,8 +381,7 @@ COMMANDS: Dict[str, Command] = {
         "durable scenario campaign: write-ahead journal, resumable after a kill, retries",
         campaign=True,
         options=("--placements", "--policies", "--run-id", "--resume", "--journal-dir",
-                 "--list-runs", "--max-attempts", "--retry-base-delay", "--retry-factor",
-                 "--retry-max-delay", "--watchdog", "--metrics", "--hashes"),
+                 "--list-runs", "--max-attempts", "--watchdog", "--metrics", "--hashes"),
         emit=_emit_campaign, exit=lambda result: int(bool(result and result.failures)),
         plan=_campaign_grid,
     ),
@@ -430,15 +424,13 @@ def _campaign(args: argparse.Namespace) -> Campaign:
     if cache is not None and flags.get("export_metrics"):
         raise ConfigError("--export-metrics observes every run, so it cannot "
                           "take results from --cache/--cache-dir")
-    retry = {field: flags[field] for field in ("max_attempts", "base_delay", "factor",
-                                               "max_delay") if flags.get(field) is not None}
     return Campaign(
         executor=(ParallelExecutor(flags["parallel"])
                   if flags.get("parallel") is not None else None),
         cache=cache,
         progress=_print_progress if flags.get("progress") else None,
         scenario_timeout=flags.get("scenario_timeout"),
-        retry=RetryPolicy(**retry),
+        max_attempts=2 if flags.get("max_attempts") is None else flags["max_attempts"],
         journal=journaled,
         resume=flags.get("resume"),
         run_id=flags.get("run_id"),

@@ -83,52 +83,18 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "tensorlights-repro"
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded exponential backoff for scenarios whose *worker* died.
+#: Backoff slept before quarantine attempt ``n + 1`` of a scenario whose
+#: worker died: ``min(BACKOFF_MAX_S, BACKOFF_BASE_S * BACKOFF_FACTOR **
+#: (n - 1))``.  No jitter: two campaigns retrying the same scenario
+#: behave identically.
+BACKOFF_BASE_S = 0.5
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX_S = 30.0
 
-    Attempt ``n`` (1-based) failing is followed by a sleep of
-    ``min(max_delay, base_delay * factor ** (n - 1))`` before attempt
-    ``n + 1``, up to ``max_attempts`` total attempts.  No jitter: the
-    campaign layer is deterministic-by-construction and two campaigns
-    retrying the same scenario should behave identically.
 
-    Only crashes (and resumed generations) are retried — an in-process
-    exception is deterministic, so re-running it would repeat the
-    failure byte for byte.
-    """
-
-    max_attempts: int = 2
-    base_delay: float = 0.5
-    factor: float = 2.0
-    max_delay: float = 30.0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ConfigError(
-                f"max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.base_delay < 0:
-            raise ConfigError(
-                f"base_delay must be >= 0, got {self.base_delay}"
-            )
-        if self.factor < 1:
-            raise ConfigError(f"factor must be >= 1, got {self.factor}")
-        if self.max_delay < self.base_delay:
-            raise ConfigError(
-                f"max_delay ({self.max_delay}) must be >= base_delay "
-                f"({self.base_delay})"
-            )
-
-    def delay(self, attempt: int) -> float:
-        """Seconds to sleep after failed attempt ``attempt`` (1-based)."""
-        if attempt < 1:
-            return 0.0
-        return min(self.max_delay, self.base_delay * self.factor ** (attempt - 1))
-
-    def total_backoff(self, attempts: int) -> float:
-        """Cumulative sleep an execution with ``attempts`` attempts paid."""
-        return sum(self.delay(a) for a in range(1, attempts))
+def _backoff(attempt: int) -> float:
+    """Seconds slept after failed attempt ``attempt`` (1-based)."""
+    return min(BACKOFF_MAX_S, BACKOFF_BASE_S * BACKOFF_FACTOR ** (attempt - 1))
 
 
 class ResultCache:
@@ -136,31 +102,19 @@ class ResultCache:
 
     One JSON file per scenario, named by :meth:`Scenario.key` (a SHA-256
     over everything that affects execution), so re-running a figure only
-    simulates what changed.  Invalidate by deleting files, calling
-    :meth:`clear`, or bumping ``SCENARIO_SCHEMA`` (which changes every
-    key).
+    simulates what changed.  Invalidate by deleting files or bumping
+    ``SCENARIO_SCHEMA`` (which changes every key).
 
     Writes are atomic and race-free: each writer stages into its own
     uniquely-named temp file, then ``os.replace``s it over the entry.
     Concurrent writers of the same key (parallel campaigns sharing a
     cache directory) last-write-win; readers only ever see a complete
     entry — determinism makes every complete entry equally correct.
-
-    ``max_entries`` bounds the cache size: each :meth:`put` that pushes
-    the entry count past the bound evicts the oldest entries (by mtime).
     """
 
-    def __init__(
-        self,
-        path: Optional[os.PathLike] = None,
-        max_entries: Optional[int] = None,
-    ) -> None:
-        if max_entries is not None and max_entries < 1:
-            raise ConfigError(f"max_entries must be >= 1, got {max_entries}")
+    def __init__(self, path: Optional[os.PathLike] = None) -> None:
         self.path = Path(path) if path is not None else default_cache_dir()
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
+        #: entries :meth:`get` found unreadable and quarantined
         self.corrupt = 0
 
     @classmethod
@@ -188,28 +142,23 @@ class ResultCache:
         try:
             text = entry.read_text()
         except OSError:
-            self.misses += 1
             return None
         try:
             payload = json.loads(text)["result"]
             if not isinstance(payload, dict):
                 raise TypeError("cache entry result is not an object")
             if payload.get("full_schema_version") != FULL_SCHEMA_VERSION:
-                self.misses += 1
                 return None
-            result = result_from_full_dict(payload)
+            return result_from_full_dict(payload)
         except (ValueError, KeyError, TypeError, ConfigError):
             self._quarantine(entry)
-            self.misses += 1
             return None
-        self.hits += 1
-        return result
 
     def _quarantine(self, entry: Path) -> None:
         """Move a corrupt entry aside (``<entry>.corrupt``, last one wins).
 
         The suffix takes the file out of the ``*.json`` namespace, so
-        ``purge``/``__len__`` ignore it and :meth:`put` rebuilds the slot.
+        ``__len__`` ignores it and :meth:`put` rebuilds the slot.
         """
         try:
             os.replace(entry, entry.with_name(entry.name + ".corrupt"))
@@ -226,35 +175,7 @@ class ResultCache:
             "result": result_to_full_dict(result),
         }
         atomic_write_text(entry, json.dumps(payload))
-        if self.max_entries is not None:
-            self.purge(keep=self.max_entries)
         return entry
-
-    def purge(self, keep: int = 0) -> int:
-        """Evict oldest entries (by mtime) beyond ``keep``; returns count."""
-        if keep < 0:
-            raise ConfigError(f"keep must be >= 0, got {keep}")
-        if not self.path.is_dir():
-            return 0
-        entries = []
-        for entry in self.path.glob("*.json"):
-            try:
-                entries.append((entry.stat().st_mtime, entry))
-            except OSError:
-                continue  # a concurrent purge got there first
-        entries.sort(key=lambda pair: pair[0], reverse=True)
-        removed = 0
-        for _, entry in entries[keep:]:
-            try:
-                entry.unlink()
-                removed += 1
-            except OSError:
-                continue
-        return removed
-
-    def clear(self) -> int:
-        """Delete every cache entry; returns how many were removed."""
-        return self.purge(keep=0)
 
     def __len__(self) -> int:
         return len(list(self.path.glob("*.json"))) if self.path.is_dir() else 0
@@ -267,7 +188,9 @@ class ExecutionOutcome:
     ``status`` is ``"ok"`` (``result`` is set), ``"timeout"`` (the
     scenario exceeded its wall-clock budget), ``"error"`` (the simulation
     raised; ``error`` carries the exception when the attempt ran
-    in-process) or ``"crashed"`` (the worker process died).
+    in-process) or ``"crashed"`` (the worker process died).  A campaign
+    settles a cache hit as ``"cached"`` (``result`` set, zero attempts);
+    no executor yields that status.
     """
 
     status: str
@@ -300,12 +223,32 @@ def _find_timeout(exc: Optional[BaseException]) -> Optional[_ScenarioTimeout]:
     return None
 
 
+@dataclass(frozen=True)
+class RunRequest:
+    """How an executor runs each scenario of one campaign run.
+
+    Plain data, so it crosses the process-pool pickle boundary.
+    ``timeout`` is the wall-clock budget per scenario (``None``:
+    unbounded); ``metrics`` and ``watchdog`` are the observation switches
+    of :func:`execute_scenario`; ``max_attempts`` bounds how often the
+    pool runs a scenario whose worker process died.
+    """
+
+    timeout: Optional[float] = None
+    metrics: bool = False
+    watchdog: Optional[str] = None
+    max_attempts: int = 1
+
+    def execute(self, scenario: Scenario) -> ExperimentResult:
+        return execute_scenario(
+            scenario, metrics=self.metrics, watchdog=self.watchdog
+        )
+
+
 def _run_with_wall_timeout(
-    scenario: Scenario,
-    timeout: float,
-    observe: Optional[Dict[str, Any]] = None,
+    scenario: Scenario, request: RunRequest
 ) -> ExperimentResult:
-    """Run one scenario under a wall-clock budget.
+    """Run one scenario under the request's wall-clock budget.
 
     A daemon ``threading.Timer`` injects :class:`_ScenarioTimeout` into
     the running thread via ``PyThreadState_SetAsyncExc``, so the guard
@@ -332,16 +275,16 @@ def _run_with_wall_timeout(
             state["fired"] = True
             set_async_exc(tid, ctypes.py_object(_ScenarioTimeout))
 
-    timer = threading.Timer(timeout, on_timer)
+    timer = threading.Timer(request.timeout, on_timer)
     timer.daemon = True
     timer.start()
     try:
-        result = execute_scenario(scenario, **(observe or {}))
+        result = request.execute(scenario)
     except Exception as exc:
         if _find_timeout(exc) is None:
             raise
         raise _ScenarioTimeout(
-            f"exceeded {timeout:g}s wall-clock budget"
+            f"exceeded {request.timeout:g}s wall-clock budget"
         ) from None
     finally:
         with lock:
@@ -400,31 +343,28 @@ def _chaos_campaign_kill_after() -> Optional[int]:
 
 
 def _guarded_execute(
-    scenario: Scenario,
-    timeout: Optional[float] = None,
-    keep_exception: bool = False,
-    observe: Optional[Dict[str, Any]] = None,
+    scenario: Scenario, request: RunRequest
 ) -> ExecutionOutcome:
     """Run one scenario, converting failures into an :class:`ExecutionOutcome`.
 
-    ``observe`` carries pass-through observability switches for
-    :func:`execute_scenario` (``{"metrics": True, "watchdog": "warn"}``)
-    — plain data so it crosses the process-pool pickle boundary.
+    The exception of an ``"error"`` outcome is kept only in the caller's
+    process: a pool worker's outcome is pickled back, and an exception
+    need not pickle.
     """
     _maybe_chaos_kill(scenario)
     pid = os.getpid()
     try:
-        if timeout is not None:
-            result = _run_with_wall_timeout(scenario, timeout, observe)
+        if request.timeout is not None:
+            result = _run_with_wall_timeout(scenario, request)
         else:
-            result = execute_scenario(scenario, **(observe or {}))
+            result = request.execute(scenario)
     except _ScenarioTimeout as exc:
         return ExecutionOutcome(status="timeout", detail=str(exc), pid=pid)
     except Exception as exc:  # noqa: BLE001 - the whole point is containment
         return ExecutionOutcome(
             status="error",
             detail=f"{type(exc).__name__}: {exc}",
-            error=exc if keep_exception else None,
+            error=None if _POOL_WORKER else exc,
             pid=pid,
         )
     return ExecutionOutcome(status="ok", result=result, pid=pid)
@@ -437,28 +377,16 @@ class SerialExecutor:
     ``execute_scenario`` on each scenario in turn.
     """
 
-    max_workers = 1
-
     def map(
-        self,
-        scenarios: Sequence[Tuple[int, Scenario]],
-        timeout: Optional[float] = None,
-        max_attempts: int = 1,
-        observe: Optional[Dict[str, Any]] = None,
-        backoff: Optional[RetryPolicy] = None,
+        self, pending: Sequence[Tuple[int, Scenario]], request: RunRequest
     ) -> Iterator[Tuple[int, ExecutionOutcome]]:
         """Yield ``(index, outcome)`` in submission order.
 
-        ``max_attempts`` and ``backoff`` are accepted for
-        executor-interface parity but meaningless here: in-process
-        attempts are deterministic, so a retry would only repeat the
-        failure.
+        Nothing is retried: an in-process attempt is deterministic, so a
+        retry would only repeat the failure.
         """
-        for index, scenario in scenarios:
-            yield index, _guarded_execute(
-                scenario, timeout=timeout, keep_exception=True,
-                observe=observe,
-            )
+        for index, scenario in pending:
+            yield index, _guarded_execute(scenario, request)
 
 
 class ParallelExecutor:
@@ -483,76 +411,55 @@ class ParallelExecutor:
         self.max_workers = max_workers or os.cpu_count() or 1
 
     def map(
-        self,
-        scenarios: Sequence[Tuple[int, Scenario]],
-        timeout: Optional[float] = None,
-        max_attempts: int = 2,
-        observe: Optional[Dict[str, Any]] = None,
-        backoff: Optional[RetryPolicy] = None,
+        self, pending: Sequence[Tuple[int, Scenario]], request: RunRequest
     ) -> Iterator[Tuple[int, ExecutionOutcome]]:
-        """Yield ``(index, outcome)`` as workers complete.
-
-        ``backoff`` (a :class:`RetryPolicy`) spaces the quarantine
-        retries of crashed scenarios; ``None`` retries back-to-back.
-        """
-        if not scenarios:
+        """Yield ``(index, outcome)`` as workers complete."""
+        if not pending:
             return
         survivors: List[Tuple[int, Scenario]] = []
-        broken = False
         with ProcessPoolExecutor(
             max_workers=self.max_workers, initializer=_mark_pool_worker
         ) as pool:
-            pending = {
-                pool.submit(
-                    _guarded_execute, scenario, timeout, observe=observe
-                ): (index, scenario)
-                for index, scenario in scenarios
+            futures = {
+                pool.submit(_guarded_execute, scenario, request): (index, scenario)
+                for index, scenario in pending
             }
-            while pending and not broken:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
+            while futures:
+                done, _ = wait(futures, return_when=FIRST_COMPLETED)
                 for future in done:
-                    index, scenario = pending.pop(future)
+                    index, scenario = futures.pop(future)
                     try:
                         outcome = future.result()
                     except BrokenProcessPool:
                         # Innocent and guilty futures are indistinguishable
                         # here; requeue them all for quarantine.
                         survivors.append((index, scenario))
-                        survivors.extend(pending.values())
-                        pending.clear()
-                        broken = True
+                        survivors.extend(futures.values())
+                        futures.clear()
                         break
                     yield index, outcome
         for index, scenario in survivors:
-            yield index, self._quarantined(
-                scenario, timeout, max_attempts, observe=observe,
-                backoff=backoff,
-            )
+            yield index, self._quarantined(scenario, request)
 
     @staticmethod
     def _quarantined(
-        scenario: Scenario,
-        timeout: Optional[float],
-        max_attempts: int,
-        observe: Optional[Dict[str, Any]] = None,
-        backoff: Optional[RetryPolicy] = None,
+        scenario: Scenario, request: RunRequest
     ) -> ExecutionOutcome:
         """Run one scenario alone in its own pool, retrying worker deaths.
 
-        With a ``backoff`` policy, attempt ``n + 1`` waits
-        ``backoff.delay(n)`` wall-clock seconds first — a transiently
-        overloaded machine (the usual reason a worker was OOM-killed)
-        gets room to recover instead of being hammered back-to-back.
+        Attempt ``n + 1`` first sleeps ``_backoff(n)`` wall-clock seconds
+        — a transiently overloaded machine (the usual reason a worker was
+        OOM-killed) gets room to recover instead of being hammered
+        back-to-back.
         """
+        max_attempts = request.max_attempts
         for attempt in range(1, max_attempts + 1):
-            if attempt > 1 and backoff is not None:
-                time.sleep(backoff.delay(attempt - 1))
+            if attempt > 1:
+                time.sleep(_backoff(attempt - 1))
             with ProcessPoolExecutor(
                 max_workers=1, initializer=_mark_pool_worker
             ) as pool:
-                future = pool.submit(
-                    _guarded_execute, scenario, timeout, observe=observe
-                )
+                future = pool.submit(_guarded_execute, scenario, request)
                 try:
                     outcome = future.result()
                 except BrokenProcessPool:
@@ -561,9 +468,7 @@ class ParallelExecutor:
             return outcome
         return ExecutionOutcome(
             status="crashed",
-            detail=(
-                f"worker process died on all {max_attempts} attempts"
-            ),
+            detail=f"worker process died on all {max_attempts} attempts",
             attempts=max_attempts,
         )
 
@@ -673,14 +578,12 @@ class Campaign:
         scenario_timeout: wall-clock budget (seconds) per scenario;
             ``None`` means unbounded.
         max_attempts: how often a scenario whose worker process dies is
-            retried before being written off (parallel executor only).
-            Shorthand for ``retry=RetryPolicy(max_attempts=...)``.
+            run before being written off (parallel executor only), with
+            the :data:`BACKOFF_BASE_S` schedule slept between attempts.
         on_failure: ``"raise"`` (default — first failure aborts the
             campaign, matching historical behaviour) or ``"report"`` —
             healthy scenarios keep their results, casualties end up in
             :attr:`CampaignResult.failures`.
-        retry: a :class:`RetryPolicy` governing attempts *and* the
-            exponential backoff between them; overrides ``max_attempts``.
         journal: write a write-ahead :class:`CampaignJournal` for this
             run, making it resumable after a crash or kill.
         resume: run id of a journaled campaign to resume — its journal
@@ -712,7 +615,6 @@ class Campaign:
         scenario_timeout: Optional[float] = None,
         max_attempts: int = 2,
         on_failure: str = "raise",
-        retry: Optional[RetryPolicy] = None,
         journal: bool = False,
         resume: Optional[str] = None,
         run_id: Optional[str] = None,
@@ -744,10 +646,7 @@ class Campaign:
         self.cache = cache
         self.progress = progress
         self.scenario_timeout = scenario_timeout
-        self.retry = retry if retry is not None else RetryPolicy(
-            max_attempts=max_attempts
-        )
-        self.max_attempts = self.retry.max_attempts
+        self.max_attempts = max_attempts
         self.on_failure = on_failure
         self.journal = journal or resume is not None or run_id is not None
         self.resume = resume
@@ -758,8 +657,6 @@ class Campaign:
         self.observe_metrics = observe_metrics
         self.watchdog = None if watchdog == "off" else watchdog
         self.metrics = MetricsRegistry(enabled=True)
-
-    # -- journal plumbing ---------------------------------------------------
 
     #: campaign-level counters materialized at zero on every run, so an
     #: export after a clean campaign reports explicit zeros instead of
@@ -773,14 +670,35 @@ class Campaign:
         "campaign_watchdog_violations_total",
     )
 
-    def _observe(self) -> Optional[Dict[str, Any]]:
-        """The observability switches shipped to every execution."""
-        observe: Dict[str, Any] = {}
-        if self.observe_metrics:
-            observe["metrics"] = True
-        if self.watchdog is not None:
-            observe["watchdog"] = self.watchdog
-        return observe or None
+    def _count(self, outcomes: Iterable[ExecutionOutcome], corrupt: int) -> None:
+        """Add one run's settled outcomes to the campaign counters.
+
+        ``outcomes`` holds one outcome per distinct key (a repeated key
+        counts once); ``corrupt`` is how many cache entries the run
+        quarantined.
+        """
+        metrics = self.metrics
+        for name in self._METRIC_NAMES:
+            metrics.counter(name)
+        for outcome in outcomes:
+            metrics.counter(
+                "campaign_scenarios_total", status=outcome.status
+            ).inc()
+            if outcome.status == "cached":
+                metrics.counter("campaign_cache_hits_total").inc()
+            if outcome.attempts > 1:
+                metrics.counter("campaign_retries_total").inc(
+                    outcome.attempts - 1
+                )
+                metrics.counter("campaign_backoff_seconds_total").inc(
+                    sum(_backoff(a) for a in range(1, outcome.attempts))
+                )
+            if outcome.status == "ok" and outcome.result.watchdog_violations:
+                metrics.counter("campaign_watchdog_violations_total").inc(
+                    len(outcome.result.watchdog_violations)
+                )
+        if corrupt:
+            metrics.counter("campaign_cache_corrupt_total").inc(corrupt)
 
     def _open_journal(
         self,
@@ -843,42 +761,15 @@ class Campaign:
         total = len(scenario_list)
         keys = [scenario.key() for scenario in scenario_list]
         results: List[Optional[ExperimentResult]] = [None] * total
+        failures: List[CampaignFailure] = []
+        # the outcome of each key's first position, in settle order
+        outcomes: Dict[int, ExecutionOutcome] = {}
         completed = 0
-        metrics = self.metrics
-        for name in self._METRIC_NAMES:
-            metrics.counter(name)
-        cache_corrupt_before = self.cache.corrupt if self.cache else 0
 
         # Chaos hook: fell the whole campaign process after the Nth
         # journaled outcome (journal-gated: an unjournaled campaign has
         # nothing to resume, so killing it would only lose work).
         kill_after = _chaos_campaign_kill_after() if journal else None
-        outcomes_recorded = 0
-
-        # Callers build outcome records (and their result content hashes)
-        # only when a journal is open: a hash re-encodes the whole result,
-        # which would dominate an unjournaled warm pass.
-        def record_outcome(record: Dict[str, Any]) -> None:
-            nonlocal outcomes_recorded
-            journal.append(record)
-            outcomes_recorded += 1
-            if kill_after is not None and outcomes_recorded >= kill_after:
-                os._exit(29)
-
-        # Write-ahead: the generation's full plan, before anything runs.
-        if journal is not None:
-            if self.resume is None:
-                journal.append({
-                    "kind": "campaign_start", "schema": JOURNAL_SCHEMA,
-                    "run_id": journal.run_id, "total": total,
-                    "ts": time.time(),
-                })
-            for index, scenario in enumerate(scenario_list):
-                journal.append({
-                    "kind": "scenario", "index": index, "key": keys[index],
-                    "label": scenario.label,
-                    "scenario": scenario.to_dict(),
-                })
 
         def emit(status: str, index: int) -> None:
             if self.progress is not None:
@@ -887,137 +778,121 @@ class Campaign:
                     total=total, scenario=scenario_list[index],
                 ))
 
-        # Phase 1: serve cache hits and dedupe identical scenarios.
-        to_run: List[Tuple[int, Scenario]] = []
-        first_of_key: Dict[str, int] = {}
-        duplicates: Dict[int, List[int]] = {}
-        for index, scenario in enumerate(scenario_list):
+        def settle(index: int, outcome: ExecutionOutcome, repeat: bool = False) -> None:
+            """Settle one position: fill its result slot or failure, write
+            its journal outcome and emit its progress event.  A ``repeat``
+            position shares the outcome of its key's first position, which
+            was already cached, journaled and counted."""
+            nonlocal completed
             key = keys[index]
-            if key in first_of_key:
-                duplicates.setdefault(first_of_key[key], []).append(index)
-                continue
-            cached = self.cache.get(scenario) if self.cache is not None else None
-            if cached is not None:
-                results[index] = cached
-                completed += 1
-                first_of_key[key] = index
-                metrics.counter("campaign_scenarios_total", status="cached").inc()
-                metrics.counter("campaign_cache_hits_total").inc()
-                if journal is not None:
-                    record_outcome({
-                        "kind": "outcome", "index": index, "key": key,
-                        "status": "cached", "cached": True,
-                        "attempts": prior_attempts.get(key, 0),
-                        "content_hash": result_content_hash(cached),
-                    })
-                emit("cached", index)
-                continue
-            first_of_key[key] = index
-            to_run.append((index, scenario))
-            emit("running", index)
-
-        # Phase 2: execute the misses through the pluggable executor.
-        cache_hits = completed
-        failures: List[CampaignFailure] = []
-        failed_indices: set = set()
-        if journal is not None:
-            for index, scenario in to_run:
-                journal.append({
-                    "kind": "submit", "index": index, "key": keys[index],
-                    "attempt": prior_attempts.get(keys[index], 0) + 1,
-                })
-        for index, outcome in self.executor.map(
-            to_run,
-            timeout=self.scenario_timeout,
-            max_attempts=self.max_attempts,
-            observe=self._observe(),
-            backoff=self.retry,
-        ):
-            key = keys[index]
-            attempts = prior_attempts.get(key, 0) + outcome.attempts
-            metrics.counter(
-                "campaign_scenarios_total", status=outcome.status
-            ).inc()
-            if outcome.attempts > 1:
-                metrics.counter("campaign_retries_total").inc(
-                    outcome.attempts - 1
-                )
-                metrics.counter("campaign_backoff_seconds_total").inc(
-                    self.retry.total_backoff(outcome.attempts)
-                )
-            if outcome.status == "ok":
-                results[index] = outcome.result
-                completed += 1
-                violations = getattr(
-                    outcome.result, "watchdog_violations", None
-                )
-                if violations:
-                    metrics.counter(
-                        "campaign_watchdog_violations_total"
-                    ).inc(len(violations))
-                if self.cache is not None:
+            status = outcome.status
+            if not repeat:
+                outcomes[index] = outcome
+                if status == "ok" and self.cache is not None:
                     # Cache first, then journal: a journaled "ok" must
                     # always be servable from the cache on resume.
                     self.cache.put(scenario_list[index], outcome.result)
+                # Records (and their result content hashes) are built only
+                # when a journal is open: a hash re-encodes the whole
+                # result, which would dominate an unjournaled warm pass.
                 if journal is not None:
-                    record_outcome({
+                    record: Dict[str, Any] = {
                         "kind": "outcome", "index": index, "key": key,
-                        "status": "ok", "cached": False,
-                        "attempts": attempts,
-                        "content_hash": result_content_hash(outcome.result),
-                        "worker": outcome.pid,
-                    })
-                emit("done", index)
-                continue
-            if journal is not None:
-                record_outcome({
-                    "kind": "outcome", "index": index, "key": key,
-                    "status": outcome.status, "cached": False,
-                    "attempts": attempts, "detail": outcome.detail,
-                    "worker": outcome.pid,
-                })
-            if self.on_failure == "raise":
-                if outcome.error is not None:
-                    raise outcome.error
-                raise CampaignError(
-                    f"scenario #{index} [{scenario_list[index].label}] "
-                    f"{outcome.status}"
-                    + (f": {outcome.detail}" if outcome.detail else "")
-                )
-            failures.append(CampaignFailure(
-                index=index,
-                scenario=scenario_list[index],
-                kind=outcome.status,
-                detail=outcome.detail,
-                attempts=outcome.attempts,
-            ))
-            failed_indices.add(index)
+                        "status": status, "cached": status == "cached",
+                        "attempts": prior_attempts.get(key, 0) + outcome.attempts,
+                    }
+                    if outcome.result is not None:
+                        record["content_hash"] = result_content_hash(
+                            outcome.result
+                        )
+                    else:
+                        record["detail"] = outcome.detail
+                    if status != "cached":
+                        record["worker"] = outcome.pid
+                    journal.append(record)
+                    # every outcome so far has been journaled
+                    if kill_after is not None and len(outcomes) >= kill_after:
+                        os._exit(29)
+            if outcome.result is None:
+                if self.on_failure == "raise":
+                    if outcome.error is not None:
+                        raise outcome.error
+                    raise CampaignError(
+                        f"scenario #{index} [{scenario_list[index].label}] "
+                        f"{status}"
+                        + (f": {outcome.detail}" if outcome.detail else "")
+                    )
+                failures.append(CampaignFailure(
+                    index=index, scenario=scenario_list[index], kind=status,
+                    detail=outcome.detail, attempts=outcome.attempts,
+                ))
+                event = "failed"
+            else:
+                results[index] = outcome.result
+                event = "cached" if status == "cached" and not repeat else "done"
             completed += 1
-            emit("failed", index)
+            emit(event, index)
 
-        # Phase 3: fan results out to duplicate positions (a failed
-        # primary fails its duplicates too — same key, same fate).
-        for index, dup_indices in duplicates.items():
-            for dup in dup_indices:
-                completed += 1
-                if index in failed_indices:
-                    primary = next(f for f in failures if f.index == index)
-                    failures.append(CampaignFailure(
-                        index=dup,
-                        scenario=scenario_list[dup],
-                        kind=primary.kind,
-                        detail=primary.detail,
-                        attempts=primary.attempts,
-                    ))
-                    emit("failed", dup)
+        corrupt_before = self.cache.corrupt if self.cache is not None else 0
+        corrupt = 0
+        try:
+            # Write-ahead: the generation's full plan, before anything runs.
+            if journal is not None:
+                if self.resume is None:
+                    journal.append({
+                        "kind": "campaign_start", "schema": JOURNAL_SCHEMA,
+                        "run_id": journal.run_id, "total": total,
+                        "ts": time.time(),
+                    })
+                for index, scenario in enumerate(scenario_list):
+                    journal.append({
+                        "kind": "scenario", "index": index, "key": keys[index],
+                        "label": scenario.label,
+                        "scenario": scenario.to_dict(),
+                    })
+
+            # Serve cache hits; set repeated keys aside.
+            to_run: List[Tuple[int, Scenario]] = []
+            first_of_key: Dict[str, int] = {}
+            repeats: Dict[int, List[int]] = {}
+            for index, scenario in enumerate(scenario_list):
+                key = keys[index]
+                if key in first_of_key:
+                    repeats.setdefault(first_of_key[key], []).append(index)
                     continue
-                results[dup] = results[index]
-                emit("done", dup)
+                first_of_key[key] = index
+                cached = (self.cache.get(scenario)
+                          if self.cache is not None else None)
+                if cached is not None:
+                    settle(index, ExecutionOutcome(status="cached", result=cached, attempts=0))
+                    continue
+                to_run.append((index, scenario))
+                emit("running", index)
+            cache_hits = completed
 
-        if self.cache is not None:
-            corrupt = self.cache.corrupt - cache_corrupt_before
-            if corrupt:
-                metrics.counter("campaign_cache_corrupt_total").inc(corrupt)
+            # Execute the misses through the pluggable executor.
+            if journal is not None:
+                for index, _ in to_run:
+                    journal.append({
+                        "kind": "submit", "index": index, "key": keys[index],
+                        "attempt": prior_attempts.get(keys[index], 0) + 1,
+                    })
+            request = RunRequest(
+                timeout=self.scenario_timeout, metrics=self.observe_metrics,
+                watchdog=self.watchdog, max_attempts=self.max_attempts,
+            )
+            for index, outcome in self.executor.map(to_run, request):
+                settle(index, outcome)
+
+            # Repeated keys share their first position's fate.
+            for index, repeat_indices in repeats.items():
+                for repeat in repeat_indices:
+                    settle(repeat, outcomes[index], repeat=True)
+            if self.cache is not None:
+                corrupt = self.cache.corrupt - corrupt_before
+        finally:
+            self._count(outcomes.values(), corrupt)
+
         if journal is not None:
             journal.append({
                 "kind": "campaign_end", "executed": len(to_run),
@@ -1025,11 +900,7 @@ class Campaign:
                 "ts": time.time(),
             })
 
-        assert all(
-            r is not None
-            for i, r in enumerate(results)
-            if not any(f.index == i for f in failures)
-        )
+        assert results.count(None) == len(failures)  # every other slot is filled
         return CampaignResult(
             scenarios=scenario_list,
             results=results,
@@ -1038,7 +909,7 @@ class Campaign:
             wall_seconds=time.perf_counter() - wall_start,
             failures=failures,
             run_id=journal.run_id if journal is not None else None,
-            campaign_metrics=metrics.snapshot(),
+            campaign_metrics=self.metrics.snapshot(),
         )
 
     def run_one(self, scenario: Scenario) -> ExperimentResult:

@@ -142,6 +142,9 @@ class ExperimentConfig:
             raise ConfigError("link_gbps must be positive")
         if self.sample_interval <= 0:
             raise ConfigError("sample_interval must be positive")
+        if self.seed < 0:
+            # numpy seeds its generators from non-negative integers only
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if (self.switch_buffer_bytes is not None
                 and self.switch_buffer_bytes < self.segment_bytes):
             # a segment that can never fit is tail-dropped and resent forever

@@ -40,7 +40,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.runtime import Runtime
     from repro.tensorlights import TensorLights
 
-#: The signature ``materialize``'s ``controller_factory`` expects.
+#: What a hook's ``controller`` returns; ``materialize`` calls it for the run's controller.
 ControllerFactory = Callable[
     ["Cluster", "ExperimentConfig"], Optional["TensorLights"]
 ]
@@ -54,8 +54,8 @@ class BuildHook:
         name: the registry key scenarios refer to.
         description: one line for docs and error messages.
         controller: optional; given the hook's parameter dict, returns a
-            ``controller_factory`` for ``materialize``.  At most one hook
-            on a scenario may provide a controller.
+            :data:`ControllerFactory` in place of the policy-derived one.
+            At most one hook on a scenario may provide a controller.
         post_build: optional; called with the materialized
             :class:`~repro.experiments.runtime.Runtime` and the parameter
             dict after the cluster and apps are wired, before the run

@@ -15,10 +15,11 @@ Custom studies that need mid-build access (extra qdiscs, flow collectors,
 alternative controllers, delivery taps) have two options: the declarative
 build hooks a :class:`~repro.experiments.scenario.Scenario` carries
 (:mod:`repro.experiments.hooks` — picklable, cache-visible, the route
-the study engine uses for A6/A10-style mechanisms), or the in-process
-keyword hooks of :func:`materialize` itself (``on_cluster`` /
-``controller_factory`` — for one-off interactive studies that never
-touch the campaign cache; see ``experiments/figures/fct.py``).
+the study engine uses for A6/A10-style mechanisms; a hook with a
+``controller`` swaps the TensorLights controller), or the in-process
+``on_cluster`` keyword of :func:`materialize` itself (for one-off
+interactive studies that never touch the campaign cache; see
+``experiments/figures/fct.py``).
 """
 
 from __future__ import annotations
@@ -315,9 +316,6 @@ def check_scenario(scenario: Scenario) -> None:
 def materialize(
     scenario: Scenario,
     on_cluster: Optional[Callable[[Cluster], None]] = None,
-    controller_factory: Optional[
-        Callable[[Cluster, ExperimentConfig], Optional[TensorLights]]
-    ] = None,
     metrics: bool = False,
     watchdog: Optional[str] = None,
 ) -> Runtime:
@@ -327,18 +325,17 @@ def materialize(
         on_cluster: called with the freshly built cluster before any
             application exists (install flow collectors, extra qdiscs,
             delivery taps: ``lambda c: c.network.add_delivery_tap(tap)``).
-        controller_factory: overrides the policy-derived TensorLights
-            controller; it may return ``None`` for no controller.
-            In-process hooks are not part of the Scenario identity —
-            scenarios run through the cached/parallel campaign path must
-            not rely on them; declare a registered build hook on the
-            scenario instead (:mod:`repro.experiments.hooks`).
+            It is not part of the Scenario identity — scenarios run
+            through the cached/parallel campaign path must not rely on
+            it; declare a registered build hook on the scenario instead
+            (:mod:`repro.experiments.hooks`), which is also how a run
+            swaps the policy-derived TensorLights controller.
         metrics: enable the simulation-wide metrics registry
             (``sim.metrics``); :meth:`Runtime.run` then scrapes the
             cluster and stores the snapshot in
-            :attr:`ExperimentResult.metrics_snapshot`.  Like the hooks
-            above, this is an in-process observation switch, not part of
-            Scenario identity — it cannot change simulated results.
+            :attr:`ExperimentResult.metrics_snapshot`.  Like ``on_cluster``,
+            this is an in-process switch, not part of Scenario identity —
+            it cannot change simulated results.
         watchdog: runtime invariant watchdog mode — ``None``/``"off"``
             (default), ``"warn"`` or ``"raise"``.  Enables
             ``sim.watchdog`` with the byte-conservation, qdisc, port-leak,
@@ -351,20 +348,20 @@ def materialize(
 
     # Resolve the scenario's declarative build hooks up front: an unknown
     # hook name must fail before any simulator state exists, and at most
-    # one controller may be in play (explicit factory argument included).
+    # one hook may provide the controller.
     resolved_hooks = [
         (get_build_hook(name), dict(params)) for name, params in scenario.hooks
     ]
+    make_controller = None
     for hook, params in resolved_hooks:
         if hook.controller is None:
             continue
-        if controller_factory is not None:
+        if make_controller is not None:
             raise ConfigError(
-                f"hook {hook.name!r} provides a controller but one is "
-                "already set (another hook or the controller_factory "
-                "argument)"
+                f"hook {hook.name!r} provides a controller but another "
+                "hook already set one"
             )
-        controller_factory = hook.controller(params)
+        make_controller = hook.controller(params)
 
     wall_start = time.perf_counter()
     sim = Simulator(seed=config.seed)
@@ -400,13 +397,13 @@ def materialize(
             f"{model.name}*{config.model_compute_factor:g}",
             compute_factor=config.model_compute_factor,
         )
-    if controller_factory is None and config.policy in (
+    if make_controller is None and config.policy in (
         Policy.TLS_ONE, Policy.TLS_RR
     ):
-        controller_factory = get_build_hook("tl_controller").controller({})
+        make_controller = get_build_hook("tl_controller").controller({})
     controller = (
-        controller_factory(cluster, config)
-        if controller_factory is not None else None
+        make_controller(cluster, config)
+        if make_controller is not None else None
     )
 
     recovery = scenario.faults.recovery if scenario.faults is not None else None

@@ -99,7 +99,6 @@ class Transport:
         "messages_unrouted",
         "segments_lost",
         "segments_retransmitted",
-        "chaos_leak_segments",
         "_window_stream",
         "_window_rng",
         "_window_buf",
@@ -152,12 +151,6 @@ class Transport:
         self.messages_unrouted = 0
         self.segments_lost = 0
         self.segments_retransmitted = 0
-        #: TEST-ONLY fault seed for the watchdog suite: when > 0, this many
-        #: arriving segments are silently swallowed after reception — the
-        #: receive state never completes, exactly the byte-leak bug class
-        #: the conservation/flow-leak invariants exist to catch.  Never set
-        #: outside tests; it deliberately breaks the transport.
-        self.chaos_leak_segments = 0
         self._window_stream = f"tcp-window/{nic.host_id}"
         self._window_rng = None
         self._window_buf = None
@@ -332,11 +325,6 @@ class Transport:
         if state is None:
             state = _RecvState(msg)
             self._recv_states[msg.msg_id] = state
-        if self.chaos_leak_segments > 0:
-            # Seeded byte leak (see the attribute docstring): the bytes
-            # stay unaccounted in the receive state forever.
-            self.chaos_leak_segments -= 1
-            return
         state.received += seg.size
         if state.received < msg.size:
             return

@@ -165,3 +165,125 @@ def test_journaled_warm_run_hashes_each_hit_once(tmp_path, calls):
         record = outcomes[scenario.key()]
         assert record["status"] == "cached"
         assert record["content_hash"] == result_content_hash(result)
+
+
+# -- what a campaign records, pinned ----------------------------------------
+
+#: Content keys and result content hashes of the pinned plan's scenarios.
+PIN_KEYS = {
+    "hit": "deebcea3eb026e044f0744d302cecb4c3e002390f79002a04703bc807f674c7c",
+    "run": "2a31fab6dae839f6aad95a3d270b4fdacd10bfc0a3e72bfcd5f7a95c1bdeb154",
+    "bad": "4d683513cf257b1ffb4ec7dee62562bdb55873862e2579b4007edda8768cb958",
+}
+PIN_HASHES = {
+    "hit": "86d51b5d2e8484b404b4f3421c04806c4b480d5821a14136bb0760a0efce3ada",
+    "run": "4945534c6549d134ba643755945bf76c317015a6e3bb188e94b4eb55ec66b058",
+}
+BAD_DETAIL = ("ConfigError: tl_controller variant must be 'static' or "
+              "'adaptive', got 'magic'")
+
+
+def _pin_plan():
+    """A cache hit, an executed scenario and one that always fails, each
+    followed later by a repeat of its key."""
+    hit = Scenario(config=MICRO).with_tags(role="hit")
+    run = Scenario(config=MICRO.replace(policy=Policy.TLS_ONE)).with_tags(role="run")
+    bad = (Scenario(config=MICRO).with_hook("tl_controller", variant="magic")
+           .with_tags(role="bad"))
+    return hit, [hit, run, bad, run, hit, bad]
+
+
+def _pinned_journal(ok_first):
+    """The journal records of the pinned plan, without ts and worker."""
+    roles = ["hit", "run", "bad", "run", "hit", "bad"]
+    ok = {"kind": "outcome", "index": 1, "key": PIN_KEYS["run"], "status": "ok",
+          "cached": False, "attempts": 1, "content_hash": PIN_HASHES["run"]}
+    error = {"kind": "outcome", "index": 2, "key": PIN_KEYS["bad"],
+             "status": "error", "cached": False, "attempts": 1,
+             "detail": BAD_DETAIL}
+    return (
+        [{"kind": "campaign_start", "run_id": "pin", "schema": 1, "total": 6}]
+        + [{"kind": "scenario", "index": i, "key": PIN_KEYS[role],
+            "label": f"role={role}"} for i, role in enumerate(roles)]
+        + [{"kind": "outcome", "index": 0, "key": PIN_KEYS["hit"],
+            "status": "cached", "cached": True, "attempts": 0,
+            "content_hash": PIN_HASHES["hit"]},
+           {"kind": "submit", "index": 1, "key": PIN_KEYS["run"], "attempt": 1},
+           {"kind": "submit", "index": 2, "key": PIN_KEYS["bad"], "attempt": 1}]
+        + ([ok, error] if ok_first else [error, ok])
+        + [{"kind": "campaign_end", "executed": 2, "cached": 1, "failed": 2}]
+    )
+
+
+def _pinned_events(ok_first):
+    """``(status, index, completed)`` of each progress event."""
+    settled = ([("done", 1, 2), ("failed", 2, 3)] if ok_first
+               else [("failed", 2, 2), ("done", 1, 3)])
+    return ([("cached", 0, 1), ("running", 1, 1), ("running", 2, 1)]
+            + settled + [("done", 3, 4), ("done", 4, 5), ("failed", 5, 6)])
+
+
+PIN_COUNTERS = {
+    "campaign_backoff_seconds_total": 0.0,
+    "campaign_cache_corrupt_total": 0.0,
+    "campaign_cache_hits_total": 1.0,
+    "campaign_retries_total": 0.0,
+    "campaign_scenarios_total": 0.0,
+    "campaign_scenarios_total{status=cached}": 1.0,
+    "campaign_scenarios_total{status=error}": 1.0,
+    "campaign_scenarios_total{status=ok}": 1.0,
+    "campaign_watchdog_violations_total": 0.0,
+}
+
+
+@pytest.mark.parametrize("executor", ["serial", "parallel"])
+def test_campaign_records_are_pinned(tmp_path, executor):
+    """Journal records, progress events and counters of a report-mode
+    campaign over a cache hit, an executed scenario, a failing one and
+    repeats of each, then of a raise-mode rerun.  The pool may settle the
+    two executed scenarios in either order; nothing else may vary."""
+    import json
+
+    from repro.errors import CampaignError, ConfigError
+
+    def make():
+        return (SerialExecutor() if executor == "serial"
+                else ParallelExecutor(max_workers=2))
+
+    hit, plan = _pin_plan()
+    Campaign(cache=ResultCache(tmp_path / "cache")).run([hit])
+    events = []
+    res = Campaign(
+        executor=make(), cache=ResultCache(tmp_path / "cache"), run_id="pin",
+        journal_dir=tmp_path / "journals", on_failure="report",
+        progress=events.append,
+    ).run(plan)
+
+    records = []
+    for line in (tmp_path / "journals" / "pin.jsonl").read_text().splitlines():
+        record = json.loads(line)
+        for volatile in ("ts", "worker", "scenario"):
+            record.pop(volatile, None)
+        records.append(record)
+    ok_first = executor == "serial" or records[10]["status"] == "ok"
+    assert records == _pinned_journal(ok_first)
+    assert ([(e.status, e.index, e.completed) for e in events]
+            == _pinned_events(ok_first))
+    assert all(e.total == 6 for e in events)
+    assert res.campaign_metrics["counters"] == PIN_COUNTERS
+    assert [(f.index, f.kind, f.detail, f.attempts) for f in res.failures] == [
+        (2, "error", BAD_DETAIL, 1), (5, "error", BAD_DETAIL, 1)]
+    assert res.cache_hits == 1 and res.executed == 2
+    assert res.results[3] is res.results[1] and res.results[4] is res.results[0]
+
+    # A raise-mode rerun: "hit" and "run" are cached now, "bad" raises and
+    # leaves the counters as they stood at that point.
+    campaign = Campaign(executor=make(), cache=ResultCache(tmp_path / "cache"))
+    with pytest.raises(ConfigError if executor == "serial" else CampaignError,
+                       match="variant must be"):
+        campaign.run(plan)
+    raised = dict(PIN_COUNTERS)
+    del raised["campaign_scenarios_total{status=ok}"]
+    raised["campaign_cache_hits_total"] = 2.0
+    raised["campaign_scenarios_total{status=cached}"] = 2.0
+    assert campaign.metrics.snapshot()["counters"] == raised

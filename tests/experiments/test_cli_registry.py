@@ -49,8 +49,7 @@ EXPECTED_FLAGS = {
     },
     "campaign": STANDARD | CAMPAIGN | {
         "--placements", "--policies", "--run-id", "--resume", "--journal-dir",
-        "--list-runs", "--max-attempts", "--retry-base-delay", "--retry-factor",
-        "--retry-max-delay", "--watchdog", "--metrics", "--hashes",
+        "--list-runs", "--max-attempts", "--watchdog", "--metrics", "--hashes",
     },
     "ablate": STANDARD | CAMPAIGN | {"--quick", "--components", "--seeds", "--csv"},
     "codesign": STANDARD | CAMPAIGN | {
@@ -237,6 +236,11 @@ def test_plan_builds_the_scenarios_the_command_submits(submitted, argv, plan_arg
       "least-contended"], "axis 'placement_policy' repeats a value"),
     (["ablate", "--quick", "--components", "bands", "bands"], "duplicate axis names"),
     (["ablate", "--quick", "--seeds", "7", "7"], "--seeds needs >= 2 seeds"),
+    # numpy seeds only from non-negative integers
+    (["run", "--jobs", "2", "--workers", "2", "--iterations", "1", "--seed", "-1"],
+     "seed must be >= 0"),
+    (["fig1", "--seed", "-1"], "seed must be >= 0"),
+    (["ablate", "--quick", "--seeds", "-1", "0"], "seed must be >= 0"),
 ])
 def test_bad_flag_values_are_usage_errors(monkeypatch, tmp_path, capsys, argv, message):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

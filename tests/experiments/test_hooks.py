@@ -68,10 +68,11 @@ def test_hooked_scenario_dict_round_trip():
     assert back.key() == scn.key()
 
 
-def test_controller_hook_conflicts_with_explicit_factory():
-    scn = Scenario(config=TINY).with_hook("tl_controller", variant="static")
+def test_two_controller_hooks_conflict():
+    scn = (Scenario(config=TINY).with_hook("tl_controller", variant="static")
+           .with_hook("tl_controller", variant="adaptive"))
     with pytest.raises(ConfigError, match="already set"):
-        materialize(scn, controller_factory=lambda cluster, config: None)
+        materialize(scn)
 
 
 # -- hook behavior ------------------------------------------------------------

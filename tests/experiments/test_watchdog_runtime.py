@@ -17,14 +17,27 @@ from repro.experiments.runtime import (
     execute_scenario,
     materialize,
 )
+from repro.net.packet import Segment
 
 MICRO = ExperimentConfig.tiny(n_jobs=2, n_workers=2, iterations=3)
 
 
 def _leak_one_segment(cluster):
-    """Seed a byte leak: h00's transport swallows one received segment
-    without recording a drop, leaving a stuck partial receive state."""
-    cluster.host("h00").transport.chaos_leak_segments = 1
+    """Seed a byte leak: h00's transport opens the receive state of its
+    first arriving segment but never counts that segment's bytes, so the
+    message stays a stuck partial receive."""
+    nic = cluster.host("h00").nic
+    receive = nic.on_receive
+    leaked = False
+
+    def leak_first(seg):
+        nonlocal leaked
+        if not leaked:
+            leaked = True
+            seg = Segment(seg.message, seg.index, 0, seg.is_last)
+        receive(seg)
+
+    nic.on_receive = leak_first
 
 
 @pytest.mark.parametrize("policy", [Policy.FIFO, Policy.TLS_ONE])

@@ -31,7 +31,7 @@ from repro.experiments.runtime import materialize
 from repro.faults import FaultPlan, HostCrash, PSCrash, RecoverySpec
 from repro.net.addressing import FlowKey
 from repro.net.link import Link
-from repro.net.packet import Message
+from repro.net.packet import Message, Segment
 from repro.sim import Simulator
 from repro.telemetry.scrape import scrape_cluster
 
@@ -55,7 +55,21 @@ def _scenario(scenario, watchdog=None, on_cluster=None):
 
 
 def _leak_one_segment(cluster):
-    cluster.host("h00").transport.chaos_leak_segments = 1
+    """Seed a byte leak: h00's transport opens the receive state of its
+    first arriving segment but never counts that segment's bytes, so the
+    message stays a stuck partial receive."""
+    nic = cluster.host("h00").nic
+    receive = nic.on_receive
+    leaked = False
+
+    def leak_first(seg):
+        nonlocal leaked
+        if not leaked:
+            leaked = True
+            seg = Segment(seg.message, seg.index, 0, seg.is_last)
+        receive(seg)
+
+    nic.on_receive = leak_first
 
 
 def _leaked_run(metrics):
