@@ -104,6 +104,12 @@ class ExperimentResult:
     #: the serialized schema and the content hash, so enabling the
     #: watchdog cannot change what a result *is*.
     watchdog_violations: List[Dict[str, Any]] = field(default_factory=list)
+    #: the result content hash as the result cache stored it: stamped by
+    #: ``ResultCache.put`` and read back by ``ResultCache.get``, so a
+    #: journaled campaign records it without re-hashing; ``None`` for a
+    #: result that has not been through the cache.  Bookkeeping, not a
+    #: measurement: excluded from comparisons and from the hash itself.
+    content_hash: Optional[str] = field(default=None, compare=False, repr=False)
 
     @property
     def avg_jct(self) -> float:

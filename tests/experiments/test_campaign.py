@@ -1,5 +1,7 @@
 """Tests for the Campaign layer: executors, cache, progress, determinism."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -114,25 +116,34 @@ def test_parallel_executor_rejects_bad_worker_count():
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Count result content hashes and ``Scenario.to_dict`` calls (the
-    latter per scenario object) made while a campaign runs."""
+    """Count result content hashes, builds of the hash layout
+    (``export._hashed_dict``, which every hash and every cache put
+    makes) and ``Scenario.to_dict`` calls (per scenario object) made
+    while a campaign runs."""
     from collections import Counter
 
     from repro.experiments import campaign as campaign_mod
+    from repro.experiments import export as export_mod
 
-    counts = {"hash": 0, "to_dict": Counter()}
+    counts = {"hash": 0, "hashed_dict": 0, "to_dict": Counter()}
     content_hash = campaign_mod.result_content_hash
+    hashed_dict = export_mod._hashed_dict
     to_dict = Scenario.to_dict
 
     def counting_hash(result):
         counts["hash"] += 1
         return content_hash(result)
 
+    def counting_hashed_dict(result):
+        counts["hashed_dict"] += 1
+        return hashed_dict(result)
+
     def counting_to_dict(self):
         counts["to_dict"][id(self)] += 1
         return to_dict(self)
 
     monkeypatch.setattr(campaign_mod, "result_content_hash", counting_hash)
+    monkeypatch.setattr(export_mod, "_hashed_dict", counting_hashed_dict)
     monkeypatch.setattr(Scenario, "to_dict", counting_to_dict)
     return counts
 
@@ -141,30 +152,50 @@ def test_unjournaled_runs_hash_no_results(tmp_path, calls):
     cold = Campaign(cache=ResultCache(tmp_path)).run(_scenarios())
     assert cold.executed == 2
     assert calls["hash"] == 0
+    assert calls["hashed_dict"] == 2  # one per put
 
     calls["to_dict"].clear()
     fresh = _scenarios()  # as a new process builds them: no key memo yet
     warm = Campaign(cache=ResultCache(tmp_path)).run(fresh + fresh[:1])
     assert warm.cache_hits == 2
-    assert calls["hash"] == 0
+    assert calls["hash"] == 0 and calls["hashed_dict"] == 2
     assert sorted(calls["to_dict"].values()) == [1, 1]
 
 
-def test_journaled_warm_run_hashes_each_hit_once(tmp_path, calls):
+def test_journaled_runs_read_stored_hashes(tmp_path, calls):
+    """A journaled cold run builds the hash layout once per executed
+    scenario, at its cache put; a journaled warm run and a resume of the
+    finished run journal the hashes their entries store and build it
+    not at all.  Every outcome record carries the cold result's hash."""
     from repro.experiments.export import result_content_hash
     from repro.experiments.journal import CampaignJournal
 
     scenarios = _scenarios()
-    Campaign(cache=ResultCache(tmp_path / "cache")).run(scenarios)
-    warm = Campaign(cache=ResultCache(tmp_path / "cache"), run_id="warm",
-                    journal_dir=tmp_path / "journals").run(scenarios)
-    assert warm.cache_hits == len(scenarios)
-    assert calls["hash"] == len(scenarios)
-    outcomes = CampaignJournal.open("warm", tmp_path / "journals").state().outcomes
-    for scenario, result in warm.pairs():
-        record = outcomes[scenario.key()]
-        assert record["status"] == "cached"
-        assert record["content_hash"] == result_content_hash(result)
+    cache, journals = tmp_path / "cache", tmp_path / "journals"
+    cold = Campaign(cache=ResultCache(cache), run_id="cold",
+                    journal_dir=journals).run(scenarios)
+    assert cold.executed == len(scenarios)
+    assert (calls["hash"], calls["hashed_dict"]) == (0, len(scenarios))
+
+    warm = Campaign(cache=ResultCache(cache), run_id="warm",
+                    journal_dir=journals).run(scenarios)
+    resumed = Campaign(cache=ResultCache(cache), resume="cold",
+                       journal_dir=journals).run()
+    assert warm.cache_hits == resumed.cache_hits == len(scenarios)
+    assert (calls["hash"], calls["hashed_dict"]) == (0, len(scenarios))
+
+    expected = {s.key(): result_content_hash(r) for s, r in cold.pairs()}
+    statuses = []
+    for run_id in ("cold", "warm"):
+        path = CampaignJournal.open(run_id, journals).path
+        for line in path.read_text().splitlines():
+            record = json.loads(line)
+            if record["kind"] == "outcome":
+                assert record["content_hash"] == expected[record["key"]]
+                statuses.append(record["status"])
+    # the cold journal holds the cold outcomes, then the resumed ones
+    n = len(scenarios)
+    assert statuses == ["ok"] * n + ["cached"] * (2 * n)
 
 
 # -- what a campaign records, pinned ----------------------------------------
@@ -242,8 +273,6 @@ def test_campaign_records_are_pinned(tmp_path, executor):
     campaign over a cache hit, an executed scenario, a failing one and
     repeats of each, then of a raise-mode rerun.  The pool may settle the
     two executed scenarios in either order; nothing else may vary."""
-    import json
-
     from repro.errors import CampaignError, ConfigError
 
     def make():

@@ -2,6 +2,8 @@
 
 import base64
 import json
+import re
+import struct
 import threading
 import time
 
@@ -15,7 +17,7 @@ from repro.experiments import (
     ResultCache,
     Scenario,
 )
-from repro.experiments.campaign import CHAOS_KILL_ENV, RunRequest
+from repro.experiments.campaign import CHAOS_KILL_ENV, RunRequest, _seal
 from repro.experiments.export import FULL_SCHEMA_VERSION, result_content_hash
 from repro.experiments.runtime import execute_scenario
 from repro.faults import FaultPlan, PSCrash
@@ -222,20 +224,102 @@ def test_stale_schema_entry_is_plain_miss_and_overwritten(tmp_path):
     assert Campaign(cache=cache).run([scenario]).cache_hits == 1
 
 
+def _schema3_entry(scenario, result):
+    """An entry as the previous build wrote it: full-result schema 3,
+    one base64 block per barrier-wait list and per series axis, and no
+    checksum."""
+    def pack(values):
+        return base64.b64encode(struct.pack(f"<{len(values)}d", *values)).decode()
+
+    data = hash_oracle.result_to_full_dict(result)
+    data["full_schema_version"] = 3
+    for m in data["metrics"].values():
+        waits = m["barrier_waits"]
+        m["barrier_waits"] = {
+            "iterations": [int(i) for i in waits],
+            "counts": [len(w) for w in waits.values()],
+            "samples": pack([x for w in waits.values() for x in w]),
+        }
+    for host in data["samplers"].values():
+        for kind, series in host.items():
+            host[kind] = {axis: pack(v) for axis, v in series.items()}
+    data["wall_seconds"] = result.wall_seconds
+    data["tc_reconfigurations"] = result.tc_reconfigurations
+    return json.dumps({"scenario": scenario.to_dict(), "result": data})
+
+
+def test_schema3_entry_is_plain_miss_and_overwritten(tmp_path):
+    """The layout the previous build wrote is not ours: a plain miss,
+    not corruption, overwritten in place by the re-run's put."""
+    scenario = Scenario(config=MICRO.replace(sample_hosts=True, sample_interval=0.05))
+    result = execute_scenario(scenario)
+    cache = ResultCache(tmp_path)
+    entry = cache.put(scenario, result)
+    entry.write_text(_schema3_entry(scenario, result))
+
+    rerun = Campaign(cache=cache).run([scenario])
+    assert rerun.cache_hits == 0 and rerun.executed == 1
+    assert rerun.campaign_metrics["counters"]["campaign_cache_corrupt_total"] == 0
+    assert list(tmp_path.glob("*.corrupt")) == []
+    assert json.loads(entry.read_text())["result"]["full_schema_version"] == 4
+    hit = ResultCache(tmp_path).get(scenario)
+    assert result_content_hash(hit) == result_content_hash(result)
+
+
+def _in_header(raw):
+    """The last digit of the event count: still JSON, another number."""
+    digit = re.search(rb'"sim_events": ?[0-9]*([0-9])[,}]', raw).start(1)
+    return raw[:digit] + b"%d" % ((raw[digit] - ord("0") + 1) % 10) + raw[digit + 1:]
+
+
+def _in_block(raw):
+    """One character of the first packed sample block: still base64."""
+    at = re.search(rb'"samples": ?"', raw).end() + 5
+    return raw[:at] + (b"A" if raw[at] != ord("A") else b"B") + raw[at + 1:]
+
+
+def _in_checksum(raw):
+    at = raw.rindex(b'"crc32":"') + len(b'"crc32":"')
+    return raw[:at] + (b"0" if raw[at] != ord("0") else b"1") + raw[at + 1:]
+
+
+def _truncated(raw):
+    return raw[:len(raw) // 2]
+
+
+@pytest.mark.parametrize("damage", [_in_header, _in_block, _in_checksum, _truncated])
+def test_damaged_entry_is_quarantined_and_rerun(tmp_path, damage):
+    """One changed byte anywhere in an entry, or a torn one, is never
+    served: the entry fails its checksum, is quarantined and counted,
+    and the scenario re-runs to its original content hash."""
+    scenario = Scenario(config=MICRO.replace(sample_hosts=True, sample_interval=0.05))
+    cache = ResultCache(tmp_path)
+    first = Campaign(cache=cache).run([scenario])
+    entry = next(tmp_path.glob("*.json"))
+    raw = entry.read_bytes()
+    damaged = damage(raw)
+    assert damaged != raw
+    entry.write_bytes(damaged)
+
+    rerun = Campaign(cache=cache).run([scenario])
+    assert rerun.cache_hits == 0 and rerun.executed == 1
+    assert rerun.campaign_metrics["counters"]["campaign_cache_corrupt_total"] == 1
+    assert [p.read_bytes() for p in tmp_path.glob("*.json.corrupt")] == [damaged]
+    assert result_content_hash(rerun.results[0]) == result_content_hash(first.results[0])
+
+
 def _waits_block(payload):
     return payload["metrics"]["job00"]["barrier_waits"]
 
 
 def _bad_base64(payload):
     # Non-alphabet characters a lenient decoder would silently skip.
-    block = _waits_block(payload)
-    block["samples"] = block["samples"][:4] + "!*" + block["samples"][4:]
+    payload["samples"] = payload["samples"][:4] + "!*" + payload["samples"][4:]
 
 
 def _not_float64s(payload):
-    block = _waits_block(payload)
-    block["samples"] = base64.b64encode(
-        base64.b64decode(block["samples"]) + b"\0").decode()
+    payload["samples"] = base64.b64encode(
+        base64.b64decode(payload["samples"]) + b"\0").decode()
 
 
 def _count_mismatch(payload):
@@ -249,30 +333,30 @@ def _negative_count(payload):
     counts[1] = -1
 
 
-def _series_bad_base64(payload):
-    next(iter(payload["samplers"].values()))["cpu"]["times"] = "not base64!"
+def _series_bad_count(payload):
+    next(iter(payload["samplers"].values()))["cpu"]["times"] = "not a count"
 
 
 def _series_unequal(payload):
-    series = next(iter(payload["samplers"].values()))["cpu"]
-    series["values"] = base64.b64encode(
-        base64.b64decode(series["values"])[:-8]).decode()
+    next(iter(payload["samplers"].values()))["cpu"]["values"] -= 1
 
 
 @pytest.mark.parametrize("corrupt", [
     _bad_base64, _not_float64s, _count_mismatch, _negative_count,
-    _series_bad_base64, _series_unequal,
+    _series_bad_count, _series_unequal,
 ])
 def test_corrupt_packed_block_is_quarantined_miss(tmp_path, corrupt):
     """A packed sample block that does not decode never escapes
-    ``Campaign.run``: the entry is quarantined and the scenario re-runs."""
+    ``Campaign.run``, even under a matching checksum: the entry is
+    quarantined and the scenario re-runs."""
     scenario = Scenario(config=MICRO.replace(sample_hosts=True, sample_interval=0.05))
     cache = ResultCache(tmp_path)
     first = Campaign(cache=cache).run([scenario])
     entry = next(tmp_path.glob("*.json"))
-    data = json.loads(entry.read_text())
+    data = json.loads(entry.read_bytes())
+    del data["crc32"]
     corrupt(data["result"])
-    entry.write_text(json.dumps(data))
+    entry.write_text(_seal(data))
 
     rerun = Campaign(cache=cache).run([scenario])
     assert rerun.cache_hits == 0 and rerun.executed == 1
