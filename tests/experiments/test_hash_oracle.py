@@ -53,7 +53,8 @@ def test_hash_equals_frozen_oracle(result):
 
 
 def test_cache_round_trip_keeps_the_hash(result):
-    back = result_from_full_dict(json.loads(json.dumps(result_to_full_dict(result))))
+    back = result_from_full_dict(json.loads(json.dumps(result_to_full_dict(result))),
+                                 result.config)
     assert result_content_hash(back) == hash_oracle.result_content_hash(result)
     assert back.wall_seconds == result.wall_seconds
     assert back.tc_reconfigurations == result.tc_reconfigurations
