@@ -15,11 +15,12 @@ Runnable directly — CI does::
         --baseline BENCH_simulator.json --max-regression 0.05
 
 which re-measures the same end-to-end scenarios as
-``bench_simulator_speed`` with the watchdog off (the default code path),
-fails if any is more than ``--max-regression`` below the checked-in
-events/sec baseline or if warn mode costs more than ``--max-overhead``,
-and writes ``BENCH_watchdog.json`` with off and warn numbers plus the
-warn-mode overhead percentage.
+``bench_simulator_speed`` in interleaved (watchdog off, warn) pairs,
+fails if any scenario's median off run is more than ``--max-regression``
+below the checked-in events/sec baseline or if the median of its
+per-pair warn-mode overheads exceeds ``--max-overhead``, and writes
+``BENCH_watchdog.json`` with off and warn medians plus that overhead
+percentage.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import statistics
 import sys
 import time
 
@@ -40,57 +42,68 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from bench_simulator_speed import _bench_scenarios, check_regression  # noqa: E402
 
 
-def measure(config: ExperimentConfig, repeats: int, watchdog: str | None) -> dict:
-    """Best-of-``repeats`` events/sec with the watchdog off or in a mode."""
-    best_rate = 0.0
-    best_dt = 0.0
-    events = 0
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        res = materialize(Scenario(config=config), watchdog=watchdog).run()
-        dt = time.perf_counter() - t0
-        events = res.sim_events
-        rate = events / dt
-        if rate > best_rate:
-            best_rate, best_dt = rate, dt
+def _run_seconds(config: ExperimentConfig, watchdog: str | None) -> tuple[float, int]:
+    """Wall seconds and event count of one run."""
+    t0 = time.perf_counter()
+    res = materialize(Scenario(config=config), watchdog=watchdog).run()
+    return time.perf_counter() - t0, res.sim_events
+
+
+def _mode(seconds: list[float], events: int) -> dict:
+    median = statistics.median(seconds)
     return {
         "sim_events": events,
-        "best_seconds": round(best_dt, 4),
-        "events_per_sec": round(best_rate),
+        "median_seconds": round(median, 4),
+        "events_per_sec": round(events / median),
+    }
+
+
+def measure_pairs(config: ExperimentConfig, pairs: int) -> dict:
+    """``pairs`` interleaved (off, warn) runs of one scenario.
+
+    Each pair runs back to back, so a host that slows down or speeds up
+    between pairs moves both of its runs; the warn-mode overhead is the
+    median of the per-pair overheads, and each mode reports its median
+    run.
+    """
+    off, warn, overheads = [], [], []
+    for _ in range(pairs):
+        off_s, events = _run_seconds(config, None)
+        warn_s, _ = _run_seconds(config, "warn")
+        off.append(off_s)
+        warn.append(warn_s)
+        overheads.append(1.0 - off_s / warn_s)
+    return {
+        "off": _mode(off, events),
+        "warn": _mode(warn, events),
+        "warn_overhead_pct": round(100.0 * statistics.median(overheads), 1),
     }
 
 
 def run_overhead_suite(quick: bool = False) -> dict:
-    """Measure all scenarios with the watchdog off and in warn mode.
+    """Measure all scenarios in interleaved watchdog off/warn pairs.
 
-    ``quick`` cuts repeats only — iterations stay at the baseline's 10
-    for the same reason as ``bench_metrics_overhead``: shorter runs
-    amortize less setup per event and would read as a phantom
-    regression against the full-mode ``BENCH_simulator.json``.
+    ``quick`` cuts pairs only (3 instead of 5) — iterations stay at the
+    baseline's 10 for the same reason as ``bench_metrics_overhead``:
+    shorter runs amortize less setup per event and would read as a
+    phantom regression against the full-mode ``BENCH_simulator.json``.
     """
     iterations = 10
-    repeats = 1 if quick else 3
+    pairs = 3 if quick else 5
     report: dict = {
         "benchmark": "watchdog_overhead",
         "mode": "quick" if quick else "full",
         "iterations": iterations,
-        "best_of": repeats,
+        "pairs": pairs,
         "scenarios": {},
     }
     for name, cfg in _bench_scenarios(iterations).items():
-        off = measure(cfg, repeats, watchdog=None)
-        warn = measure(cfg, repeats, watchdog="warn")
-        overhead = 1.0 - warn["events_per_sec"] / off["events_per_sec"]
-        report["scenarios"][name] = {
-            "off": off,
-            "warn": warn,
-            "warn_overhead_pct": round(100.0 * overhead, 1),
-        }
+        report["scenarios"][name] = measure_pairs(cfg, pairs)
     return report
 
 
 def off_view(report: dict) -> dict:
-    """The watchdog-off numbers in ``BENCH_simulator.json`` shape, so
+    """The watchdog-off medians in ``BENCH_simulator.json`` shape, so
     :func:`bench_simulator_speed.check_regression` applies directly."""
     return {
         "scenarios": {
@@ -100,7 +113,8 @@ def off_view(report: dict) -> dict:
 
 
 def warn_overhead_failures(report: dict, max_overhead: float) -> list[str]:
-    """Scenarios whose warn-mode overhead exceeds ``max_overhead``."""
+    """Scenarios whose median per-pair warn-mode overhead exceeds
+    ``max_overhead``."""
     failures = []
     for name, entry in report["scenarios"].items():
         pct = entry["warn_overhead_pct"]
@@ -117,7 +131,7 @@ def main(argv: list[str] | None = None) -> int:
         description="Measure watchdog overhead and write BENCH_watchdog.json"
     )
     parser.add_argument("--quick", action="store_true",
-                        help="CI smoke mode: fewer repeats")
+                        help="CI smoke mode: 3 off/warn pairs instead of 5")
     parser.add_argument("--output", default="BENCH_watchdog.json",
                         help="report path (default: %(default)s)")
     parser.add_argument("--baseline", default=None,

@@ -25,11 +25,9 @@ Example::
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
-import zlib
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -48,10 +46,11 @@ from typing import (
 
 from repro.errors import CampaignError, ConfigError
 from repro.experiments.export import (
-    FULL_SCHEMA_VERSION,
     result_content_hash,
     result_from_full_dict,
     result_to_full_dict,
+    seal_entry,
+    unseal_entry,
 )
 from repro.experiments.journal import (
     JOURNAL_SCHEMA,
@@ -60,7 +59,7 @@ from repro.experiments.journal import (
 )
 from repro.experiments.runtime import ExperimentResult, execute_scenario
 from repro.experiments.scenario import Scenario
-from repro.fileio import atomic_write_text
+from repro.fileio import atomic_write_bytes
 from repro.telemetry.metrics import MetricsRegistry
 
 #: Environment variable overriding the default cache directory.
@@ -98,48 +97,6 @@ def _backoff(attempt: int) -> float:
     return min(BACKOFF_MAX_S, BACKOFF_BASE_S * BACKOFF_FACTOR ** (attempt - 1))
 
 
-#: Every cache entry ends in this member and then ``%08x"}``: the CRC-32
-#: of all the bytes before it.
-_CRC_MEMBER = b',"crc32":"'
-_CRC_TAIL_LEN = len(_CRC_MEMBER) + 8 + 2
-
-
-def _crc_tail(body: bytes) -> bytes:
-    return b'%s%08x"}' % (_CRC_MEMBER, zlib.crc32(body))
-
-
-def _seal(document: Dict[str, Any]) -> str:
-    """``document`` as compact (ASCII) JSON closed by the CRC-32 of its
-    bytes: still one JSON object, its last member ``"crc32"``."""
-    body = json.dumps(document, separators=(",", ":")).encode("ascii")[:-1]
-    return (body + _crc_tail(body)).decode("ascii")
-
-
-def _unseal(raw: bytes) -> Optional[Dict[str, Any]]:
-    """The stored result payload of one entry's bytes.
-
-    ``None`` for an entry of another schema.  The checksum is verified
-    before anything is decoded; an entry it does not match raises
-    ``ValueError``, unless it is an unsealed entry of an older schema
-    (before 4, entries carried no checksum).  Malformed JSON, or JSON
-    of the wrong shape, raises ``ValueError``, ``KeyError`` or
-    ``TypeError``.
-    """
-    if raw[-_CRC_TAIL_LEN:] == _crc_tail(raw[:-_CRC_TAIL_LEN]):
-        payload = json.loads(raw)["result"]
-        if not isinstance(payload, dict):
-            raise TypeError("cache entry result is not an object")
-        if payload.get("full_schema_version") != FULL_SCHEMA_VERSION:
-            return None
-        return payload
-    document = json.loads(raw)
-    version = document["result"]["full_schema_version"]
-    if ("crc32" in document or not isinstance(version, int)
-            or version == FULL_SCHEMA_VERSION):
-        raise ValueError("cache entry does not match its checksum")
-    return None
-
-
 class ResultCache:
     """Content-addressed on-disk cache of experiment results.
 
@@ -148,13 +105,12 @@ class ResultCache:
     simulates what changed.  Invalidate by deleting files or bumping
     ``SCENARIO_SCHEMA`` (which changes every key).
 
-    An entry is one compact JSON object: ``"result"`` holds the result
-    in full-result schema 4 (:func:`result_to_full_dict`: its content
-    hash, its integer and string fields, and one packed float64 block of
-    every float measurement; no config, since the key names it), and the
-    last member, ``"crc32"``, is the CRC-32 of every byte before it.
-    :meth:`get` checks that checksum before it decodes anything, so a
-    changed byte anywhere is caught rather than served.
+    An entry holds one result in full-result schema 5
+    (:func:`result_to_full_dict`, framed by :func:`seal_entry`: a JSON
+    header line, an int64 and a float64 block, and the CRC-32 of every
+    byte before it; no config, since the key names it).  :meth:`get`
+    checks that checksum before it parses anything, so a changed byte
+    anywhere is caught rather than served.
 
     Writes are atomic and race-free: each writer stages into its own
     uniquely-named temp file, then ``os.replace``s it over the entry.
@@ -185,12 +141,12 @@ class ResultCache:
 
         Unreadable or stale-schema entries count as misses, never as
         errors.  A stale-schema entry (one another build wrote with a
-        different ``full_schema_version``) stays in place for the re-run's
-        :meth:`put` to overwrite.  A file that *exists* but fails its
-        checksum or will not parse — truncated by a crash mid-write
-        outside our atomic protocol, bit-rotted, JSON whose ``"result"``
-        is not an object, or a packed sample block that does not match
-        its counts — is additionally quarantined (renamed with a
+        different ``full_schema_version``, such as the JSON documents of
+        schemas 2-4) stays in place for the re-run's :meth:`put` to
+        overwrite.  A file that *exists* but fails its checksum or will
+        not parse — truncated by a crash mid-write outside our atomic
+        protocol, bit-rotted, or a packed block that does not match its
+        counts — is additionally quarantined (renamed with a
         ``.corrupt`` suffix) so it stops shadowing the slot and the
         scenario re-runs cleanly.
         """
@@ -200,10 +156,10 @@ class ResultCache:
         except OSError:
             return None
         try:
-            payload = _unseal(raw)
-            if payload is None:
+            data = unseal_entry(raw)
+            if data is None:
                 return None
-            return result_from_full_dict(payload, scenario.config)
+            return result_from_full_dict(data, scenario.config)
         except (ValueError, KeyError, TypeError, ConfigError):
             self._quarantine(entry)
             return None
@@ -227,9 +183,9 @@ class ResultCache:
         """
         self.path.mkdir(parents=True, exist_ok=True)
         entry = self._entry(scenario)
-        payload = result_to_full_dict(result)
-        atomic_write_text(entry, _seal({"result": payload}))
-        result.content_hash = payload["content_hash"]
+        data = result_to_full_dict(result)
+        atomic_write_bytes(entry, seal_entry(data))
+        result.content_hash = data["content_hash"]
         return entry
 
     def __len__(self) -> int:
@@ -892,20 +848,24 @@ class Campaign:
         corrupt_before = self.cache.corrupt if self.cache is not None else 0
         corrupt = 0
         try:
-            # Write-ahead: the generation's full plan, before anything runs.
+            # Write-ahead: the generation's full plan, before anything
+            # runs, as one durable batch.
             if journal is not None:
+                plan = [
+                    {
+                        "kind": "scenario", "index": index, "key": keys[index],
+                        "label": scenario.label,
+                        "scenario": scenario.to_dict(),
+                    }
+                    for index, scenario in enumerate(scenario_list)
+                ]
                 if self.resume is None:
-                    journal.append({
+                    plan.insert(0, {
                         "kind": "campaign_start", "schema": JOURNAL_SCHEMA,
                         "run_id": journal.run_id, "total": total,
                         "ts": time.time(),
                     })
-                for index, scenario in enumerate(scenario_list):
-                    journal.append({
-                        "kind": "scenario", "index": index, "key": keys[index],
-                        "label": scenario.label,
-                        "scenario": scenario.to_dict(),
-                    })
+                journal.append(*plan)
 
             # Serve cache hits; set repeated keys aside.
             to_run: List[Tuple[int, Scenario]] = []
@@ -927,12 +887,14 @@ class Campaign:
             cache_hits = completed
 
             # Execute the misses through the pluggable executor.
-            if journal is not None:
-                for index, _ in to_run:
-                    journal.append({
+            if journal is not None and to_run:
+                journal.append(*(
+                    {
                         "kind": "submit", "index": index, "key": keys[index],
                         "attempt": prior_attempts.get(keys[index], 0) + 1,
-                    })
+                    }
+                    for index, _ in to_run
+                ))
             request = RunRequest(
                 timeout=self.scenario_timeout, metrics=self.observe_metrics,
                 watchdog=self.watchdog, max_attempts=self.max_attempts,

@@ -5,15 +5,18 @@ directory (``<cache>/journals/<run-id>.jsonl``).  The campaign writes a
 record *before and after* everything observable — the scenario plan
 (full ``Scenario.to_dict()``, so a resume needs no re-specified grid),
 each submission, each settled outcome with its attempt count and content
-hash — and every append is flushed and ``fsync``'d before the campaign
-proceeds, so a SIGKILL at any instant loses at most the record being
-written, never corrupts one already on disk.
+hash.  The start record and the plan are one append, a generation's
+submissions another, and each outcome its own; every append is flushed
+and ``fsync``'d before the campaign proceeds, so a SIGKILL at any
+instant loses at most (part of) the append being written, never
+corrupts one already on disk.
 
 :meth:`CampaignJournal.replay` rebuilds the run state from the file and
 is deliberately forgiving at the tail: a truncated final line (the
 mid-write kill) is ignored, because by the write protocol anything it
 described had not happened yet.  Corruption *before* the tail is a real
-consistency error and raises :class:`~repro.errors.JournalError`.
+consistency error and raises :class:`~repro.errors.JournalError`, and
+:meth:`CampaignJournal.state` refuses a plan that a kill cut short.
 
 Record kinds (each a single JSON object per line):
 
@@ -133,17 +136,20 @@ class CampaignJournal:
 
     # -- writing -------------------------------------------------------------
 
-    def append(self, record: Dict[str, Any]) -> None:
-        """Durably append one record: single write + flush + fsync.
+    def append(self, *records: Dict[str, Any]) -> None:
+        """Durably append records: one write + flush + fsync for all.
 
-        The record is written as one line; ``os.fsync`` makes it stable
+        Each record is one line; ``os.fsync`` makes the batch stable
         before the caller proceeds, so the journal can never claim an
-        outcome that the kernel might still lose.
+        outcome that the kernel might still lose.  A kill mid-batch
+        leaves a prefix of it whose last line may be torn.
         """
         if self._fh is None:
             self._fh = open(self.path, "a", encoding="utf-8")
-        line = json.dumps(record, sort_keys=True, separators=(",", ":"))
-        self._fh.write(line + "\n")
+        self._fh.write("".join(
+            json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+            for record in records
+        ))
         self._fh.flush()
         os.fsync(self._fh.fileno())
 
@@ -229,12 +235,25 @@ class CampaignJournal:
         # kinds are forward compatibility: newer writers, older readers)
 
     def state(self) -> JournalState:
-        """Shorthand: strict :meth:`replay` with hole validation."""
+        """Strict :meth:`replay` of a journal whose plan is whole.
+
+        Raises :class:`JournalError` when no ``campaign_start`` record
+        survived, or when the plan lost scenario records (a hole, or a
+        plan shorter than ``campaign_start``'s total: the run was killed
+        while writing it).
+        """
         state = self.replay(strict=True)
+        if not state.generations:
+            raise JournalError(f"journal {self.path} has no campaign_start record")
         missing = [i for i, s in enumerate(state.scenarios) if s is None]
         if missing:
             raise JournalError(
                 f"journal {self.path} lost scenario records {missing}"
+            )
+        if len(state.scenarios) < state.total:
+            raise JournalError(
+                f"journal {self.path} lost scenario records "
+                f"{len(state.scenarios)}-{state.total - 1}: its plan was cut short"
             )
         return state
 

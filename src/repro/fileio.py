@@ -9,8 +9,8 @@ from pathlib import Path
 _staging = itertools.count()
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` so a reader only ever sees a whole file.
+def atomic_write_bytes(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` so a reader only ever sees a whole file.
 
     Each writer stages into its own temp file beside ``path`` (the pid
     tells processes apart, the counter threads and re-entries within
@@ -19,5 +19,5 @@ def atomic_write_text(path: Path, text: str) -> None:
     staging file away.
     """
     tmp = path.with_name(f"{path.stem}.{os.getpid()}.{next(_staging)}.tmp")
-    tmp.write_text(text)
+    tmp.write_bytes(data)
     os.replace(tmp, path)

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Dict, Optional, TYPE_CHECKING
 
 from repro.errors import ConfigError
-from repro.fileio import atomic_write_text
+from repro.fileio import atomic_write_bytes
 from repro.placement.fingerprint import (
     JobFingerprint,
     fingerprint_from_dict,
@@ -89,9 +89,9 @@ class FingerprintStore:
         """Cache ``fingerprint`` under its own shape key (both tiers)."""
         self._memory[fingerprint.shape_key] = fingerprint
         if self._directory is not None:
-            atomic_write_text(
+            atomic_write_bytes(
                 self._path(fingerprint.shape_key),
-                json.dumps(fingerprint.to_dict(), sort_keys=True),
+                json.dumps(fingerprint.to_dict(), sort_keys=True).encode(),
             )
 
     def clear(self) -> None:

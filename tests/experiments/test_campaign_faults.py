@@ -3,9 +3,12 @@
 import base64
 import json
 import re
+import shutil
 import struct
 import threading
 import time
+from array import array
+from pathlib import Path
 
 import pytest
 
@@ -17,13 +20,22 @@ from repro.experiments import (
     ResultCache,
     Scenario,
 )
-from repro.experiments.campaign import CHAOS_KILL_ENV, RunRequest, _seal
-from repro.experiments.export import FULL_SCHEMA_VERSION, result_content_hash
+from repro.experiments.campaign import CHAOS_KILL_ENV, RunRequest
+from repro.experiments.export import (
+    FULL_SCHEMA_VERSION,
+    result_content_hash,
+    seal_entry,
+    unseal_entry,
+)
 from repro.experiments.runtime import execute_scenario
 from repro.faults import FaultPlan, PSCrash
 from tests.experiments import hash_oracle
 
 MICRO = ExperimentConfig.tiny(n_jobs=2, n_workers=2, iterations=3)
+
+#: ``ResultCache.put`` of ``Scenario(ExperimentConfig.tiny())`` by release
+#: 1.10.0: a full-result schema-4 JSON document.
+SCHEMA4_TINY = Path(__file__).parent / "fixtures" / "schema4-tiny.json"
 
 #: Big enough that the simulation cannot finish inside any timeout used
 #: below; the wall-clock guard must cut it short.
@@ -174,7 +186,7 @@ def test_cache_truncated_entry_counts_as_miss_and_quarantine(tmp_path):
     cache = ResultCache(tmp_path)
     Campaign(cache=cache).run([scenario])
     entry = next(tmp_path.glob("*.json"))
-    entry.write_text(entry.read_text()[:40])   # torn mid-file
+    entry.write_bytes(entry.read_bytes()[:40])   # torn mid-file
     assert cache.get(scenario) is None
     assert cache.corrupt == 1
     assert len(cache) == 0                     # .corrupt leaves the namespace
@@ -219,8 +231,7 @@ def test_stale_schema_entry_is_plain_miss_and_overwritten(tmp_path):
     assert rerun.cache_hits == 0 and rerun.executed == 1
     assert rerun.campaign_metrics["counters"]["campaign_cache_corrupt_total"] == 0
     assert cache.corrupt == 0 and list(tmp_path.glob("*.corrupt")) == []
-    stored = json.loads(entry.read_text())["result"]
-    assert stored["full_schema_version"] == FULL_SCHEMA_VERSION
+    assert unseal_entry(entry.read_bytes())["full_schema_version"] == FULL_SCHEMA_VERSION
     assert Campaign(cache=cache).run([scenario]).cache_hits == 1
 
 
@@ -261,9 +272,32 @@ def test_schema3_entry_is_plain_miss_and_overwritten(tmp_path):
     assert rerun.cache_hits == 0 and rerun.executed == 1
     assert rerun.campaign_metrics["counters"]["campaign_cache_corrupt_total"] == 0
     assert list(tmp_path.glob("*.corrupt")) == []
-    assert json.loads(entry.read_text())["result"]["full_schema_version"] == 4
+    assert unseal_entry(entry.read_bytes())["full_schema_version"] == FULL_SCHEMA_VERSION
     hit = ResultCache(tmp_path).get(scenario)
     assert result_content_hash(hit) == result_content_hash(result)
+
+
+def test_schema4_entry_from_1_10_is_plain_miss_and_replaced(tmp_path):
+    """An entry 1.10.0 wrote is a stale miss, neither quarantined nor
+    counted corrupt; the re-run leaves one schema-5 file for the key,
+    with the content hash 1.10.0 stored."""
+    scenario = Scenario(config=ExperimentConfig.tiny())
+    cache = ResultCache(tmp_path)
+    entry = tmp_path / f"{scenario.key()}.json"
+    shutil.copy(SCHEMA4_TINY, entry)
+    assert len(cache) == 1
+
+    assert cache.get(scenario) is None
+    assert cache.corrupt == 0 and entry.exists()
+    rerun = Campaign(cache=cache).run([scenario])
+    assert rerun.cache_hits == 0 and rerun.executed == 1
+    assert rerun.campaign_metrics["counters"]["campaign_cache_corrupt_total"] == 0
+    assert list(tmp_path.iterdir()) == [entry]
+    assert len(cache) == 1
+    stored = json.loads(SCHEMA4_TINY.read_bytes())["result"]["content_hash"]
+    assert unseal_entry(entry.read_bytes())["content_hash"] == stored
+    assert result_content_hash(rerun.results[0]) == stored
+    assert Campaign(cache=cache).run([scenario]).cache_hits == 1
 
 
 def _in_header(raw):
@@ -273,14 +307,14 @@ def _in_header(raw):
 
 
 def _in_block(raw):
-    """One character of the first packed sample block: still base64."""
-    at = re.search(rb'"samples": ?"', raw).end() + 5
-    return raw[:at] + (b"A" if raw[at] != ord("A") else b"B") + raw[at + 1:]
+    """One byte of the float64 block: still a float, another one."""
+    header_end = raw.index(b"\n")
+    at = header_end + 1 + json.loads(raw[:header_end])["ints"] + 5
+    return raw[:at] + bytes([raw[at] ^ 0x10]) + raw[at + 1:]
 
 
 def _in_checksum(raw):
-    at = raw.rindex(b'"crc32":"') + len(b'"crc32":"')
-    return raw[:at] + (b"0" if raw[at] != ord("0") else b"1") + raw[at + 1:]
+    return raw[:-1] + bytes([raw[-1] ^ 0x01])
 
 
 def _truncated(raw):
@@ -308,55 +342,67 @@ def test_damaged_entry_is_quarantined_and_rerun(tmp_path, damage):
     assert result_content_hash(rerun.results[0]) == result_content_hash(first.results[0])
 
 
-def _waits_block(payload):
-    return payload["metrics"]["job00"]["barrier_waits"]
+def _edit_ints(data, edit):
+    """Apply ``edit(ints, counts_at, series_at)`` to the int64 block:
+    ``counts_at`` indexes job00's first barrier sample count and
+    ``series_at`` the first host's cpu times length."""
+    ints = array("q", data["ints"]).tolist()
+    n_steps = len(data["metrics"]["job00"]["local_steps"])
+    counts_at = n_steps + 1 + ints[n_steps]
+    edit(ints, counts_at, len(ints) - 6 * len(data["samplers"]))
+    data["ints"] = array("q", ints).tobytes()
 
 
-def _bad_base64(payload):
-    # Non-alphabet characters a lenient decoder would silently skip.
-    payload["samples"] = payload["samples"][:4] + "!*" + payload["samples"][4:]
+def _block_boundary_moved(data):
+    # The int64 block swallows the first float64.
+    data["ints"] += data["floats"][:8]
+    data["floats"] = data["floats"][8:]
 
 
-def _not_float64s(payload):
-    payload["samples"] = base64.b64encode(
-        base64.b64decode(payload["samples"]) + b"\0").decode()
+def _not_float64s(data):
+    data["floats"] += b"\0"
 
 
-def _count_mismatch(payload):
-    _waits_block(payload)["counts"][0] += 1
+def _count_mismatch(data):
+    def edit(ints, counts_at, series_at):
+        ints[counts_at] += 1
+    _edit_ints(data, edit)
 
 
-def _negative_count(payload):
-    counts = _waits_block(payload)["counts"]
-    assert len(counts) >= 2
-    counts[0] += counts[1] + 1   # the sum still matches the block
-    counts[1] = -1
+def _negative_count(data):
+    def edit(ints, counts_at, series_at):
+        ints[counts_at] += ints[counts_at + 1] + 1   # the sum still matches
+        ints[counts_at + 1] = -1
+    _edit_ints(data, edit)
 
 
-def _series_bad_count(payload):
-    next(iter(payload["samplers"].values()))["cpu"]["times"] = "not a count"
+def _series_bad_count(data):
+    def edit(ints, counts_at, series_at):
+        ints[series_at] = ints[series_at + 1] = 2**40
+    _edit_ints(data, edit)
 
 
-def _series_unequal(payload):
-    next(iter(payload["samplers"].values()))["cpu"]["values"] -= 1
+def _series_unequal(data):
+    def edit(ints, counts_at, series_at):
+        ints[series_at + 1] -= 1
+    _edit_ints(data, edit)
 
 
 @pytest.mark.parametrize("corrupt", [
-    _bad_base64, _not_float64s, _count_mismatch, _negative_count,
+    _block_boundary_moved, _not_float64s, _count_mismatch, _negative_count,
     _series_bad_count, _series_unequal,
 ])
 def test_corrupt_packed_block_is_quarantined_miss(tmp_path, corrupt):
-    """A packed sample block that does not decode never escapes
+    """A packed block that does not decode never escapes
     ``Campaign.run``, even under a matching checksum: the entry is
     quarantined and the scenario re-runs."""
     scenario = Scenario(config=MICRO.replace(sample_hosts=True, sample_interval=0.05))
     cache = ResultCache(tmp_path)
     first = Campaign(cache=cache).run([scenario])
     entry = next(tmp_path.glob("*.json"))
-    data = json.loads(entry.read_bytes())
-    del data["crc32"]
-    corrupt(data["result"])
-    entry.write_text(_seal(data))
+    data = unseal_entry(entry.read_bytes())
+    corrupt(data)
+    entry.write_bytes(seal_entry(data))
 
     rerun = Campaign(cache=cache).run([scenario])
     assert rerun.cache_hits == 0 and rerun.executed == 1

@@ -1,6 +1,6 @@
 """The result content hash against its frozen schema-2 oracle.
 
-The result cache stores sample lists as packed float64 blocks, but the
+The result cache stores numbers as packed int64 and float64 blocks, but the
 content hash is still taken over the schema-2 layout of decimal floats
 (``tests/experiments/hash_oracle.py``).  These cases cover every shape a
 result's sample lists take: PS jobs under FIFO and under TensorLights,
@@ -8,11 +8,10 @@ ring all-reduce jobs, barriers that proceed with a different number of
 survivors per iteration, and host utilization series.
 """
 
-import json
-
 import pytest
 
 from repro.experiments import ExperimentConfig, Scenario, execute_scenario
+from repro.experiments.export import seal_entry, unseal_entry
 from repro.experiments.config import Architecture, Policy
 from repro.experiments.export import (
     result_content_hash,
@@ -53,8 +52,8 @@ def test_hash_equals_frozen_oracle(result):
 
 
 def test_cache_round_trip_keeps_the_hash(result):
-    back = result_from_full_dict(json.loads(json.dumps(result_to_full_dict(result))),
-                                 result.config)
+    back = result_from_full_dict(
+        unseal_entry(seal_entry(result_to_full_dict(result))), result.config)
     assert result_content_hash(back) == hash_oracle.result_content_hash(result)
     assert back.wall_seconds == result.wall_seconds
     assert back.tc_reconfigurations == result.tc_reconfigurations

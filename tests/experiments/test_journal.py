@@ -1,6 +1,7 @@
 """Tests for the write-ahead campaign journal (crash consistency)."""
 
 import json
+import os
 
 import pytest
 
@@ -202,3 +203,71 @@ def test_journal_defaults_to_the_campaign_cache_dir(tmp_path, monkeypatch):
     assert [run["run_id"] for run in list_runs(campaign.journal_dir)] == ["beside"]
     assert not (tmp_path / "env-cache").exists()
     assert not (tmp_path / "home").exists()
+
+
+def test_state_rejects_a_plan_cut_short(tmp_path):
+    """A kill while the plan was being written leaves fewer scenario
+    records than ``campaign_start`` announced: resuming it would run
+    only the recorded prefix, so the journal is refused."""
+    from repro.experiments.campaign import Campaign, ResultCache
+
+    scenarios = [_scenario(seed) for seed in range(1, 5)]
+    with CampaignJournal.create(tmp_path, "run-short") as journal:
+        _start(journal, 4)
+        _plan(journal, scenarios[:2])
+    with open(tmp_path / "run-short.jsonl", "a") as fh:
+        fh.write('{"kind":"scenario","index":2,"ke')  # the torn third
+    with pytest.raises(JournalError, match="lost scenario records 2-3"):
+        CampaignJournal.open("run-short", tmp_path).state()
+    campaign = Campaign(cache=ResultCache(tmp_path / "cache"),
+                        resume="run-short", journal_dir=tmp_path)
+    with pytest.raises(JournalError, match="lost scenario records"):
+        campaign.run()
+
+
+@pytest.mark.parametrize("content", ["", '{"kind":"campaign_start","sch'])
+def test_state_rejects_a_journal_without_campaign_start(tmp_path, content):
+    (tmp_path / "run-unstarted.jsonl").write_text(content)
+    with pytest.raises(JournalError, match="no campaign_start"):
+        CampaignJournal.open("run-unstarted", tmp_path).state()
+
+
+def test_torn_plan_batch_is_refused(tmp_path):
+    """The start record and the plan are one write: a kill mid-write
+    keeps a prefix of the batch, which :meth:`state` refuses."""
+    scenarios = [_scenario(seed) for seed in range(1, 4)]
+    with CampaignJournal.create(tmp_path, "run-batch") as journal:
+        journal.append(
+            {"kind": "campaign_start", "schema": JOURNAL_SCHEMA,
+             "run_id": "run-batch", "total": 3, "ts": 0.0},
+            *({"kind": "scenario", "index": i, "key": s.key(),
+               "label": s.label, "scenario": s.to_dict()}
+              for i, s in enumerate(scenarios)),
+        )
+    path = tmp_path / "run-batch.jsonl"
+    raw = path.read_bytes()
+    assert raw.count(b"\n") == 4
+    assert CampaignJournal.open("run-batch", tmp_path).state().total == 3
+    path.write_bytes(raw[:len(raw) * 2 // 3])
+    with pytest.raises(JournalError, match="lost scenario records"):
+        CampaignJournal.open("run-batch", tmp_path).state()
+
+
+def test_journaled_cold_pass_fsyncs_plan_and_submits_once(tmp_path, monkeypatch):
+    """Start + plan is one fsync, all submissions one more, then one per
+    outcome and one for the end record."""
+    import repro.experiments.journal as journal_mod
+    from repro.experiments.campaign import Campaign, ResultCache
+
+    calls = []
+    real_fsync = os.fsync
+    monkeypatch.setattr(journal_mod.os, "fsync",
+                        lambda fd: calls.append(fd) or real_fsync(fd))
+    scenarios = [_scenario(seed) for seed in range(1, 5)]
+    campaign = Campaign(cache=ResultCache(tmp_path), journal=True, run_id="run-sync")
+    assert campaign.run(scenarios).executed == 4
+    assert len(calls) == 1 + 1 + 4 + 1
+    kinds = [json.loads(line)["kind"] for line in
+             (tmp_path / "journals" / "run-sync.jsonl").read_text().splitlines()]
+    assert kinds == (["campaign_start"] + ["scenario"] * 4 + ["submit"] * 4
+                     + ["outcome"] * 4 + ["campaign_end"])

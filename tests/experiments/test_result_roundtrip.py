@@ -1,12 +1,12 @@
 """Round-trip tests for the full ExperimentResult serialization.
 
-The campaign's result cache stores results as JSON
-(:func:`result_to_full_dict` / :func:`result_from_full_dict`); these
-tests pin the contract: everything a figure generator reads — JCTs,
-barrier statistics, utilization — survives the round trip exactly.
+The campaign's result cache stores results as entry bytes
+(:func:`result_to_full_dict` / :func:`result_from_full_dict`, framed by
+:func:`seal_entry` / :func:`unseal_entry`); these tests pin the contract:
+everything a figure generator reads — JCTs, barrier statistics,
+utilization — survives the round trip exactly.
 """
 
-import json
 import struct
 import tempfile
 
@@ -22,6 +22,7 @@ from repro.experiments import (
     Scenario,
     execute_scenario,
 )
+from repro.experiments.export import seal_entry, unseal_entry
 from repro.experiments.export import (
     result_content_hash,
     result_from_full_dict,
@@ -35,10 +36,9 @@ MICRO = ExperimentConfig.tiny(n_jobs=2, n_workers=2, iterations=3)
 
 
 def _round_trip(result):
-    # Through actual JSON text, as the on-disk cache stores it.
-    return result_from_full_dict(json.loads(json.dumps(
-        result_to_full_dict(result)
-    )), result.config)
+    # Through the entry bytes, as the on-disk cache stores them.
+    return result_from_full_dict(
+        unseal_entry(seal_entry(result_to_full_dict(result))), result.config)
 
 
 def test_round_trip_preserves_summary_stats():
@@ -179,3 +179,107 @@ def test_cache_entry_round_trips_bit_for_bit(waits, series, jct):
         assert _bits(got_series.times) == _bits(times)
         assert _bits(got_series.values) == _bits(values)
     assert back.content_hash == result_content_hash(back) == result_content_hash(result)
+
+
+# -- the codec on directly built results ---------------------------------------
+
+FLOATS = st.floats(allow_subnormal=True)
+INT64 = st.integers(-(2**63), 2**63 - 1)
+NAMES = st.text(max_size=5)
+
+
+def _series(draw):
+    pairs = draw(st.lists(st.tuples(FLOATS, FLOATS), max_size=4))
+    return SampleSeries(times=[t for t, _ in pairs], values=[v for _, v in pairs])
+
+
+@st.composite
+def results(draw):
+    """An arbitrary :class:`ExperimentResult`: 0-N jobs and hosts, empty
+    or sparse barrier series, every float class, the int64 range."""
+    job_ids = draw(st.lists(NAMES, unique=True, max_size=3))
+    metrics = {}
+    for job_id in job_ids:
+        barriers = BarrierSeries(2)
+        barriers._waits = draw(st.dictionaries(
+            INT64, st.lists(FLOATS, max_size=4), max_size=4))
+        metrics[job_id] = JobMetrics(
+            job_id=draw(NAMES), n_workers=draw(st.integers(0, 64)),
+            arrival_time=draw(FLOATS), start_time=draw(FLOATS),
+            end_time=draw(FLOATS), iterations_done=draw(INT64),
+            local_steps=draw(st.dictionaries(NAMES, INT64, max_size=3)),
+            barriers=barriers,
+        )
+    hosts = draw(st.lists(NAMES, unique=True, max_size=3))
+    return ExperimentResult(
+        config=MICRO,
+        jcts={j: draw(FLOATS) for j in draw(st.permutations(job_ids))},
+        metrics=metrics,
+        ps_host_of_job={j: draw(NAMES) for j in job_ids},
+        samplers={h: HostSamples(cpu=_series(draw), net_in=_series(draw),
+                                 net_out=_series(draw)) for h in hosts},
+        makespan=draw(FLOATS),
+        sim_events=draw(INT64),
+        wall_seconds=draw(FLOATS),
+        tc_commands=draw(st.lists(NAMES, max_size=2)),
+        host_ids=hosts,
+        tc_reconfigurations=draw(st.integers(0, 2**31)),
+    )
+
+
+@given(result=results())
+@example(result=ExperimentResult(config=MICRO, jcts={}, metrics={},
+                                 ps_host_of_job={}))
+def test_codec_round_trips_built_results_bit_for_bit(result):
+    """Entry bytes -> result -> entry bytes is the identity: every int
+    and float is bit for bit the one stored (the blocks are compared as
+    bytes), and the content hash survives."""
+    data = result_to_full_dict(result)
+    back = result_from_full_dict(unseal_entry(seal_entry(data)), MICRO)
+    assert result_to_full_dict(back) == data
+    assert back.content_hash == data["content_hash"]
+    assert result_content_hash(back) == result_content_hash(result)
+    assert _bits([back.wall_seconds]) == _bits([result.wall_seconds])
+    assert back.tc_reconfigurations == result.tc_reconfigurations
+    for job_id, m in result.metrics.items():
+        got = back.metrics[job_id]
+        assert got.local_steps == m.local_steps
+        assert list(got.barriers._waits) == list(m.barriers._waits)
+        assert [_bits(w) for w in got.barriers._waits.values()] == \
+            [_bits(w) for w in m.barriers._waits.values()]
+
+
+def _single_result_entry(tmp_path):
+    scenario = Scenario(config=MICRO)
+    cache = ResultCache(tmp_path)
+    return scenario, cache, cache.put(scenario, execute_scenario(scenario))
+
+
+def _never_served(cache, scenario, entry, damaged):
+    """``damaged`` in the slot is a miss; it is quarantined or left as is."""
+    entry.write_bytes(damaged)
+    corrupt = cache.corrupt
+    assert cache.get(scenario) is None
+    quarantined = entry.with_name(entry.name + ".corrupt")
+    if quarantined.exists():
+        assert cache.corrupt == corrupt + 1
+        assert quarantined.read_bytes() == damaged
+        quarantined.unlink()
+    else:
+        assert cache.corrupt == corrupt and entry.read_bytes() == damaged
+
+
+def test_no_single_byte_change_is_ever_served(tmp_path):
+    scenario, cache, entry = _single_result_entry(tmp_path)
+    raw = entry.read_bytes()
+    for at in range(len(raw)):
+        for flip in (0x01, 0xFF):
+            damaged = raw[:at] + bytes([raw[at] ^ flip]) + raw[at + 1:]
+            _never_served(cache, scenario, entry, damaged)
+
+
+def test_no_truncated_entry_is_ever_served(tmp_path):
+    scenario, cache, entry = _single_result_entry(tmp_path)
+    raw = entry.read_bytes()
+    for at in range(len(raw)):
+        _never_served(cache, scenario, entry, raw[:at])
