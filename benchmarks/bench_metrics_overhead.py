@@ -33,7 +33,7 @@ from repro.experiments.runtime import materialize
 from repro.experiments.scenario import Scenario
 from repro.sim import Simulator
 
-sys.path.insert(0, ".")  # conftest sibling import under pytest rootdir
+sys.path.insert(0, ".")  # the repo root, for tests.net.helpers
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from bench_simulator_speed import _bench_scenarios, check_regression  # noqa: E402
 

@@ -38,7 +38,7 @@ from repro.sim import Simulator, Timeout
 from repro.units import gbps
 
 import sys
-sys.path.insert(0, ".")  # conftest sibling import under pytest rootdir
+sys.path.insert(0, ".")  # the repo root, for tests.net.helpers
 from tests.net.helpers import seg  # noqa: E402
 
 

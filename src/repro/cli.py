@@ -12,6 +12,8 @@ Examples::
     tensorlights run --placement 1 --policy tls-one   # one raw experiment
     tensorlights campaign --placements 1 4 --cache    # journaled, resumable
     tensorlights campaign --resume 20260808-120000-abc123
+    tensorlights reproduce --parallel 2                # check every paper claim
+    tensorlights reproduce --only fig5a A12 --iterations 10
 
 ``--parallel N`` fans independent runs out over N worker processes;
 ``--cache`` / ``--cache-dir`` reuse results across invocations (results
@@ -37,6 +39,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster.placement import TABLE1_PLACEMENTS
 from repro.errors import ConfigError, ReproError
+from repro.experiments import reproduce
 from repro.experiments.campaign import (
     Campaign,
     CampaignEvent,
@@ -129,6 +132,8 @@ OPTIONS: Dict[str, Dict[str, Any]] = {
                                  help="placement-policy axis, with 'oblivious' and a smart one"),
     "--list-runs": dict(action="store_true", help="list journaled campaign runs and exit"),
     "--resume": dict(metavar="RUN_ID", help="resume a journaled campaign"),
+    "--only": dict(nargs="+", choices=list(reproduce.GROUPS), metavar="GROUP",
+                   help=f"groups to reproduce (default: all of {', '.join(reproduce.GROUPS)})"),
 }
 
 #: Flags read by :func:`_campaign` (campaign settings) or by a command's
@@ -340,12 +345,13 @@ COMMANDS: Dict[str, Command] = {
     "table1": _figure(table1.generate, "table1", config=()),
     # Figure 1 traces one job on a fluid network; --workers/--iterations
     # become its own n_workers/iterations arguments.
-    "fig1": _figure(fig1.generate, "fig1", exit=_protocol,
+    "fig1": _figure(fig1.generate, "fig1", exit=_protocol, plan=fig1.scenarios,
                     config=_config_except("--jobs", "--switch-buffer", "--paper-scale")),
     "fig2": _figure(fig2.generate, "fig2", campaign=True, options=("--placements",),
                     plan=fig2.scenarios),
     "fig3": _figure(fig3.generate, "fig3", campaign=True, plan=fig3.scenarios),
-    "fig4": _figure(fig4.generate, "fig4", config=_config_except("--jobs", "--switch-buffer")),
+    "fig4": _figure(fig4.generate, "fig4", plan=fig4.scenarios,
+                    config=_config_except("--jobs", "--switch-buffer")),
     "fig5a": _figure(fig5a.generate, "fig5a", campaign=True, options=("--placements",),
                      plan=fig5a.scenarios),
     "fig5b": _figure(fig5b.generate, "fig5b", campaign=True,
@@ -354,7 +360,7 @@ COMMANDS: Dict[str, Command] = {
     "fig6": _figure(fig6.generate, "fig6", campaign=True, plan=fig6.scenarios),
     "table2": _figure(table2.generate, "table2", campaign=True,
                       config=CONFIG + ("--sample-interval",), plan=table2.scenarios),
-    "fct": _figure(fct.generate, "fct"),
+    "fct": _figure(fct.generate, "fct", plan=fct.scenarios),
     "robustness": Command(
         robustness.generate, "JCT degradation under egress loss and PS crashes, per policy",
         config=_config_except("--netem-loss"), campaign=True,
@@ -398,6 +404,13 @@ COMMANDS: Dict[str, Command] = {
         options=("--quick", "--placement-policies", "--policies", "--seeds", "--csv"),
         emit=_study_emitter("co-design matrix"), exit=_direction,
         plan=codesign.scenarios,
+    ),
+    "reproduce": Command(
+        reproduce.generate,
+        "check every paper claim on its figure or ablation result; exit 1 if one fails",
+        config=("--iterations", "--seed", "--paper-scale"), campaign=True,
+        options=("--only",), exit=lambda report: 0 if report.ok() else 1,
+        plan=reproduce.scenarios,
     ),
     "run": Command(
         _run_one, "run one raw experiment",

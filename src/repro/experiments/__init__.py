@@ -15,8 +15,10 @@ The pipeline is layered (see ``docs/architecture.md``, "Campaign layer"):
   scenarios, and the ranked component-impact study.
 
 Every table and figure in the paper's evaluation has a generator module
-under :mod:`repro.experiments.figures` and a benchmark under
-``benchmarks/`` that prints the same rows/series the paper reports.
+under :mod:`repro.experiments.figures` whose result prints the same
+rows/series the paper reports and lists the paper claims it checks
+(``claims()``); :mod:`repro.experiments.reproduce` checks them all
+(``tensorlights reproduce``).
 """
 
 from repro.experiments.campaign import (

@@ -35,7 +35,7 @@ from repro.errors import ConfigError
 from repro.experiments.campaign import Campaign
 from repro.experiments.config import ExperimentConfig, Policy
 from repro.experiments.figures.common import base_config
-from repro.experiments.report import TextTable
+from repro.experiments.report import Claim, TextTable
 from repro.experiments.runtime import ExperimentResult
 from repro.experiments.scenario import Scenario
 from repro.experiments.study.components import Axis
@@ -144,6 +144,15 @@ class CodesignReport:
         """
         floor = min(self.placement_only_speedup(), self.tls_only_speedup())
         return self.combined_speedup() >= floor - DIRECTION_EPSILON
+
+    def claims(self) -> List[Claim]:
+        """Co-design composes (:meth:`direction_ok`)."""
+        return [Claim(
+            "codesign.composes", "extension: combined >= min(single axes)",
+            f"{self.combined_speedup():.3f}x vs placement-only "
+            f"{self.placement_only_speedup():.3f}x, TLs-only {self.tls_only_speedup():.3f}x",
+            self.direction_ok(),
+        )]
 
     # -- rendering ---------------------------------------------------------
 

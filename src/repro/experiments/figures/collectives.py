@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.experiments.campaign import Campaign
 from repro.experiments.config import Architecture, ExperimentConfig, Policy
 from repro.experiments.figures.common import ALL_POLICIES, base_config, submit
-from repro.experiments.report import TextTable
+from repro.experiments.report import Claim, TextTable
 from repro.experiments.runtime import ExperimentResult
 from repro.experiments.scenario import Scenario
 
@@ -39,6 +39,16 @@ class CollectivesResult:
         """``avg JCT / same-architecture FIFO avg JCT`` (< 1.0 = faster)."""
         return (self.results[(arch, policy)].avg_jct
                 / self.results[(arch, Policy.FIFO)].avg_jct)
+
+    def claims(self) -> List[Claim]:
+        """TensorLights never makes either architecture meaningfully worse."""
+        return [
+            Claim.compare(f"collectives.{arch.value}.{policy.value}",
+                          "extension: no worse than FIFO",
+                          self.vs_fifo(arch, policy), "<", 1.05)
+            for arch in (Architecture.ALLREDUCE, Architecture.MIXED)
+            for policy in (Policy.TLS_ONE, Policy.TLS_RR)
+        ]
 
     def render(self) -> str:
         """The text report (one row per architecture x policy cell)."""

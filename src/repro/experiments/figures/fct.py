@@ -11,13 +11,11 @@ serialization time and the overall tail-to-median ratio drops.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
-
-import numpy as np
+from typing import Dict, List, Optional
 
 from repro.experiments.config import ExperimentConfig, Policy
-from repro.experiments.figures.common import base_config
-from repro.experiments.report import TextTable
+from repro.experiments.figures.common import ALL_POLICIES, base_config
+from repro.experiments.report import Claim, TextTable
 from repro.experiments.runtime import materialize
 from repro.experiments.scenario import Scenario
 from repro.telemetry.flows import FlowCollector
@@ -33,6 +31,18 @@ class FctResult:
 
     def tail_ratio(self, policy: Policy, p: float = 99.0) -> float:
         return self.collectors[policy].tail_ratio(self.kind, p)
+
+    def claims(self) -> List[Claim]:
+        """TLs-One cuts FIFO's median FCT sharply; both move every update."""
+        fifo_n = len(self.collectors[Policy.FIFO].fcts(self.kind))
+        tls_n = len(self.collectors[Policy.TLS_ONE].fcts(self.kind))
+        return [
+            Claim.compare("fct.tls-one-p50", "extension: well below FIFO",
+                          self.percentile(Policy.TLS_ONE, 50), "<",
+                          0.5 * self.percentile(Policy.FIFO, 50)),
+            Claim("fct.samples", "same updates under every policy",
+                  f"{fifo_n} FIFO, {tls_n} TLs-One", fifo_n == tls_n > 0),
+        ]
 
     def render(self) -> str:
         table = TextTable(
@@ -53,29 +63,28 @@ class FctResult:
         return table.render()
 
 
-def _run_with_collector(cfg: ExperimentConfig, policy: Policy) -> FlowCollector:
-    """Materialize the standard scenario with an FCT collector installed.
+def scenarios(base: Optional[ExperimentConfig] = None, **overrides) -> List[Scenario]:
+    """Placement #1 under all three policies."""
+    cfg = base_config(base, **overrides).replace(placement_index=1)
+    return [Scenario(config=cfg.replace(policy=policy)) for policy in ALL_POLICIES]
+
+
+def _run_with_collector(scenario: Scenario) -> FlowCollector:
+    """Run one scenario with an FCT collector on its network.
 
     Flow records are in-process observers (not part of the serializable
     result), so this study uses the runtime layer directly and stays
     serial.
     """
-    collectors = []
-    rt = materialize(
-        Scenario(config=cfg.replace(policy=policy)),
-        on_cluster=lambda cluster: collectors.append(
-            FlowCollector.install(cluster.network)
-        ),
-    )
+    rt = materialize(scenario)
+    collector = FlowCollector.install(rt.cluster.network)
     rt.run()
-    return collectors[0]
+    return collector
 
 
 def generate(base: Optional[ExperimentConfig] = None, **overrides) -> FctResult:
     """Run placement #1 under all three policies with an FCT collector."""
-    cfg = base_config(base, **overrides).replace(placement_index=1)
-    collectors = {
-        policy: _run_with_collector(cfg, policy)
-        for policy in (Policy.FIFO, Policy.TLS_ONE, Policy.TLS_RR)
-    }
-    return FctResult(collectors=collectors)
+    return FctResult(collectors={
+        policy: _run_with_collector(scenario)
+        for policy, scenario in zip(ALL_POLICIES, scenarios(base, **overrides))
+    })

@@ -15,6 +15,7 @@ from typing import List, Optional
 from repro.cluster.placement import PlacementSpec
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures.common import base_config
+from repro.experiments.report import Claim
 from repro.experiments.runtime import materialize
 from repro.experiments.scenario import Scenario
 
@@ -75,6 +76,42 @@ class Fig1Result:
                     f"iter {it}: barrier violated"
                 )
 
+    def claims(self) -> List[Claim]:
+        """The protocol holds, and every worker sends and receives one
+        update per iteration."""
+        try:
+            self.verify_protocol()
+            protocol = "holds"
+        except AssertionError as exc:
+            protocol = f"violated: {exc}"
+        expected = 2 * self.n_workers * self.iterations
+        return [
+            Claim("fig1.protocol", "model before gradient; barrier per iteration",
+                  protocol, protocol == "holds"),
+            Claim("fig1.messages", f"{expected} updates (2 kinds x workers x iterations)",
+                  str(len(self.events)), len(self.events) == expected),
+        ]
+
+
+def scenarios(
+    base: Optional[ExperimentConfig] = None,
+    n_workers: int = 2,
+    iterations: int = 2,
+    **overrides,
+) -> List[Scenario]:
+    """The one job Figure 1 traces."""
+    cfg = base_config(base, **overrides)
+    # One job, one PS host, fluid network (no switch losses, no window
+    # jitter) — Figure 1 is the protocol schematic, not a contention study.
+    return [Scenario(
+        config=cfg.replace(
+            n_jobs=1, n_workers=n_workers, iterations=iterations,
+            window_jitter=0.0, switch_buffer_bytes=None, rto=0.2,
+        ),
+        placement=PlacementSpec((1,)),
+        tags=(("figure", "1"),),
+    )]
+
 
 def generate(
     base: Optional[ExperimentConfig] = None,
@@ -83,21 +120,12 @@ def generate(
     **overrides,
 ) -> Fig1Result:
     """Trace a small PS job and return its Figure-1 message sequence."""
-    cfg = base_config(base, **overrides)
-    # One job, one PS host, fluid network (no switch losses, no window
-    # jitter) — Figure 1 is the protocol schematic, not a contention study.
-    scenario = Scenario(
-        config=cfg.replace(
-            n_jobs=1, n_workers=n_workers, iterations=iterations,
-            window_jitter=0.0, switch_buffer_bytes=None, rto=0.2,
-        ),
-        placement=PlacementSpec((1,)),
-        tags=(("figure", "1"),),
-    )
+    [scenario] = scenarios(base, n_workers, iterations, **overrides)
     deliveries = []
-    rt = materialize(scenario, on_cluster=lambda c: c.network.add_delivery_tap(
+    rt = materialize(scenario)
+    rt.cluster.network.add_delivery_tap(
         lambda msg: deliveries.append((msg.delivered_at, msg.kind, msg.flow, msg.meta))
-    ))
+    )
     app = rt.apps[0]
     worker_addr = {
         (ep.host_id, ep.port): i for i, ep in enumerate(app.worker_endpoints)

@@ -14,7 +14,7 @@ from repro.analysis.normalize import performance_gap
 from repro.experiments.campaign import Campaign
 from repro.experiments.config import ExperimentConfig, Policy
 from repro.experiments.figures.common import base_config, submit
-from repro.experiments.report import TextTable, render_scatter_summary
+from repro.experiments.report import Claim, TextTable
 from repro.experiments.runtime import ExperimentResult
 from repro.experiments.scenario import Scenario
 
@@ -33,6 +33,19 @@ class Fig2Result:
     def performance_gap(self) -> float:
         """(worst - best) / best over placements (paper: up to 75 %)."""
         return performance_gap(list(self.avg_jcts.values()))
+
+    def claims(self) -> List[Claim]:
+        """Heaviest colocation worst, most spread best, a large gap."""
+        jcts = self.avg_jcts
+        heavy, mild = min(jcts), max(jcts)
+        worst, best = max(jcts.values()), min(jcts.values())
+        return [
+            Claim("fig2.worst", f"#{heavy} worst",
+                  f"#{max(jcts, key=jcts.get)} ({worst:.4g} s)", jcts[heavy] == worst),
+            Claim("fig2.best", f"#{mild} best",
+                  f"#{min(jcts, key=jcts.get)} ({best:.4g} s)", jcts[mild] == best),
+            Claim.compare("fig2.gap", "up to 0.75", self.performance_gap, ">", 0.30),
+        ]
 
     def render(self) -> str:
         table = TextTable(

@@ -14,7 +14,7 @@ from repro.errors import ConfigError
 from repro.experiments.campaign import Campaign
 from repro.experiments.config import ExperimentConfig, Policy
 from repro.experiments.figures.common import base_config, submit
-from repro.experiments.report import render_cdf
+from repro.experiments.report import Claim, render_cdf
 from repro.experiments.runtime import ExperimentResult
 from repro.experiments.scenario import Scenario
 
@@ -46,6 +46,13 @@ class Fig3Result:
     def variance_ratio(self) -> float:
         """Paper: 4.37x between placements #1 and #8."""
         return self.mean_variance(self.heavy) / self.mean_variance(self.mild)
+
+    def claims(self) -> List[Claim]:
+        """Heavy colocation inflates the mean and the variance of the wait."""
+        return [
+            Claim.compare("fig3.avg-wait-ratio", "3.71x", self.avg_wait_ratio, ">", 2.0),
+            Claim.compare("fig3.variance-ratio", "4.37x", self.variance_ratio, ">", 2.0),
+        ]
 
     def render(self) -> str:
         lines = ["Figure 3: distribution of barrier wait time (FIFO)"]

@@ -15,12 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.cluster.placement import PlacementSpec
 from repro.experiments.config import ExperimentConfig, Policy
-from repro.experiments.figures.common import base_config
-from repro.experiments.report import TextTable
+from repro.experiments.figures.common import ALL_POLICIES, base_config
+from repro.experiments.report import Claim, TextTable
 from repro.experiments.runtime import materialize
 from repro.experiments.scenario import Scenario
 
@@ -56,6 +54,26 @@ class Fig4Result:
         a, b = spans[0], spans[1]
         return max(0.0, min(a.last, b.last) - max(a.first, b.first))
 
+    def claims(self) -> List[Claim]:
+        """FIFO interleaves the two bursts; TLs-One serializes them, and
+        its first job finishes well inside FIFO's collision window."""
+        fifo, tls = self.spans[Policy.FIFO], self.spans[Policy.TLS_ONE]
+        bursts = Claim("fig4.bursts", "2 colliding bursts per policy",
+                       f"{len(fifo)} FIFO, {len(tls)} TLs-One", len(fifo) == len(tls) == 2)
+        if not bursts.holds:
+            return [bursts]
+        window = max(s.last for s in fifo) - min(s.first for s in fifo)
+        first_done = min(s.last for s in tls) - min(s.first for s in tls)
+        return [
+            bursts,
+            Claim.compare("fig4.fifo-overlap", "bursts interleave",
+                          self.overlap(Policy.FIFO), ">", 0.3 * window),
+            Claim.compare("fig4.tls-one-overlap", "bursts serialized",
+                          self.overlap(Policy.TLS_ONE), "<", 0.1 * window),
+            Claim.compare("fig4.tls-one-first-done", "first job done at ~half the window",
+                          first_done, "<", 0.75 * window),
+        ]
+
     def render(self) -> str:
         from repro.analysis.timeline import Span, render_timeline
 
@@ -82,22 +100,31 @@ class Fig4Result:
         return table.render() + "\n\n" + chart
 
 
-def _observe(policy: Policy, cfg: ExperimentConfig, observe_iteration: int):
-    # Two jobs, both PSes on the first host, launched simultaneously —
-    # the exact collision Figure 4 illustrates — on a fluid network
-    # (no switch losses), observed through a message delivery tap.
-    scenario = Scenario(
-        config=cfg.replace(
-            n_jobs=2, launch_stagger=0.0, policy=policy,
-            switch_buffer_bytes=None, rto=0.2,
-        ),
-        placement=PlacementSpec((2,)),
-        tags=(("figure", "4"), ("policy", policy.value)),
-    )
+def scenarios(base: Optional[ExperimentConfig] = None, **overrides) -> List[Scenario]:
+    """Two jobs, both PSes on the first host, launched simultaneously —
+    the exact collision Figure 4 illustrates — on a fluid network (no
+    switch losses), once per policy."""
+    cfg = base_config(base, **overrides)
+    return [
+        Scenario(
+            config=cfg.replace(
+                n_jobs=2, launch_stagger=0.0, policy=policy,
+                switch_buffer_bytes=None, rto=0.2,
+            ),
+            placement=PlacementSpec((2,)),
+            tags=(("figure", "4"), ("policy", policy.value)),
+        )
+        for policy in ALL_POLICIES
+    ]
+
+
+def _observe(scenario: Scenario, observe_iteration: int) -> List[BurstSpan]:
+    """Run one scenario with a message delivery tap; one span per job."""
     deliveries = []
-    rt = materialize(scenario, on_cluster=lambda c: c.network.add_delivery_tap(
+    rt = materialize(scenario)
+    rt.cluster.network.add_delivery_tap(
         lambda msg: deliveries.append((msg.delivered_at, msg.kind, msg.meta))
-    ))
+    )
     rt.run()
 
     spans = []
@@ -123,13 +150,12 @@ def generate(
     **overrides,
 ) -> Fig4Result:
     """Trace the two-PS collision under each policy."""
-    cfg = base_config(base, **overrides)
     if observe_iteration is None:
         # Iteration 0: both jobs launch simultaneously, so their bursts are
         # guaranteed to collide — the exact scenario Figure 4 illustrates.
         observe_iteration = 0
     spans = {
-        policy: _observe(policy, cfg, observe_iteration)
-        for policy in (Policy.FIFO, Policy.TLS_ONE, Policy.TLS_RR)
+        policy: _observe(scenario, observe_iteration)
+        for policy, scenario in zip(ALL_POLICIES, scenarios(base, **overrides))
     }
     return Fig4Result(spans=spans, observe_iteration=observe_iteration)

@@ -21,7 +21,7 @@ from repro.experiments.figures.common import (
     policy_scenarios,
     submit,
 )
-from repro.experiments.report import TextTable
+from repro.experiments.report import Claim, TextTable
 from repro.experiments.runtime import ExperimentResult
 from repro.experiments.scenario import Scenario
 
@@ -47,6 +47,22 @@ class Fig5aResult:
         return max(
             1.0 - self.mean_normalized(p, policy) for p in self.results
         )
+
+    def claims(self) -> List[Claim]:
+        """A large improvement at placement #1, parity from #4 up."""
+        out = [
+            Claim.compare("fig5a.p1.tls-one", "0.73 (27% better)",
+                          self.mean_normalized(1, Policy.TLS_ONE), "<", 0.92),
+            Claim.compare("fig5a.p1.tls-rr", "0.84 (16% better)",
+                          self.mean_normalized(1, Policy.TLS_RR), "<", 0.95),
+        ]
+        for placement in sorted(p for p in self.results if p >= 4):
+            for policy in (Policy.TLS_ONE, Policy.TLS_RR):
+                out.append(Claim.within(
+                    f"fig5a.p{placement}.{policy.value}", "comparable to FIFO",
+                    self.mean_normalized(placement, policy), 0.94, 1.06,
+                ))
+        return out
 
     def render(self) -> str:
         table = TextTable(

@@ -22,7 +22,7 @@ from repro.experiments.figures.common import (
     policy_scenarios,
     submit,
 )
-from repro.experiments.report import TextTable
+from repro.experiments.report import Claim, TextTable
 from repro.experiments.runtime import ExperimentResult
 from repro.experiments.scenario import Scenario
 
@@ -41,6 +41,17 @@ class Fig5bResult:
 
     def best_improvement(self, policy: Policy) -> float:
         return max(1.0 - self.mean_normalized(b, policy) for b in self.results)
+
+    def claims(self) -> List[Claim]:
+        """The smallest batch gains most; the largest is compute-bound."""
+        smallest, largest = min(self.results), max(self.results)
+        small = self.mean_normalized(smallest, Policy.TLS_ONE)
+        large = self.mean_normalized(largest, Policy.TLS_ONE)
+        return [
+            Claim.compare("fig5b.gain-grows", "smaller batch, larger gain", small, "<", large),
+            Claim.compare(f"fig5b.b{smallest}.tls-one", "0.69 (31% better)", small, "<", 0.9),
+            Claim.within(f"fig5b.b{largest}.tls-one", "comparable to FIFO", large, 0.93, 1.07),
+        ]
 
     def render(self) -> str:
         table = TextTable(

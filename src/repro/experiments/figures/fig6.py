@@ -23,7 +23,7 @@ from repro.experiments.figures.common import (
     policy_scenarios,
     submit,
 )
-from repro.experiments.report import render_cdf
+from repro.experiments.report import Claim, render_cdf
 from repro.experiments.runtime import ExperimentResult
 from repro.experiments.scenario import Scenario
 
@@ -45,6 +45,17 @@ class Fig6Result:
         fifo = agg(self.results[Policy.FIFO].barrier_wait_variances())
         pol = agg(self.results[policy].barrier_wait_variances())
         return float(1.0 - pol / fifo)
+
+    def claims(self) -> List[Claim]:
+        """The median wait variance drops; the span of average waits widens."""
+        return [
+            Claim.compare("fig6.tls-one-median-variance", "40% lower",
+                          self.variance_reduction(Policy.TLS_ONE, "median"), ">", 0.25),
+            Claim.compare("fig6.tls-rr-median-variance", "30% lower",
+                          self.variance_reduction(Policy.TLS_RR, "median"), ">", 0.25),
+            Claim.compare("fig6.tls-one-wait-span", "wider than FIFO",
+                          self.wait_span(Policy.TLS_ONE), ">", self.wait_span(Policy.FIFO)),
+        ]
 
     def render(self) -> str:
         lines = [

@@ -22,7 +22,7 @@ import numpy as np
 from repro.experiments.campaign import Campaign, CampaignFailure
 from repro.experiments.config import ExperimentConfig, Policy
 from repro.experiments.figures.common import ALL_POLICIES, base_config
-from repro.experiments.report import TextTable
+from repro.experiments.report import Claim, TextTable
 from repro.experiments.runtime import ExperimentResult
 from repro.experiments.scenario import Scenario
 from repro.faults import FaultPlan, PSCrash, RecoverySpec
@@ -46,6 +46,21 @@ class RobustnessResult:
         if baseline is None or cell is None:
             return float("nan")
         return cell.avg_jct / baseline.avg_jct
+
+    def claims(self) -> List[Claim]:
+        """Every cell recovers, and a fault never improves JCT (a crash
+        rewinds to a checkpoint, loss costs retransmissions)."""
+        out = [Claim("robustness.recovered", "extension: every run finishes",
+                     f"{len(self.failures)} failed", not self.failures)]
+        for policy in sorted({k[0] for k in self.results}, key=lambda p: p.value):
+            for loss, crashed in sorted({(k[1], k[2]) for k in self.results
+                                         if k[0] == policy and (k[1], k[2]) != (0.0, False)}):
+                label = f"loss{loss:g}" + ("-crash" if crashed else "")
+                out.append(Claim.compare(
+                    f"robustness.{policy.value}.{label}", "extension: no faster than fault-free",
+                    self.degradation(policy, loss, crashed), ">=", 1.0,
+                ))
+        return out
 
     def render(self) -> str:
         policies = sorted({k[0] for k in self.results}, key=lambda p: p.value)

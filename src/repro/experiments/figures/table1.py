@@ -6,12 +6,17 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.cluster.placement import TABLE1_PLACEMENTS, PlacementSpec
-from repro.experiments.report import TextTable
+from repro.experiments.report import Claim, TextTable
 
 
 @dataclass
 class Table1Result:
     rows: List[Tuple[int, str, int, int]]  # index, groups, n_ps_hosts, max coloc
+
+    def claims(self) -> List[Claim]:
+        """Table I lists eight placements."""
+        return [Claim("table1.placements", "8", str(len(self.rows)),
+                      len(self.rows) == len(TABLE1_PLACEMENTS) == 8)]
 
     def render(self) -> str:
         table = TextTable(

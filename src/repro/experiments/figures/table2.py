@@ -24,7 +24,7 @@ from repro.experiments.figures.common import (
     base_config,
     policy_scenarios,
 )
-from repro.experiments.report import TextTable
+from repro.experiments.report import Claim, TextTable
 from repro.experiments.runtime import ExperimentResult
 from repro.experiments.scenario import Scenario
 from repro.telemetry import ActiveWindow
@@ -46,6 +46,15 @@ DIRECTION_ROWS: Tuple[Tuple[str, str], ...] = (
 
 #: Slack for "≥ FIFO": sampled utilizations carry discretization noise.
 DIRECTION_EPSILON = 0.005
+
+#: (series, host kind, floor) of each per-policy claim: TensorLights never
+#: lowers worker CPU and lifts the network side noticeably.
+CLAIM_FLOORS: Tuple[Tuple[str, str, float], ...] = (
+    ("cpu", "worker", 1.0),
+    ("net_in", "all", 1.05),
+    ("net_out", "all", 1.05),
+    ("cpu", "ps", 0.95),
+)
 
 
 @dataclass
@@ -93,6 +102,20 @@ class Table2Result:
                 if self.normalized(policy, series, kind) < 1.0 - DIRECTION_EPSILON:
                     return False
         return True
+
+    def claims(self) -> List[Claim]:
+        """Result #3's direction, then each row against its own floor."""
+        out = [Claim("table2.direction", "NIC ~1.2x, worker CPU ~1.1x",
+                     "TLs >= FIFO" if self.direction_ok() else "below FIFO",
+                     self.direction_ok())]
+        for policy, paper in ((Policy.TLS_ONE, (1.13, 1.20, 1.20, 1.04)),
+                              (Policy.TLS_RR, (1.12, 1.21, 1.21, 1.03))):
+            for (series, kind, floor), value in zip(CLAIM_FLOORS, paper):
+                out.append(Claim.compare(
+                    f"table2.{policy.value}.{series}-{kind}", f"{value:.2f}x",
+                    self.normalized(policy, series, kind), ">", floor,
+                ))
+        return out
 
     def render(self) -> str:
         table = TextTable(

@@ -10,7 +10,7 @@ and ``materialize`` resolves the name through this registry inside
 whatever process runs the scenario.  Hooked scenarios therefore run
 through parallel executors and the on-disk cache like any other.
 
-Three hooks ship built in:
+Four hooks ship built in:
 
 * ``tl_controller`` — the one place a TensorLights controller is built:
   static or adaptive variant, optional non-work-conserving HTB.  With no
@@ -20,6 +20,8 @@ Three hooks ship built in:
 * ``rate_control`` — A6's centralized sender rate allocation: static
   non-work-conserving HTB shares at each contended PS host.
 * ``slow_start`` — toggle the transport's slow-start ramp on every host.
+* ``noisy_neighbors`` — A12's interference: background CPU load on a
+  third of the hosts plus bulk traffic out of the first job's PS host.
 
 Custom hooks register via :func:`register_build_hook` at import time of
 the module that defines them (the registry is process-local, so define
@@ -224,4 +226,48 @@ register_build_hook(BuildHook(
     name="slow_start",
     description="set transport slow-start (enabled=bool) on every host",
     post_build=_slow_start_post_build,
+))
+
+
+# -- builtin: noisy_neighbors -----------------------------------------------
+
+
+def _noisy_neighbors_post_build(rt: "Runtime", params: Dict[str, Any]) -> None:
+    """A12's noisy neighbors: interference TensorLights cannot schedule.
+
+    Two cores of background load on every third host (from the second),
+    plus unclassified bulk traffic at a tenth of the link rate from the
+    first job's PS host to the last host.  The antagonists stop once
+    every job is terminal, so the event queue drains.
+    """
+    from repro.cluster.antagonist import CpuAntagonist, NetworkAntagonist
+    from repro.sim.primitives import AllOf
+
+    cluster = rt.cluster
+    antagonists: List[Any] = [
+        CpuAntagonist(cluster.host(hid), intensity=2.0)
+        for hid in cluster.host_ids[1::3]
+    ]
+    antagonists.append(NetworkAntagonist(
+        cluster, rt.ps_hosts[0], cluster.host_ids[-1],
+        rate=rt.scenario.config.link_rate / 10,
+    ))
+    for antagonist in antagonists:
+        antagonist.start()
+
+    def stop_all():
+        yield AllOf([app.terminal for app in rt.apps])
+        for antagonist in antagonists:
+            antagonist.stop()
+
+    rt.sim.spawn(stop_all(), name="stop-antagonists")
+
+
+register_build_hook(BuildHook(
+    name="noisy_neighbors",
+    description=(
+        "two cores of background load on every third host and bulk "
+        "traffic at a tenth of the link rate from the first PS host (A12)"
+    ),
+    post_build=_noisy_neighbors_post_build,
 ))

@@ -5,6 +5,10 @@ artifact — :meth:`TextTable.render` and :meth:`TextTable.to_csv` both
 read the same pre-formatted rows, so a report's text table, its CSV
 export, and anything built on top (figures, the CLI) cannot disagree on
 headers or rounding.
+
+:class:`Claim` is one row of a result's ``claims()``: a paper statement,
+our measured value against the bound that checks it, and whether it
+holds (``tensorlights reproduce`` prints every one).
 """
 
 from __future__ import annotations
@@ -12,6 +16,8 @@ from __future__ import annotations
 import csv
 import enum
 import io
+import operator
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -76,6 +82,48 @@ class TextTable:
         writer.writerow(self.headers)
         writer.writerows(self.rows)
         return buf.getvalue()
+
+
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One paper claim checked against our result.
+
+    ``id`` is unique across every result (``<group>.<what>``), ``paper``
+    the paper's value or statement, ``ours`` our value as checked.
+    """
+
+    id: str
+    paper: str
+    ours: str
+    holds: bool
+
+    @classmethod
+    def compare(cls, id: str, paper: str, value: float, op: str,
+                bound: float) -> "Claim":
+        """``value op bound`` (``op`` one of ``<``, ``<=``, ``>``, ``>=``)."""
+        return cls(id, paper, f"{value:.4g} {op} {bound:.4g}",
+                   bool(_COMPARE[op](value, bound)))
+
+    @classmethod
+    def within(cls, id: str, paper: str, value: float, low: float,
+               high: float) -> "Claim":
+        """``low < value < high``."""
+        return cls(id, paper, f"{low:.4g} < {value:.4g} < {high:.4g}",
+                   bool(low < value < high))
+
+
+def render_claims(claims: Sequence[Claim]) -> str:
+    """Paper against ours, one row per claim, then the count that hold."""
+    table = TextTable(["Claim", "Paper", "Ours", "Holds"],
+                      title="Paper claims against this reproduction")
+    for claim in claims:
+        table.add_row(claim.id, claim.paper, claim.ours,
+                      "yes" if claim.holds else "NO")
+    held = sum(claim.holds for claim in claims)
+    return table.render() + f"\n{held} of {len(claims)} claims hold"
 
 
 def render_cdf(samples: Iterable[float], label: str, points: int = 9) -> str:

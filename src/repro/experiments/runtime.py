@@ -15,11 +15,12 @@ Custom studies that need mid-build access (extra qdiscs, flow collectors,
 alternative controllers, delivery taps) have two options: the declarative
 build hooks a :class:`~repro.experiments.scenario.Scenario` carries
 (:mod:`repro.experiments.hooks` — picklable, cache-visible, the route
-the study engine uses for A6/A10-style mechanisms; a hook with a
-``controller`` swaps the TensorLights controller), or the in-process
-``on_cluster`` keyword of :func:`materialize` itself (for one-off
-interactive studies that never touch the campaign cache; see
-``experiments/figures/fct.py``).
+the study engine uses for A6/A10/A12-style mechanisms; a hook with a
+``controller`` swaps the TensorLights controller), or, for an in-process
+observer that never touches the campaign cache, installing it on
+``Runtime.cluster`` between :func:`materialize` and :meth:`Runtime.run`
+(see ``experiments/figures/fct.py``): delivery taps and NIC receive
+handlers are read at delivery time.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import os
 import time
 import zlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -321,27 +322,26 @@ def check_scenario(scenario: Scenario) -> None:
 
 def materialize(
     scenario: Scenario,
-    on_cluster: Optional[Callable[[Cluster], None]] = None,
     metrics: bool = False,
     watchdog: Optional[str] = None,
 ) -> Runtime:
     """Build the live simulation a scenario describes (without running it).
 
+    An in-process observer goes on the returned runtime's cluster before
+    :meth:`Runtime.run` (``rt.cluster.network.add_delivery_tap(tap)``).
+    It is not part of the Scenario identity — scenarios run through the
+    cached/parallel campaign path must not rely on it; declare a
+    registered build hook on the scenario instead
+    (:mod:`repro.experiments.hooks`), which is also how a run swaps the
+    policy-derived TensorLights controller.
+
     Args:
-        on_cluster: called with the freshly built cluster before any
-            application exists (install flow collectors, extra qdiscs,
-            delivery taps: ``lambda c: c.network.add_delivery_tap(tap)``).
-            It is not part of the Scenario identity — scenarios run
-            through the cached/parallel campaign path must not rely on
-            it; declare a registered build hook on the scenario instead
-            (:mod:`repro.experiments.hooks`), which is also how a run
-            swaps the policy-derived TensorLights controller.
         metrics: enable the simulation-wide metrics registry
             (``sim.metrics``); :meth:`Runtime.run` then scrapes the
             cluster and stores the snapshot in
-            :attr:`ExperimentResult.metrics_snapshot`.  Like ``on_cluster``,
-            this is an in-process switch, not part of Scenario identity —
-            it cannot change simulated results.
+            :attr:`ExperimentResult.metrics_snapshot`.  This is an
+            in-process switch, not part of Scenario identity — it cannot
+            change simulated results.
         watchdog: runtime invariant watchdog mode — ``None``/``"off"``
             (default), ``"warn"`` or ``"raise"``.  Enables
             ``sim.watchdog`` with the byte-conservation, qdisc, port-leak,
@@ -384,8 +384,6 @@ def materialize(
         switch_buffer_bytes=config.switch_buffer_bytes,
         rto=config.rto,
     )
-    if on_cluster is not None:
-        on_cluster(cluster)
     arch = Architecture(config.architecture)
     # Ring members (and any mixed-in PS jobs) are placed by the
     # load-balancing scheduler; PS-architecture jobs take their hosts from

@@ -125,6 +125,8 @@ def test_codesign_quick_study_runs_as_one_cached_campaign(tmp_path):
     ci = report.speedup("oblivious", Policy.FIFO)
     assert ci.estimate == pytest.approx(1.0)
     assert 0.0 < report.fairness("oblivious", Policy.FIFO) <= 1.0
+    # one job shape in the quick matrix: at most one profiling run here
+    assert report.fingerprint_misses <= 1
     # a second generate over the same cache re-executes nothing
     warm = codesign.generate(
         quick=True, campaign=Campaign(cache=ResultCache(tmp_path))

@@ -22,7 +22,7 @@ TINY = ExperimentConfig.tiny()
 
 
 def test_builtin_hooks_registered():
-    assert {"tl_controller", "rate_control", "slow_start"} <= set(
+    assert {"tl_controller", "rate_control", "slow_start", "noisy_neighbors"} <= set(
         registered_hooks()
     )
 
@@ -87,6 +87,19 @@ def test_slow_start_hook_flips_every_transport():
         flags = {rt.cluster.host(h).transport.slow_start
                  for h in rt.cluster.host_ids}
         assert flags == {expected}
+
+
+def test_noisy_neighbors_hook_slows_the_jobs_and_stops():
+    """The antagonists load the cluster, stop once the jobs end (the run
+    drains), and the result does not depend on how many ran before."""
+    from repro.experiments.export import result_content_hash
+    from repro.experiments.runtime import execute_scenario
+
+    noisy = Scenario(config=TINY).with_hook("noisy_neighbors")
+    clean = execute_scenario(Scenario(config=TINY))
+    first, again = execute_scenario(noisy), execute_scenario(noisy)
+    assert first.avg_jct > clean.avg_jct
+    assert result_content_hash(first) == result_content_hash(again)
 
 
 def test_tl_controller_variant_validation():

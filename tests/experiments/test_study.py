@@ -100,6 +100,10 @@ def test_grid_expansion_is_deterministic():
     spec = StudySpec(name="s", base=TINY, axes=_axes())
     assert spec.keys() == spec.keys()
     assert spec.size() == 4
+    # three components' full grids over three seeds: every point distinct
+    wide = StudySpec(name="wide", base=TINY, seeds=(1, 2, 3), axes=tuple(
+        get_component(name).axis() for name in ("bands", "rotation", "window_jitter")))
+    assert len(set(wide.keys())) == len(wide.keys()) == 5 * 4 * 3 * 3
 
 
 def test_same_spec_same_keys_across_instances():

@@ -59,9 +59,8 @@ def test_env_fallback_enables_watchdog(monkeypatch):
 
 
 def test_seeded_leak_raises_in_raise_mode():
-    runtime = materialize(
-        Scenario(config=MICRO), on_cluster=_leak_one_segment, watchdog="raise"
-    )
+    runtime = materialize(Scenario(config=MICRO), watchdog="raise")
+    _leak_one_segment(runtime.cluster)
     with pytest.raises(WatchdogError, match="leaked") as info:
         runtime.run()
     violation = info.value.violation
@@ -72,9 +71,8 @@ def test_seeded_leak_raises_in_raise_mode():
 def test_seeded_leak_recorded_in_warn_mode():
     """Warn mode still records the structured violation; the run itself
     fails on the downstream symptom (the starved job never finishes)."""
-    runtime = materialize(
-        Scenario(config=MICRO), on_cluster=_leak_one_segment, watchdog="warn"
-    )
+    runtime = materialize(Scenario(config=MICRO), watchdog="warn")
+    _leak_one_segment(runtime.cluster)
     with pytest.warns(RuntimeWarning, match="leaked"):
         with pytest.raises(ConfigError, match="did not finish"):
             runtime.run()

@@ -112,13 +112,9 @@ def test_collector_sees_traffic_across_a_ps_crash():
     plan = FaultPlan(
         faults=(PSCrash(job="job00", at=0.2, recover_after=0.2),),
     )
-    collectors = []
-    runtime = materialize(
-        Scenario(config=cfg, faults=plan),
-        on_cluster=lambda c: collectors.append(FlowCollector.install(c.network)),
-    )
+    runtime = materialize(Scenario(config=cfg, faults=plan))
+    collector = FlowCollector.install(runtime.cluster.network)
     result = runtime.run()
-    [collector] = collectors
     # updates flowed both before the crash and after the restart
     assert result.fault_events
     assert collector.fcts("model_update", job="job00").size > 0

@@ -45,10 +45,9 @@ REMOVED = ("nic_tx_bytes", "nic_tx_segments", "transport_segments_lost",
            "switch_port_drops")
 
 
-def _scenario(scenario, watchdog=None, on_cluster=None):
+def _scenario(scenario, watchdog=None):
     def run(metrics):
-        result = materialize(scenario, metrics=metrics, watchdog=watchdog,
-                             on_cluster=on_cluster).run()
+        result = materialize(scenario, metrics=metrics, watchdog=watchdog).run()
         return (result.metrics_snapshot, result_content_hash(result),
                 result.watchdog_violations)
     return run
@@ -75,8 +74,8 @@ def _leak_one_segment(cluster):
 def _leaked_run(metrics):
     """The seeded byte leak in warn mode: the starved job never finishes,
     so the run ends in an error and the snapshot is scraped by hand."""
-    rt = materialize(Scenario(config=MICRO), on_cluster=_leak_one_segment,
-                     metrics=metrics, watchdog="warn")
+    rt = materialize(Scenario(config=MICRO), metrics=metrics, watchdog="warn")
+    _leak_one_segment(rt.cluster)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(ConfigError, match="did not finish"):

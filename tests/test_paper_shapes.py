@@ -2,8 +2,11 @@
 
 These run a mid-scale grid search (8 jobs x 10 workers on a 2.5 Gbps
 fabric — the same network/compute contention ratio as the full 21x20
-testbed at 10 Gbps) and assert the *shapes* the paper reports.  The full-
-scale versions live in benchmarks/.
+testbed at 10 Gbps) and assert the *shapes* the paper reports, at
+thresholds for this scale.  The 21x20 versions are the figures' own
+``claims()``, checked by ``tensorlights reproduce``; at this scale
+Figure 5a's placement-#1 means (0.948 TLs-One, 0.958 TLs-RR) sit above
+those claims' bounds, so the two scales keep separate thresholds.
 """
 
 import numpy as np
