@@ -5,7 +5,7 @@ executor drives them (in-process serial by default, a
 ``ProcessPoolExecutor`` fan-out with :class:`ParallelExecutor`) and
 whether results come from / go to a content-addressed on-disk
 :class:`ResultCache`.  The figure generators, studies, ablations, CLI and
-benchmarks all build scenario lists and submit them here, so one
+``tensorlights reproduce`` all build scenario lists and submit them here, so one
 ``Campaign(executor=ParallelExecutor(8), cache=ResultCache(path))``
 parallelizes and incrementalizes the whole paper reproduction.
 

@@ -1,8 +1,9 @@
 """One generator per table/figure in the paper's evaluation.
 
 Each module exposes ``generate(base=None, **overrides)`` returning a
-result object with structured ``rows`` plus ``render()`` for the text
-report, so benchmarks print the same rows/series the paper plots.
+result object with ``render()`` for the text report — the same
+rows/series the paper plots — and, all but ``impact``, ``claims()``:
+the paper claims it checks (``tensorlights reproduce`` prints both).
 """
 
 from repro.experiments.figures import (  # noqa: F401
