@@ -134,34 +134,19 @@ class RingAllReduceTask:
         """The flow chunk ``step`` travels on (striped over channels)."""
         return self._flows[step % len(self._flows)]
 
-    def _send_chunk(self, iteration: int, step: int) -> None:
-        """Hand one chunk for ``(iteration, step)`` to the transport."""
-        chunk = Message(
-            flow=self._flows[step % len(self._flows)],
-            size=self._chunk_bytes,
-            kind=RING_CHUNK,
-            meta={"job": self.spec.job_id, "member": self.member_index,
-                  "iteration": iteration, "step": step},
-        )
-        self.chunks_sent += 1
-        self.bytes_sent += chunk.size
-        self.endpoint.host.transport.send_message(chunk)
-
-    def _recv_chunk(self, iteration: int, step: int):
-        """Block until the predecessor's ``(iteration, step)`` chunk lands."""
-        key = (iteration, step)
-        while key not in self._received:
-            msg = yield self.inbox.get()
-            assert msg.kind == RING_CHUNK, f"{self.name} got {msg.kind}"
-            self._received[(msg.meta["iteration"], msg.meta["step"])] = msg
-        del self._received[key]
-
     def run(self, delay: float = 0.0):
         """The member process (a simulation generator), ``delay`` late."""
         if delay > 0:
             yield Timeout(delay)
-        sim = self.endpoint.host.sim
-        cpu = self.endpoint.host.cpu
+        host = self.endpoint.host
+        sim = host.sim
+        cpu = host.cpu
+        send = host.transport.send_message
+        get = self.inbox.get
+        received = self._received
+        flows = self._flows
+        n_flows = len(flows)
+        chunk_bytes = self._chunk_bytes
         spec = self.spec
         if self.member_index == 0:
             if self.metrics.start_time < 0 or sim.now < self.metrics.start_time:
@@ -177,13 +162,28 @@ class RingAllReduceTask:
             self.metrics.local_steps[self.name] = self.local_step
             # Communication phase = the all-reduce "barrier": entry when
             # the first chunk is handed to the transport, exit when the
-            # last all-gather chunk has fully arrived.
+            # last all-gather chunk has fully arrived.  Step ``s`` sends
+            # chunk ``s`` (the one received at ``s - 1``), then blocks
+            # until the predecessor's chunk ``s`` lands.
             barrier_entered_at = sim.now
-            self._send_chunk(iteration, 0)
             for step in range(steps):
-                yield from self._recv_chunk(iteration, step)
-                if step + 1 < steps:
-                    self._send_chunk(iteration, step + 1)
+                chunk = Message(
+                    flow=flows[step % n_flows],
+                    size=chunk_bytes,
+                    kind=RING_CHUNK,
+                    meta={"job": spec.job_id, "member": self.member_index,
+                          "iteration": iteration, "step": step},
+                )
+                self.chunks_sent += 1
+                self.bytes_sent += chunk_bytes
+                send(chunk)
+                key = (iteration, step)
+                while key not in received:
+                    msg = yield get()
+                    assert msg.kind == RING_CHUNK, f"{self.name} got {msg.kind}"
+                    meta = msg.meta
+                    received[(meta["iteration"], meta["step"])] = msg
+                del received[key]
             self.metrics.barriers.record(iteration, sim.now - barrier_entered_at)
             if self.member_index == 0:
                 self.metrics.iterations_done = iteration + 1

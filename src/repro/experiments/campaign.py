@@ -256,6 +256,11 @@ class RunRequest:
         )
 
 
+def _land_pending_raise() -> None:
+    """Does nothing: entering it is a bytecode boundary, where a pending
+    injected raise lands (see :func:`_run_with_wall_timeout`)."""
+
+
 def _run_with_wall_timeout(
     scenario: Scenario, request: RunRequest
 ) -> ExperimentResult:
@@ -267,8 +272,8 @@ def _run_with_wall_timeout(
     own) and on every platform CPython supports.  Delivery lands at the
     next bytecode boundary, which the pure-Python simulator crosses
     constantly.  A lock plus done-flag closes the finish-line race, and
-    a fired-but-undelivered injection is cleared best-effort on the way
-    out.  An injection that surfaces wrapped in the kernel's
+    a fired-but-undelivered injection is made to land (and is dropped)
+    on the way out.  An injection that surfaces wrapped in the kernel's
     ``ProcessError`` is unwrapped (:func:`_find_timeout`), so a timeout
     always leaves as one bare :class:`_ScenarioTimeout`.
     """
@@ -301,9 +306,18 @@ def _run_with_wall_timeout(
         with lock:
             already_done = state["done"]
             state["done"] = True
-        timer.cancel()
         if state["fired"] and not already_done:
-            set_async_exc(tid, None)  # clear a pending, undelivered raise
+            # A raise that fired at the finish line may still be pending:
+            # a Python call lands it here.  Clearing it with
+            # SetAsyncExc(NULL) instead leaves CPython's async-exception
+            # eval-breaker bit set for the rest of the process, and every
+            # later function entry under a trace or profile function
+            # (hypothesis explaining a failure, a profiler) spins forever.
+            try:
+                _land_pending_raise()
+            except _ScenarioTimeout:
+                pass
+        timer.cancel()
     return result
 
 

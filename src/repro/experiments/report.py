@@ -132,12 +132,3 @@ def render_cdf(samples: Iterable[float], label: str, points: int = 9) -> str:
     qs = np.linspace(0.1, 0.9, points)
     cells = "  ".join(f"p{int(q * 100):02d}={cdf.quantile(q):.4g}" for q in qs)
     return f"{label:<24} n={cdf.n:<6} {cells}"
-
-
-def render_scatter_summary(values: Sequence[float], label: str) -> str:
-    """One-line summary standing in for a scatter column of Figure 2/5."""
-    arr = np.asarray(list(values), dtype=float)
-    return (
-        f"{label:<12} mean={arr.mean():8.3f}  min={arr.min():8.3f}  "
-        f"max={arr.max():8.3f}  std={arr.std():7.3f}  n={arr.size}"
-    )

@@ -7,45 +7,22 @@ traffic here is TCP-like).  TensorLights filters classify packets by the
 
 from __future__ import annotations
 
+from typing import NamedTuple
 
-class FlowKey:
+
+class FlowKey(NamedTuple):
     """Identifies one direction of one connection.
 
     Immutable and hashable.  Flow keys are dictionary keys on the
-    per-segment transport path, so the hash is computed once at
-    construction instead of on every lookup (a hand-rolled class rather
-    than a frozen dataclass, whose generated ``__hash__`` re-hashes the
-    field tuple per call).
+    per-segment transport path; as a named tuple, hashing, equality and
+    field reads run in C, and the hash is the plain
+    ``hash((src_host, src_port, dst_host, dst_port))``.
     """
 
-    __slots__ = ("src_host", "src_port", "dst_host", "dst_port", "_hash")
-
-    def __init__(
-        self, src_host: str, src_port: int, dst_host: str, dst_port: int
-    ) -> None:
-        object.__setattr__(self, "src_host", src_host)
-        object.__setattr__(self, "src_port", src_port)
-        object.__setattr__(self, "dst_host", dst_host)
-        object.__setattr__(self, "dst_port", dst_port)
-        object.__setattr__(
-            self, "_hash", hash((src_host, src_port, dst_host, dst_port))
-        )
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"FlowKey is immutable (tried to set {name!r})")
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FlowKey):
-            return NotImplemented
-        return (
-            self.src_port == other.src_port
-            and self.dst_port == other.dst_port
-            and self.src_host == other.src_host
-            and self.dst_host == other.dst_host
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
+    src_host: str
+    src_port: int
+    dst_host: str
+    dst_port: int
 
     def reversed(self) -> "FlowKey":
         """The opposite direction of the same connection."""
@@ -53,9 +30,3 @@ class FlowKey:
 
     def __str__(self) -> str:
         return f"{self.src_host}:{self.src_port}->{self.dst_host}:{self.dst_port}"
-
-    def __repr__(self) -> str:
-        return (
-            f"FlowKey(src_host={self.src_host!r}, src_port={self.src_port!r}, "
-            f"dst_host={self.dst_host!r}, dst_port={self.dst_port!r})"
-        )

@@ -190,7 +190,15 @@ class NIC:
             self._retry_event = None
         self._tx_busy = True
         self._busy_since = now
-        sim.schedule_fire(seg.size / self.rate, self._tx_done, (seg,))
+        # sim.schedule_fire inlined, as in ``_tx_done``.
+        events = sim.events
+        seq = events._seq
+        events._seq = seq + 1
+        heappush(
+            events._heap,
+            (now + seg.size / self.rate, 0, seq, None, self._tx_done, (seg,)),
+        )
+        events._live += 1
 
     def _tx_done(self, seg: Segment) -> None:
         sim = self.sim

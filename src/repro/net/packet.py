@@ -19,7 +19,7 @@ from repro.net.addressing import FlowKey
 _message_ids = itertools.count()
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Message:
     """An application-level transfer over one flow.
 
@@ -28,21 +28,40 @@ class Message:
         size: payload bytes.
         kind: application tag (``"model_update"``, ``"gradient_update"``...).
         meta: free-form application metadata (job id, iteration, ...).
+        msg_id: process-wide increasing id (reassembly key).
         created_at: simulated send time (stamped by the transport).
         delivered_at: simulated full-reassembly time at the receiver.
+
+    A dataclass for the value ``==`` and the field ``repr``, with a
+    hand-written ``__init__``: one message is built per transfer, and
+    the generated one adds a ``default_factory`` call and a
+    ``__post_init__`` frame to each.
     """
 
     flow: FlowKey
     size: int
-    kind: str = "data"
-    meta: Dict[str, Any] = field(default_factory=dict)
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
-    created_at: float = -1.0
-    delivered_at: float = -1.0
+    kind: str
+    meta: Dict[str, Any]
+    msg_id: int = field(init=False)
+    created_at: float = field(init=False)
+    delivered_at: float = field(init=False)
 
-    def __post_init__(self) -> None:
-        if self.size <= 0:
-            raise NetworkError(f"message size must be positive, got {self.size}")
+    def __init__(
+        self,
+        flow: FlowKey,
+        size: int,
+        kind: str = "data",
+        meta: Optional[Dict[str, Any]] = None,
+    ) -> None:
+        if size <= 0:
+            raise NetworkError(f"message size must be positive, got {size}")
+        self.flow = flow
+        self.size = size
+        self.kind = kind
+        self.meta = {} if meta is None else meta
+        self.msg_id = next(_message_ids)
+        self.created_at = -1.0
+        self.delivered_at = -1.0
 
     @property
     def latency(self) -> float:

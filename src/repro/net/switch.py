@@ -31,6 +31,7 @@ Two port granularities share one behaviour, and the fabric's structure
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappush
 from typing import Callable, Deque, Dict, Optional, TYPE_CHECKING
 
 from repro.errors import NetworkError
@@ -287,7 +288,13 @@ class VirtualOutputPort(OutputPort):
             # — mirroring the transport's reassembly, which also byte-
             # counts without dedup and completes the message again.
             acc.pop(mid, None)
-            sim.schedule_at_fire(delivery, self.settle)
+            # sim.schedule_at_fire inlined (one push per message):
+            # delivery >= arrival >= now, so the past-time guard holds.
+            events = sim.events
+            seq = events._seq
+            events._seq = seq + 1
+            heappush(events._heap, (delivery, 0, seq, None, self.settle, ()))
+            events._live += 1
             credit -= 1
         else:
             acc[mid] = got

@@ -26,6 +26,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 DEFAULT_SEGMENT_BYTES = 128 * 1024
 DEFAULT_WINDOW_SEGMENTS = 8
+#: window-jitter draws prefetched per numpy call
+_WINDOW_BLOCK = 64
 
 
 class _SendState:
@@ -167,19 +169,40 @@ class Transport:
 
     def send_message(self, message: Message) -> None:
         """Queue a message for transmission on its flow."""
-        if message.flow.src_host != self.nic.host_id:
+        flow = message.flow
+        if flow.src_host != self.nic.host_id:
             raise NetworkError(
-                f"message flow {message.flow} does not originate at "
+                f"message flow {flow} does not originate at "
                 f"{self.nic.host_id}"
             )
         message.created_at = self.sim.now
         self.messages_sent += 1
-        state = self._send_states.get(message.flow)
+        state = self._send_states.get(flow)
         if state is None:
             state = _SendState(self._draw_window(), slow_start=self.slow_start)
-            self._send_states[message.flow] = state
-        state.pending.extend(segment_message(message, self.segment_bytes))
-        self._refill(message.flow, state)
+            self._send_states[flow] = state
+        pending = state.pending
+        size = message.size
+        if size <= self.segment_bytes:
+            # One-segment message: no slicing list.
+            pending.append(Segment(message, 0, size, True))
+        else:
+            pending.extend(segment_message(message, self.segment_bytes))
+        # _refill inlined for the common (not loss-tolerant) NIC, as in
+        # ``_on_segment_serialized``.  ``pending`` is non-empty and the
+        # window is at least one segment, so the flow never drains here.
+        nic = self.nic
+        if nic.loss_tolerant:
+            self._refill(flow, state)
+            return
+        limit = int(state.window)
+        n = state.in_flight
+        send = nic.send
+        while pending and n < limit:
+            seg = pending.popleft()
+            n += 1
+            state.in_flight = n
+            send(seg)
 
     def _draw_window(self) -> int:
         jitter = self.window_jitter
@@ -190,17 +213,21 @@ class Transport:
         # drawn sequence — pinned by the result hashes — is unchanged,
         # while the per-draw numpy call overhead is amortized (windows
         # are drawn per flow and per RTO flow resurrect, which is hot
-        # under incast).
+        # under incast).  A block is a list of Python floats (no
+        # ``float()`` per draw); 64 of them take the memory a numpy
+        # block of 256 did.
         i = self._window_buf_i
         buf = self._window_buf
         if buf is None or i >= len(buf):
             rng = self._window_rng
             if rng is None:
                 rng = self._window_rng = self.sim.rng.stream(self._window_stream)
-            buf = self._window_buf = rng.uniform(1.0 - jitter, 1.0 + jitter, 256)
+            buf = self._window_buf = rng.uniform(
+                1.0 - jitter, 1.0 + jitter, _WINDOW_BLOCK
+            ).tolist()
             i = 0
         self._window_buf_i = i + 1
-        return max(1, round(self.window_segments * float(buf[i])))
+        return max(1, round(self.window_segments * buf[i]))
 
     def _refill(self, flow: FlowKey, state: _SendState) -> None:
         # Burst fast path: while the window allows, hand segments to the
@@ -321,14 +348,18 @@ class Transport:
 
     def _on_segment_arrival(self, seg: Segment) -> None:
         msg = seg.message
-        state = self._recv_states.get(msg.msg_id)
-        if state is None:
-            state = _RecvState(msg)
-            self._recv_states[msg.msg_id] = state
-        state.received += seg.size
-        if state.received < msg.size:
-            return
-        del self._recv_states[msg.msg_id]
+        if seg.size < msg.size:
+            # One segment of several: reassemble.  A one-segment message
+            # completes on arrival and never gets a receive state.
+            states = self._recv_states
+            mid = msg.msg_id
+            state = states.get(mid)
+            if state is None:
+                state = states[mid] = _RecvState(msg)
+            state.received += seg.size
+            if state.received < msg.size:
+                return
+            del states[mid]
         msg.delivered_at = self.sim.now
         self.messages_delivered += 1
         metrics = self.sim.metrics

@@ -2,7 +2,7 @@
 
 The paper's TensorLights fixes uplink contention *after* an oblivious
 scheduler has created it; this package closes the loop at placement time
-(ROADMAP item 1).  Three layers:
+(see ``docs/placement.md``).  Three layers:
 
 * :mod:`repro.placement.fingerprint` — distill a job shape's
   communication behaviour into a :class:`JobFingerprint` via a cheap,

@@ -115,9 +115,18 @@ class Mailbox:
         self._getters: Deque[_Suspend] = deque()
 
     def put(self, item: Any) -> None:
-        if self._getters:
-            tok = self._getters.popleft()
-            tok.complete(self.sim, item)
+        getters = self._getters
+        if getters:
+            tok = getters.popleft()
+            proc = tok._proc
+            if proc is None:
+                tok.complete(self.sim, item)
+            else:
+                # _Suspend.complete inlined for a registered waiter (a
+                # queued token was never completed): one frame per
+                # delivered message.
+                tok._done = True
+                self.sim.schedule_fire(0.0, proc._resume, (item,))
         else:
             self._items.append(item)
 

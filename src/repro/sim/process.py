@@ -106,7 +106,12 @@ class Process:
         except BaseException as exc:  # noqa: BLE001 - report with context
             self._finish(None, exc)
             raise ProcessError(f"process {self.name!r} failed: {exc!r}") from exc
-        self._block_on(waitable)
+        # _block_on inlined for the valid case (once per resume); it
+        # stays the error path.
+        if isinstance(waitable, Waitable):
+            waitable._register(self.sim, self)
+        else:
+            self._block_on(waitable)
 
     def _throw(self, exc: BaseException) -> None:
         """Resume the process by raising ``exc`` inside the generator."""

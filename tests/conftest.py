@@ -32,19 +32,22 @@ settings.load_profile("repro")
 def record_flow_keys(monkeypatch):
     """Call to start recording ``FlowKey`` constructions.
 
-    Returns the list that each later construction appends its arguments
-    to, so a test can assert that a phase builds no keys.
+    Returns the list that each later construction appends its new key
+    to, so a test can assert that a phase builds no keys.  ``FlowKey``
+    is a named tuple, built by ``__new__`` alone, so that is what the
+    recorder wraps.
     """
 
     def start():
         built = []
-        original = FlowKey.__init__
+        original = FlowKey.__new__
 
-        def recording_init(self, *args):
-            built.append(args)
-            original(self, *args)
+        def recording_new(cls, *args, **kwargs):
+            key = original(cls, *args, **kwargs)
+            built.append(key)
+            return key
 
-        monkeypatch.setattr(FlowKey, "__init__", recording_init)
+        monkeypatch.setattr(FlowKey, "__new__", recording_new)
         return built
 
     return start

@@ -2,9 +2,13 @@
 
 import base64
 import json
+import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 from array import array
@@ -435,6 +439,44 @@ def test_timer_timeout_returns_result_when_fast_enough():
 
     result = _run_with_wall_timeout(Scenario(config=MICRO), RunRequest(timeout=60.0))
     assert result.makespan > 0
+
+
+def test_cut_run_leaves_traced_calls_working():
+    """After the guard cuts a run, a function called under a profile
+    function still returns.  Clearing the injection with
+    ``PyThreadState_SetAsyncExc(tid, NULL)`` left CPython's
+    async-exception eval-breaker bit set, so every later function entry
+    under a trace or profile function spun forever (a failing hypothesis
+    example hung in its explain phase).  Run in a child process, which
+    the timeout kills if it spins."""
+    code = textwrap.dedent("""
+        import sys
+        from repro.experiments import ExperimentConfig, Scenario
+        from repro.experiments.campaign import (
+            RunRequest, _ScenarioTimeout, _run_with_wall_timeout,
+        )
+
+        glacial = ExperimentConfig.tiny(
+            n_jobs=2, n_workers=2, iterations=200_000, seed=11)
+        try:
+            _run_with_wall_timeout(Scenario(config=glacial),
+                                   RunRequest(timeout=0.5))
+        except _ScenarioTimeout:
+            pass
+
+        def probe():
+            return "returned"
+
+        sys.setprofile(lambda frame, event, arg: None)
+        print(probe())
+    """)
+    src = Path(__file__).resolve().parents[2] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=60, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "returned"
 
 
 def test_wall_timeout_off_main_thread_uses_timer_fallback():

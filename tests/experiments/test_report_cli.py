@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cli import main
-from repro.experiments.report import TextTable, render_cdf, render_scatter_summary
+from repro.experiments.report import TextTable, render_cdf
 
 
 # ---------------------------------------------------------------- TextTable
@@ -40,11 +40,6 @@ def test_table_empty_renders_headers():
 def test_render_cdf_deciles():
     text = render_cdf([1.0, 2.0, 3.0, 4.0], "label")
     assert "label" in text and "p50=" in text and "n=4" in text
-
-
-def test_render_scatter_summary():
-    text = render_scatter_summary([1.0, 2.0, 3.0], "jcts")
-    assert "mean=" in text and "n=3" in text
 
 
 # ---------------------------------------------------------------- CLI

@@ -1,5 +1,9 @@
 """Unit tests for messages, segments and flow keys."""
 
+import copy
+import dataclasses
+from dataclasses import dataclass, field
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -23,15 +27,101 @@ def test_flow_key_hashable_and_str():
     assert str(f) == "a:1->b:2"
 
 
+# FlowKey is a named tuple and Message a dataclass with a hand-written
+# __init__; these pin what the earlier hand-rolled FlowKey class and the
+# fully generated Message dataclass guaranteed.
+
+_KEY_FIELDS = st.tuples(
+    st.text(max_size=8), st.integers(0, 65535),
+    st.text(max_size=8), st.integers(0, 65535),
+)
+
+
+@given(st.lists(_KEY_FIELDS, max_size=20))
+def test_flow_key_hash_is_the_field_tuple_hash(fields):
+    keys = [FlowKey(*f) for f in fields]
+    assert [hash(k) for k in keys] == [hash(f) for f in fields]
+    # equal hashes and insertion order: dict and set orders cannot move
+    assert [tuple(k) for k in set(keys)] == list(set(fields))
+    assert [tuple(k) for k in dict.fromkeys(keys)] == list(dict.fromkeys(fields))
+
+
+@pytest.mark.parametrize(
+    "name", ["src_host", "src_port", "dst_host", "dst_port", "other"]
+)
+def test_flow_key_is_immutable(name):
+    f = FlowKey("a", 1, "b", 2)
+    with pytest.raises(AttributeError):
+        setattr(f, name, 3)
+    assert f == FlowKey("a", 1, "b", 2)
+
+
+def test_flow_key_text():
+    f = FlowKey("ps0", 5000, "w1", 6001)
+    assert f.reversed() == FlowKey("w1", 6001, "ps0", 5000)
+    assert type(f.reversed()) is FlowKey
+    assert str(f) == "ps0:5000->w1:6001"
+    assert repr(f) == (
+        "FlowKey(src_host='ps0', src_port=5000, dst_host='w1', dst_port=6001)"
+    )
+
+
+def test_record_flow_keys_records_one_construction(record_flow_keys):
+    built = record_flow_keys()
+    key = FlowKey("a", 1, "b", 2)
+    assert built == [key]
+    assert built[0] is key and type(key) is FlowKey
+
+
 def test_message_requires_positive_size():
-    with pytest.raises(NetworkError):
-        Message(flow=flow(), size=0)
+    for size in (0, -1):
+        with pytest.raises(NetworkError):
+            Message(flow=flow(), size=size)
 
 
 def test_message_ids_unique():
     a = Message(flow=flow(), size=1)
     b = Message(flow=flow(), size=1)
-    assert a.msg_id != b.msg_id
+    assert b.msg_id > a.msg_id  # unique, and increasing
+
+
+def test_message_meta_is_per_message():
+    a = Message(flow=flow(), size=1)
+    b = Message(flow=flow(), size=1)
+    assert a.meta == {} and b.meta == {}
+    assert a.meta is not b.meta
+    meta = {"job": "j0"}
+    assert Message(flow(), 1, "k", meta).meta is meta
+
+
+@dataclass
+class _GeneratedMessage:
+    """The fully generated dataclass Message had: the eq/repr reference."""
+
+    flow: FlowKey
+    size: int
+    kind: str = "data"
+    meta: dict = field(default_factory=dict)
+    msg_id: int = 0
+    created_at: float = -1.0
+    delivered_at: float = -1.0
+
+
+def test_message_eq_and_repr_match_the_generated_dataclass():
+    m = Message(flow(), 10, "gradient_update", {"job": "j0"})
+    m.created_at = 0.5
+    ref = _GeneratedMessage(
+        m.flow, 10, "gradient_update", {"job": "j0"}, m.msg_id, 0.5
+    )
+    assert [f.name for f in dataclasses.fields(Message)] == [
+        f.name for f in dataclasses.fields(_GeneratedMessage)
+    ]
+    assert repr(m) == repr(ref).replace("_GeneratedMessage", "Message", 1)
+    twin = copy.copy(m)
+    assert twin == m and twin is not m
+    twin.delivered_at = 1.0
+    assert twin != m
+    assert m != ref  # value eq is per class, as generated
 
 
 def test_message_latency_requires_delivery():

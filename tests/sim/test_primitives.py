@@ -70,6 +70,25 @@ def test_mailbox_multiple_getters_served_fifo():
     assert got == [("first", "a"), ("second", "b")]
 
 
+def test_mailbox_put_completes_a_token_not_yet_awaited():
+    """``put`` completes a queued waiter inline only once it is
+    registered; a token taken but not yet yielded keeps the value."""
+    sim = Simulator()
+    mb = Mailbox(sim)
+    got = []
+
+    def consumer():
+        tok = mb.get()  # queued as a getter, not yet yielded on
+        mb.put("early")
+        yield Timeout(1.0)
+        got.append(((yield tok), sim.now))
+
+    sim.spawn(consumer())
+    sim.run()
+    assert got == [("early", 1.0)]
+    assert len(mb) == 0
+
+
 @given(st.lists(st.integers(), max_size=50))
 def test_property_mailbox_preserves_order(items):
     sim = Simulator()
