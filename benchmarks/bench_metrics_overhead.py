@@ -1,12 +1,12 @@
-"""Overhead guard for the metrics registry (``sim.metrics``).
+"""Overhead guard for run metrics (``materialize(metrics=True)``).
 
-The registry's contract is *zero-cost when disabled*: components keep
-plain counts that ``scrape_cluster`` reads once at run end, and the only
-two in-flight observations (message latency, barrier wait) guard on
-``sim.metrics.enabled``, so a run with metrics off must stay within a
-few percent of the pre-instrumentation baseline.  This benchmark
-enforces that, and reports (informationally) what enabling the registry
-actually costs.
+The data path never sees a metrics registry: components keep plain
+counts and jobs keep their barrier waits, ``scrape_cluster`` reads them
+once at run end, and the one observation made during the run — message
+latency — is a delivery tap installed only when metrics are on.  So a
+run with metrics off must stay within a few percent of the
+pre-instrumentation baseline.  This benchmark enforces that, and
+reports (informationally) what turning metrics on actually costs.
 
 Runnable directly — the metrics-smoke CI job does::
 
@@ -14,10 +14,10 @@ Runnable directly — the metrics-smoke CI job does::
         --baseline BENCH_simulator.json --max-regression 0.05
 
 which re-measures the same three end-to-end scenarios as
-``bench_simulator_speed`` with the registry disabled (the default code
-path), fails if any is more than ``--max-regression`` below the
-checked-in events/sec baseline, and writes ``BENCH_metrics.json`` with
-both disabled and enabled numbers plus the enabled-overhead percentage.
+``bench_simulator_speed`` with metrics off (the default code path),
+fails if any is more than ``--max-regression`` below the checked-in
+events/sec baseline, and writes ``BENCH_metrics.json`` with both
+disabled and enabled numbers plus the enabled-overhead percentage.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import time
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runtime import materialize
 from repro.experiments.scenario import Scenario
-from repro.sim import Simulator
+from repro.telemetry import MetricsRegistry
 
 sys.path.insert(0, ".")  # the repo root, for tests.net.helpers
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -39,7 +39,7 @@ from bench_simulator_speed import _bench_scenarios, check_regression  # noqa: E4
 
 
 def measure_pair(config: ExperimentConfig, repeats: int) -> tuple[dict, dict]:
-    """Best-of-``repeats`` events/sec with the registry off and on.
+    """Best-of-``repeats`` events/sec with metrics off and on.
 
     The two modes are *interleaved* (off, on, off, on, ...) rather than
     measured in separate blocks: machine-speed drift between blocks
@@ -96,7 +96,7 @@ def run_overhead_suite(quick: bool = False) -> dict:
 
 
 def disabled_view(report: dict) -> dict:
-    """The disabled-registry numbers in ``BENCH_simulator.json`` shape,
+    """The metrics-off numbers in ``BENCH_simulator.json`` shape,
     so :func:`bench_simulator_speed.check_regression` applies directly."""
     return {
         "scenarios": {
@@ -108,7 +108,7 @@ def disabled_view(report: dict) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Measure metrics-registry overhead and write BENCH_metrics.json"
+        description="Measure run-metrics overhead and write BENCH_metrics.json"
     )
     parser.add_argument("--quick", action="store_true",
                         help="CI smoke mode: fewer iterations and repeats")
@@ -144,11 +144,11 @@ def main(argv: list[str] | None = None) -> int:
             disabled_view(report), baseline, args.max_regression
         )
         if failures:
-            print("METRICS OVERHEAD REGRESSION (registry disabled):")
+            print("METRICS OVERHEAD REGRESSION (metrics off):")
             for line in failures:
                 print(f"  {line}")
             return 1
-        print(f"disabled-registry throughput within {args.max_regression:.0%} "
+        print(f"metrics-off throughput within {args.max_regression:.0%} "
               f"of {args.baseline}")
 
     if args.max_overhead is not None:
@@ -168,27 +168,9 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
-def test_disabled_guard_is_cheap(benchmark):
-    """1M guarded push-site checks against a disabled registry."""
-    sim = Simulator()
-    metrics = sim.metrics
-
-    def run():
-        n = 0
-        for _ in range(1_000_000):
-            if metrics.enabled:
-                metrics.counter("x").inc()  # pragma: no cover
-            n += 1
-        return n
-
-    assert benchmark(run) == 1_000_000
-
-
 def test_counter_push_throughput(benchmark):
-    """100k enabled counter increments through the get-or-create path."""
-    sim = Simulator()
-    sim.metrics.enabled = True
-    metrics = sim.metrics
+    """100k counter increments through the get-or-create path."""
+    metrics = MetricsRegistry()
 
     def run():
         for i in range(100_000):

@@ -28,6 +28,10 @@ class BarrierSeries:
             raise WorkloadError(f"negative barrier wait {wait} at iter {iteration}")
         self._waits.setdefault(iteration, []).append(wait)
 
+    def waits(self) -> List[float]:
+        """Every recorded wait, barrier by barrier (each in record order)."""
+        return [w for waits in self._waits.values() for w in waits]
+
     @property
     def n_barriers(self) -> int:
         return len(self._waits)
@@ -52,9 +56,6 @@ class BarrierSeries:
         return np.array(
             [np.var(self._waits[i]) for i in self.complete_barriers()], dtype=float
         )
-
-    def per_barrier_std(self) -> np.ndarray:
-        return np.sqrt(self.per_barrier_variance())
 
 
 @dataclass

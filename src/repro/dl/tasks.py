@@ -178,10 +178,6 @@ class WorkerTask(_Task):
                 # Also overwrites the retry timeout (ROADMAP item 1, cause 2).
                 wait = sim.now - barrier_entered_at
                 self.metrics.barriers.record(iteration - 1, wait)
-                if sim.metrics.enabled:
-                    sim.metrics.histogram(
-                        "dl_barrier_wait_seconds", job=self.spec.job_id
-                    ).observe(wait)
             jitter = sim.rng.lognormal_factor(
                 f"compute/{self.name}", spec.compute_jitter_sigma
             )

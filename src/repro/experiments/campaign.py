@@ -619,8 +619,8 @@ class Campaign:
             generated timestamp id).
         journal_dir: where journals live (default: ``journals`` under
             ``cache``'s directory, else under the default cache directory).
-        observe_metrics: run every scenario with the per-run metrics
-            registry enabled (results gain ``metrics_snapshot``).
+        observe_metrics: run every scenario with a per-run metrics
+            registry (results gain ``metrics_snapshot``).
         watchdog: runtime invariant watchdog mode for every scenario —
             ``None`` (off), ``"warn"`` or ``"raise"``.
 
@@ -681,7 +681,7 @@ class Campaign:
         self.journal_dir = journal_dir
         self.observe_metrics = observe_metrics
         self.watchdog = None if watchdog == "off" else watchdog
-        self.metrics = MetricsRegistry(enabled=True)
+        self.metrics = MetricsRegistry()
 
     #: campaign-level counters materialized at zero on every run, so an
     #: export after a clean campaign reports explicit zeros instead of

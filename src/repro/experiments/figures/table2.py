@@ -63,7 +63,7 @@ class Table2Result:
 
     results: Dict[Policy, ExperimentResult]
     window: ActiveWindow
-    #: scenario content hash -> ``sim.metrics.snapshot()`` (only populated
+    #: scenario content hash -> the run's metrics snapshot (only populated
     #: when the runs observe metrics).  One extra entry under the key
     #: ``"campaign"`` holds the campaign-level snapshot — retry/backoff
     #: counters and aggregated watchdog violation counts.

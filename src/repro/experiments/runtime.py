@@ -48,7 +48,9 @@ from repro.net.link import Link
 from repro.net.qdisc.netem import NetemQdisc
 from repro.sim import Simulator
 from repro.telemetry import ActiveWindow, HostSampler, window_mean
+from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.sampler import SampleSeries
+from repro.telemetry.scrape import scrape_cluster, tap_message_latency
 from repro.tensorlights import TensorLights
 
 
@@ -93,8 +95,8 @@ class ExperimentResult:
     tc_reconfigurations: int = 0
     #: the fault injector's audit log (empty for fault-free runs)
     fault_events: List[Dict[str, Any]] = field(default_factory=list)
-    #: ``sim.metrics.snapshot()`` when the run was materialized with
-    #: ``metrics=True``; empty otherwise.  Deliberately NOT part of the
+    #: the run's ``MetricsRegistry.snapshot()`` when it was materialized
+    #: with ``metrics=True``; empty otherwise.  Deliberately NOT part of the
     #: serialized result schema (``result_to_full_dict``) — the content
     #: hash and the on-disk cache must be identical with metrics on or
     #: off, so this field is dropped on cache round-trips.
@@ -181,6 +183,9 @@ class Runtime:
     samplers: Dict[str, HostSampler]
     _wall_start: float
     injector: Optional[FaultInjector] = None
+    #: the run's metrics registry (``materialize(metrics=True)``), filled
+    #: at the end of :meth:`run`; ``None`` when metrics are off
+    metrics: Optional[MetricsRegistry] = None
 
     def run(self) -> ExperimentResult:
         """Launch every job, drive the simulation dry, collect results."""
@@ -228,11 +233,10 @@ class Runtime:
             raise ConfigError(f"jobs did not finish: {unfinished}")
 
         metrics_snapshot: Dict[str, Any] = {}
-        if sim.metrics.enabled:
-            from repro.telemetry.scrape import scrape_cluster
-
-            scrape_cluster(sim.metrics, self.cluster, self.controller)
-            metrics_snapshot = sim.metrics.snapshot()
+        if self.metrics is not None:
+            scrape_cluster(self.metrics, self.cluster, self.controller,
+                           [a.metrics for a in apps])
+            metrics_snapshot = self.metrics.snapshot()
 
         return ExperimentResult(
             config=config,
@@ -336,9 +340,10 @@ def materialize(
     policy-derived TensorLights controller.
 
     Args:
-        metrics: enable the simulation-wide metrics registry
-            (``sim.metrics``); :meth:`Runtime.run` then scrapes the
-            cluster and stores the snapshot in
+        metrics: give the runtime a metrics registry
+            (:attr:`Runtime.metrics`) and a message-latency delivery
+            tap; :meth:`Runtime.run` then scrapes the cluster and the
+            jobs into it and stores the snapshot in
             :attr:`ExperimentResult.metrics_snapshot`.  This is an
             in-process switch, not part of Scenario identity — it cannot
             change simulated results.
@@ -371,8 +376,6 @@ def materialize(
 
     wall_start = time.perf_counter()
     sim = Simulator(seed=config.seed)
-    if metrics:
-        sim.metrics.enabled = True
     cluster = Cluster(
         sim,
         n_hosts=config.n_hosts,
@@ -506,6 +509,11 @@ def materialize(
             )
             samplers[hid].start()
 
+    registry: Optional[MetricsRegistry] = None
+    if metrics:
+        registry = MetricsRegistry()
+        tap_message_latency(registry, cluster.network)
+
     if watchdog is not None and watchdog != "off":
         from repro.dl.invariants import register_dl_checks
         from repro.net.invariants import register_net_checks
@@ -529,6 +537,7 @@ def materialize(
         samplers=samplers,
         _wall_start=wall_start,
         injector=injector,
+        metrics=registry,
     )
     for hook, params in resolved_hooks:
         if hook.post_build is not None:

@@ -105,7 +105,6 @@ class Transport:
         "_window_rng",
         "_window_buf",
         "_window_buf_i",
-        "_latency",
     )
 
     def __init__(
@@ -141,8 +140,10 @@ class Transport:
         self._send_states: Dict[FlowKey, _SendState] = {}
         self._recv_states: Dict[int, _RecvState] = {}
         self._listeners: Dict[int, Callable[[Message], None]] = {}
-        #: observation hook: called with each message just before its
-        #: listener (telemetry taps this instead of wrapping listeners)
+        #: observation hook: called with each reassembled message before
+        #: it is routed, so it also sees a message that arrives for a
+        #: port with no listener (telemetry taps this instead of
+        #: wrapping listeners)
         self.on_deliver: Optional[Callable[[Message], None]] = None
         #: when True, a message arriving for a port with no listener is
         #: counted and dropped instead of raising — fault-injection runs
@@ -157,9 +158,6 @@ class Transport:
         self._window_rng = None
         self._window_buf = None
         self._window_buf_i = 0
-        #: this host's ``transport_msg_latency_seconds`` histogram,
-        #: resolved on the first delivery observed with metrics on
-        self._latency = None
 
         nic.on_segment_sent = self._on_segment_serialized
         nic.on_receive = self._on_segment_arrival
@@ -362,16 +360,8 @@ class Transport:
             del states[mid]
         msg.delivered_at = self.sim.now
         self.messages_delivered += 1
-        metrics = self.sim.metrics
-        if metrics.enabled:
-            latency = self._latency
-            if latency is None:
-                latency = self._latency = metrics.histogram(
-                    "transport_msg_latency_seconds", host=self.nic.host_id
-                )
-            # Sender-stamped-to-delivered latency: the message-level RTT
-            # stand-in (the transport does not simulate per-segment ACKs).
-            latency.observe(self.sim.now - msg.created_at)
+        if self.on_deliver is not None:
+            self.on_deliver(msg)
         listener = self._listeners.get(msg.flow.dst_port)
         if listener is None:
             if self.tolerate_unrouted:
@@ -381,15 +371,7 @@ class Transport:
                 f"no listener on {self.nic.host_id}:{msg.flow.dst_port} "
                 f"for {msg.kind} message"
             )
-        if self.on_deliver is not None:
-            self.on_deliver(msg)
         listener(msg)
-
-    # -- monitoring ---------------------------------------------------------
-
-    @property
-    def active_flows(self) -> int:
-        return len(self._send_states)
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -7,19 +7,19 @@ arXiv 2308.00852; Wang et al., arXiv 2002.10105):
 * **iteration_period** — the length of one steady-state training loop
   (broadcast, compute, gradient fan-in) when the job runs alone;
 * **comm_duty_cycle** — the fraction of each period the job spends in its
-  communication phase (measured from the barrier-wait histogram the
-  telemetry layer already collects);
+  communication phase (measured from the barrier waits the job already
+  records);
 * **bytes_per_iteration** — egress bytes at the job's PS uplink per
   iteration (measured from the NIC transmit counters);
 * **phase_offset** — where inside the period the communication burst
   sits, relative to the job's launch time.
 
 Fingerprints come from a *profiling run*: one solo job of the same shape,
-simulated for a handful of iterations with the metrics registry on, under
-a fixed profile seed.  The simulation is deterministic, so a fingerprint
-is a pure function of the job shape — running the profile twice (or in
-two different campaign worker processes) produces identical numbers,
-which is what lets placement policies live inside cached scenarios.
+simulated for a handful of iterations under a fixed profile seed.  The
+simulation is deterministic, so a fingerprint is a pure function of the
+job shape — running the profile twice (or in two different campaign
+worker processes) produces identical numbers, which is what lets
+placement policies live inside cached scenarios.
 
 Everything here is plain picklable data with a JSON round-trip, so
 fingerprints cross process boundaries and persist in an on-disk
@@ -195,18 +195,21 @@ def shape_key(config: "ExperimentConfig") -> str:
 def profile_job_shape(config: "ExperimentConfig") -> JobFingerprint:
     """Run the profiling simulation and extract the fingerprint.
 
-    Materializes the :func:`profile_config` scenario with the metrics
-    registry on, runs it to completion, and reads the fingerprint off the
-    telemetry the run produced: the job's ``dl_barrier_wait_seconds``
-    histogram (via :meth:`~repro.telemetry.metrics.Histogram.percentile`)
-    and the bytes the PS host's NIC transmitted.  Deterministic: the
-    profile seed is fixed and the simulation is deterministic per seed.
+    Materializes the :func:`profile_config` scenario, runs it to
+    completion, and reads the fingerprint off what the run recorded: the
+    median of the job's barrier waits (a
+    :class:`~repro.telemetry.metrics.Histogram` of its
+    :class:`~repro.dl.metrics.BarrierSeries`, via
+    :meth:`~repro.telemetry.metrics.Histogram.percentile`) and the bytes
+    the PS host's NIC transmitted.  Deterministic: the profile seed is
+    fixed and the simulation is deterministic per seed.
     """
     from repro.experiments.runtime import materialize
     from repro.experiments.scenario import Scenario
+    from repro.telemetry.metrics import Histogram
 
     pcfg = profile_config(config)
-    runtime = materialize(Scenario(config=pcfg), metrics=True)
+    runtime = materialize(Scenario(config=pcfg))
     result = runtime.run()
 
     metrics = result.metrics["job00"]
@@ -217,7 +220,9 @@ def profile_job_shape(config: "ExperimentConfig") -> JobFingerprint:
             "profiling run produced a non-positive iteration period"
         )
 
-    hist = runtime.sim.metrics.histogram("dl_barrier_wait_seconds", job="job00")
+    hist = Histogram("dl_barrier_wait_seconds", ())
+    for wait in metrics.barriers.waits():
+        hist.observe(wait)
     barrier_p50 = hist.percentile(0.5)
     duty = min(1.0, max(0.0, barrier_p50 / period))
 

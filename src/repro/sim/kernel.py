@@ -11,7 +11,6 @@ from repro.sim.events import PRIORITY_NORMAL, Event, EventQueue
 from repro.sim.process import Process, ProcessGen
 from repro.sim.rng import RandomStreams
 from repro.sim.watchdog import Watchdog
-from repro.telemetry.metrics import MetricsRegistry
 
 
 class Simulator:
@@ -23,8 +22,6 @@ class Simulator:
     * the event queue,
     * the process table,
     * deterministic random streams (:attr:`rng`),
-    * a :class:`~repro.telemetry.metrics.MetricsRegistry` (disabled by
-      default; filled from component counters at run end),
     * a :class:`~repro.sim.watchdog.Watchdog` (mode ``"off"`` by default;
       enable with ``sim.watchdog.configure(mode=...)`` + ``start()``).
 
@@ -39,8 +36,6 @@ class Simulator:
         self.now: float = 0.0
         self.events = EventQueue()
         self.rng = RandomStreams(seed)
-        self.metrics = MetricsRegistry()
-        self.metrics.bind_clock(lambda: self.now)
         self.watchdog = Watchdog(self)
         self.processes: list[Process] = []
         self._running = False

@@ -1,10 +1,10 @@
 """Runtime invariant watchdog: self-checks for a live simulation.
 
 A :class:`Watchdog` hangs off every :class:`~repro.sim.kernel.Simulator`
-(``sim.watchdog``), disabled by default like ``sim.metrics``.  When
-enabled it runs a set of registered *checks* (read-only predicates over
-existing counters and data structures) from a low-priority heartbeat
-event and once more at :meth:`finalize`, converting silent corruption —
+(``sim.watchdog``), disabled by default.  When enabled it runs a set of
+registered *checks* (read-only predicates over existing counters and
+data structures) from a low-priority heartbeat event and once more at
+:meth:`finalize`, converting silent corruption —
 leaked bytes, stuck qdiscs, port leaks, tc drift, livelocks — into
 structured :class:`WatchdogViolation` reports, which the metrics scrape
 counts at run end.
@@ -187,9 +187,6 @@ class Watchdog:
                 f"watchdog: {violation.describe()}", RuntimeWarning,
                 stacklevel=2,
             )
-
-    def violations_as_dicts(self) -> List[Dict[str, Any]]:
-        return [v.to_dict() for v in self.violations]
 
     # -- the heartbeat -------------------------------------------------------
 

@@ -4,8 +4,8 @@ The paper measures "userspace CPU utilization with vmstat, and the network
 interface utilization with ifstat" per host, then averages over a fixed
 *active window* when all jobs are running (§V, Result #3).  This package
 reproduces that measurement pipeline inside the simulation, plus the
-observability layer on top of it: a simulation-wide metrics registry
-(``sim.metrics``), a component scraper, and JSONL/CSV exporters keyed by
+observability layer on top of it: a per-run metrics registry filled at
+run end by a component scraper, and JSONL/CSV exporters keyed by
 scenario content hash (see docs/observability.md).
 """
 

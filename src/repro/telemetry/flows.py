@@ -9,7 +9,7 @@ vs TensorLights" — independent of the application-level barrier metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import List, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -98,10 +98,6 @@ class FlowCollector:
         if med == 0:
             raise ConfigError("zero median FCT")
         return float(np.percentile(arr, p)) / med
-
-    def by_job(self, kind: Optional[str] = None) -> Dict[str, np.ndarray]:
-        jobs = sorted({r.job for r in self.records if r.job is not None})
-        return {j: self.fcts(kind, job=j) for j in jobs}
 
     def __len__(self) -> int:
         return len(self.records)

@@ -1,13 +1,14 @@
-"""``metrics`` — the simulation-wide metrics registry.
+"""``metrics`` — the run's metrics registry.
 
 Counters, gauges and histograms with Prometheus-flavoured names and
-labels, owned by the simulator (``sim.metrics``) and **disabled by
-default**.  Components keep their own counts as plain attributes; at run
-end :func:`repro.telemetry.scrape.scrape_cluster` reads them into the
-registry once.  Only two in-flight observations are pushed, each behind
-an ``if sim.metrics.enabled:`` guard: the transport's per-message
-latency and the DL barrier waits, whose histograms depend on the order
-of their samples, which no component keeps.
+labels.  ``materialize(scenario, metrics=True)`` gives its runtime a
+registry; nothing on the data path sees it.  Components keep their own
+counts as plain attributes and jobs keep their barrier waits in
+:class:`~repro.dl.metrics.BarrierSeries`; at run end
+:func:`repro.telemetry.scrape.scrape_cluster` reads them into the
+registry once.  The only observation made during the run is message
+latency, by a delivery tap
+(:func:`repro.telemetry.scrape.tap_message_latency`).
 
 Instruments are identified by ``(name, labels)``; the first caller of a
 name fixes its type, and requesting the same name as a different type
@@ -21,9 +22,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from contextlib import contextmanager
 from itertools import accumulate
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.errors import ConfigError
 
@@ -73,12 +73,6 @@ class Gauge:
     def set(self, value: float) -> None:
         self.value = value
 
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
 
 class Histogram:
     """A distribution: count/sum/min/max plus cumulative bucket counts.
@@ -97,11 +91,7 @@ class Histogram:
         self.name = name
         self.labels = labels
         self.buckets = tuple(buckets)
-        self._raw_counts = [0] * len(self.buckets)
-        self.count = 0
-        self.sum = 0.0
-        self.min = math.inf
-        self.max = -math.inf
+        self.reset()
 
     def observe(self, value: float) -> None:
         self.count += 1
@@ -111,13 +101,24 @@ class Histogram:
         if value > self.max:
             self.max = value
         # One C-level bisect instead of a Python loop over every bucket:
-        # observe() runs per message on the transport latency path.
+        # observe() runs per message in the latency delivery tap.
         # Counts are stored per-bucket and cumulated on read (reads are
         # rare — percentile / export), keeping the published
         # ``bucket_counts`` shape identical.
         i = bisect_left(self.buckets, value)
         if i < len(self.buckets):
             self._raw_counts[i] += 1
+
+    def reset(self, values: Iterable[float] = ()) -> None:
+        """Drop every observation, then observe ``values`` in order — a
+        scrape overwrites a histogram the way it sets a gauge."""
+        self._raw_counts = [0] * len(self.buckets)
+        self.count = 0
+        self.sum = 0.0
+        self.min = math.inf
+        self.max = -math.inf
+        for value in values:
+            self.observe(value)
 
     @property
     def bucket_counts(self) -> list:
@@ -172,24 +173,17 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Get-or-create instrument store with a global enable flag.
+    """Get-or-create instrument store.
 
-    Created disabled alongside the simulator, clock-bound lazily, and
-    enabled per run by the caller (``materialize(scenario, metrics=True)``)
-    — never by the scenario itself, so enabling metrics cannot change
+    Created per run by the caller (``materialize(scenario, metrics=True)``)
+    — never by the scenario itself, so collecting metrics cannot change
     scenario identity or any simulated result.
     """
 
-    def __init__(self, enabled: bool = False) -> None:
-        self.enabled = enabled
-        self._now: Callable[[], float] = lambda: 0.0
+    def __init__(self) -> None:
         #: name -> instrument class (type registry; first caller wins)
         self._types: Dict[str, type] = {}
         self._instruments: Dict[Tuple[str, LabelItems], Any] = {}
-
-    def bind_clock(self, now_fn: Callable[[], float]) -> None:
-        """Attach the simulator clock (done lazily to avoid a cycle)."""
-        self._now = now_fn
 
     # -- instrument access (get-or-create) --------------------------------
 
@@ -227,26 +221,6 @@ class MetricsRegistry:
             return self._get(Histogram, name, labels)
         return self._get(Histogram, name, labels, buckets=buckets)
 
-    @contextmanager
-    def span(self, name: str, **labels: Any) -> Iterator[None]:
-        """Time a block against the bound (simulation) clock.
-
-        The elapsed simulated duration is observed into histogram
-        ``name``.  A no-op when the registry is disabled, so spans can
-        wrap hot paths unguarded::
-
-            with sim.metrics.span("tc_reconcile_seconds"):
-                controller.reconcile()
-        """
-        if not self.enabled:
-            yield
-            return
-        start = self._now()
-        try:
-            yield
-        finally:
-            self.histogram(name, **labels).observe(self._now() - start)
-
     # -- export -----------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
@@ -274,14 +248,8 @@ class MetricsRegistry:
         return {"counters": counters, "gauges": gauges,
                 "histograms": histograms}
 
-    def clear(self) -> None:
-        """Drop every instrument (type registrations included)."""
-        self._types.clear()
-        self._instruments.clear()
-
     def __len__(self) -> int:
         return len(self._instruments)
 
     def __repr__(self) -> str:  # pragma: no cover
-        state = "enabled" if self.enabled else "disabled"
-        return f"<MetricsRegistry {state} instruments={len(self._instruments)}>"
+        return f"<MetricsRegistry instruments={len(self._instruments)}>"

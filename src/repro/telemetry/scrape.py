@@ -1,45 +1,70 @@
-"""End-of-run component scraping into the metrics registry.
+"""End-of-run scraping into the metrics registry.
 
 Every count a snapshot carries lives once, as a plain attribute of the
 component that owns the event — the NIC, a switch port, a transport, the
-TensorLights controller, the watchdog.  Nothing on the data path pushes
-it.  After ``sim.run()`` drains, :func:`scrape_cluster` walks the cluster
-and reads each count into the registry, the way the paper reads the
-kernel's own vmstat/ifstat counters.  Scraping is idempotent: a second
-scrape overwrites every value it read.  Only two in-flight
-observations are pushed during the run: the transport's message latency
-and the DL barrier waits (histograms depend on sample order).
+TensorLights controller, the watchdog — and every barrier wait lives in
+its job's :class:`~repro.dl.metrics.BarrierSeries`.  Nothing on the data
+path pushes it.  After ``sim.run()`` drains, :func:`scrape_cluster`
+walks the cluster and the jobs and reads each count into the registry,
+the way the paper reads the kernel's own vmstat/ifstat counters.
+Scraping is idempotent: a second scrape overwrites every value it read.
+The one observation made during the run is message latency, which no
+component keeps; :func:`tap_message_latency` takes it from the
+network's delivery taps.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Optional, TYPE_CHECKING
+from typing import Any, Dict, Iterable, Optional, TYPE_CHECKING
 
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.metrics import Histogram, MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
+    from repro.dl.metrics import JobMetrics
+    from repro.net.packet import Message
     from repro.tensorlights.controller import TensorLights
+
+
+def tap_message_latency(registry: MetricsRegistry, network) -> None:
+    """Observe each delivered message's sender-stamped-to-delivered
+    latency into ``transport_msg_latency_seconds{host=<receiver>}`` —
+    the message-level RTT stand-in (the transport does not simulate
+    per-segment ACKs).  Installed as a delivery tap, so it also sees
+    messages that arrive for a port with no listener."""
+    by_host: Dict[str, Histogram] = {}
+
+    def observe(msg: "Message") -> None:
+        host = msg.flow.dst_host
+        hist = by_host.get(host)
+        if hist is None:
+            hist = by_host[host] = registry.histogram(
+                "transport_msg_latency_seconds", host=host
+            )
+        hist.observe(msg.delivered_at - msg.created_at)
+
+    network.add_delivery_tap(observe)
 
 
 def scrape_cluster(
     registry: MetricsRegistry,
     cluster: "Cluster",
     controller: Optional["TensorLights"] = None,
+    jobs: Iterable["JobMetrics"] = (),
 ) -> None:
-    """Read every component's counts into ``registry``.
+    """Read every component's counts and every job's barrier waits into
+    ``registry``.
 
     Cumulative totals become gauges.  Event counts that only a run with
     the event produces (drops, band reassignments, reconcile actions,
     violations) become counters, created only when non-zero, except
     ``watchdog_violations_total``, which exists whenever the watchdog is
-    on.  Safe on a disabled registry (no-op) and on any topology — the
-    single-switch gauges are skipped for fabrics without a ``switch``
-    attribute (e.g. the two-tier network).
+    on.  A job with at least one recorded wait gets a
+    ``dl_barrier_wait_seconds`` histogram, PS and all-reduce jobs alike.
+    Safe on any topology — the single-switch gauges are skipped for
+    fabrics without a ``switch`` attribute (e.g. the two-tier network).
     """
-    if not registry.enabled:
-        return
     gauge = registry.gauge
 
     def count(name: str, n: int, **labels: Any) -> None:
@@ -112,6 +137,13 @@ def scrape_cluster(
             count("tl_band_reassignments", n, host=host_id)
         if controller.reconcile_actions:
             count("tl_reconcile_actions", controller.reconcile_actions)
+
+    for job in jobs:
+        waits = job.barriers.waits()
+        if waits:
+            registry.histogram(
+                "dl_barrier_wait_seconds", job=job.job_id
+            ).reset(waits)
 
     watchdog = cluster.sim.watchdog
     if watchdog.enabled:

@@ -102,7 +102,7 @@ def test_barrier_series_records_and_aggregates():
     assert s.complete_barriers() == [0]
     assert s.per_barrier_mean().tolist() == [2.0]
     assert s.per_barrier_variance().tolist() == [1.0]
-    assert s.per_barrier_std().tolist() == [1.0]
+    assert s.waits() == [1.0, 3.0, 2.0]
 
 
 def test_barrier_series_rejects_negative():

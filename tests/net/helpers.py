@@ -1,6 +1,9 @@
 """Shared builders for network tests."""
 
+from types import SimpleNamespace
+
 from repro.net.addressing import FlowKey
+from repro.net.invariants import check_flow_leaks_final
 from repro.net.packet import Message, Segment
 
 
@@ -18,3 +21,13 @@ def segs_of_message(size, segment_bytes, sport=5000):
 
     msg = Message(flow=flow(sport=sport), size=size)
     return segment_message(msg, segment_bytes)
+
+
+def transport_state(network) -> list:
+    """The send and receive state the watchdog's quiescence flow-leak
+    check reports on a bare network: one entry per open flow or partial
+    message."""
+    hosts = {hid: SimpleNamespace(transport=t) for hid, t in network.transports.items()}
+    return check_flow_leaks_final(
+        SimpleNamespace(host_ids=list(hosts), host=hosts.__getitem__)
+    )

@@ -6,6 +6,7 @@ from repro.net import Link, StarNetwork
 from repro.net.addressing import FlowKey
 from repro.net.packet import Message
 from repro.sim import Simulator
+from tests.net.helpers import transport_state
 
 
 def lossy_net(buffer_bytes, rto=0.1, rate=1000.0, segment_bytes=100,
@@ -144,7 +145,7 @@ def test_local_drop_releases_window_slot():
     tp = net.transport("a")
     assert tp.segments_lost > 0          # the netem loss actually bit
     assert tp.segments_retransmitted >= tp.segments_lost
-    assert tp.active_flows == 0          # every window slot was released
+    assert transport_state(net) == []    # every window slot was released
 
 
 def test_local_head_drop_recovers_via_transport():
@@ -173,7 +174,7 @@ def test_local_head_drop_recovers_via_transport():
     assert htb.drops > 0
     tp = net.transport("a")
     assert tp.segments_retransmitted >= htb.drops
-    assert tp.active_flows == 0
+    assert transport_state(net) == []
 
 
 def test_egress_drop_raises_without_loss_tolerance():

@@ -8,6 +8,7 @@ from repro.net import Link, StarNetwork
 from repro.net.addressing import FlowKey
 from repro.net.packet import Message
 from repro.sim import Simulator
+from tests.net.helpers import transport_state
 
 
 def two_hosts(rate=1000.0, segment_bytes=100, window=2):
@@ -110,11 +111,25 @@ def test_flow_state_cleanup():
     t = net.transport("a")
     net.transport("b").listen(6000, lambda m: None)
     t.send_message(Message(flow=FlowKey("a", 5000, "b", 6000), size=1000))
-    assert t.active_flows == 1
+    assert len(transport_state(net)) == 1
     sim.run()
-    assert t.active_flows == 0
+    assert transport_state(net) == []
     assert t.messages_sent == 1
     assert net.transport("b").messages_delivered == 1
+
+
+def test_delivery_tap_sees_unrouted_messages():
+    """A message for a port with no listener is counted and dropped
+    under ``tolerate_unrouted`` — and still reaches the delivery taps."""
+    sim, net = two_hosts()
+    seen = []
+    net.add_delivery_tap(seen.append)
+    b = net.transport("b")
+    b.tolerate_unrouted = True
+    net.transport("a").send_message(Message(flow=FlowKey("a", 5000, "b", 6000), size=300))
+    sim.run()
+    assert b.messages_unrouted == 1
+    assert [(m.flow.dst_port, m.size) for m in seen] == [(6000, 300)]
 
 
 def test_messages_on_same_flow_delivered_in_order():

@@ -174,11 +174,11 @@ def test_scrape_reads_the_drops_of_every_fabric_port():
     from types import SimpleNamespace
 
     from repro.cluster.host import Host
+    from repro.telemetry import MetricsRegistry
     from repro.telemetry.scrape import scrape_cluster
 
     sim, net = build(n_hosts=6, n_leaves=2, oversub=3.0,
                      buffer_bytes=300, rto=0.05)
-    sim.metrics.enabled = True
     net.transport("h1").listen(6000, lambda m: None)
     for i, src in enumerate(("h0", "h2", "h3", "h4", "h5")):
         net.transport(src).send_message(
@@ -189,10 +189,11 @@ def test_scrape_reads_the_drops_of_every_fabric_port():
              for h in net.host_ids}
     cluster = SimpleNamespace(sim=sim, network=net, host_ids=list(hosts),
                               host=hosts.__getitem__)
-    scrape_cluster(sim.metrics, cluster)
+    registry = MetricsRegistry()
+    scrape_cluster(registry, cluster)
     drops = {p.host_id: p.drops for p in net.iter_ports()}
     assert any(drops[h] for h in drops if h not in hosts)   # a middle hop dropped
-    gauges = sim.metrics.snapshot()["gauges"]
+    gauges = registry.snapshot()["gauges"]
     assert {k: v for k, v in gauges.items()
             if k.startswith("switch_port_drops_total")} == {
         f"switch_port_drops_total{{port={h}}}": n for h, n in drops.items()

@@ -177,15 +177,16 @@ def test_event_heap_check_catches_bookkeeping_skew():
 def _scraped_counters(sim):
     """The registry counters a run-end scrape reads off ``sim``."""
     from repro.cluster import Cluster
+    from repro.telemetry import MetricsRegistry
     from repro.telemetry.scrape import scrape_cluster
 
-    scrape_cluster(sim.metrics, Cluster(sim, n_hosts=2))
-    return sim.metrics.snapshot()["counters"]
+    registry = MetricsRegistry()
+    scrape_cluster(registry, Cluster(sim, n_hosts=2))
+    return registry.snapshot()["counters"]
 
 
 def test_finalize_materializes_metrics_zero():
     sim = Simulator()
-    sim.metrics.enabled = True
     sim.watchdog.configure("warn")
     sim.watchdog.finalize()
     assert _scraped_counters(sim)["watchdog_violations_total"] == 0
@@ -193,12 +194,10 @@ def test_finalize_materializes_metrics_zero():
 
 def test_violation_counter_increments_per_check():
     sim = Simulator()
-    sim.metrics.enabled = True
     sim.watchdog.configure("warn")
     with pytest.warns(RuntimeWarning):
         sim.watchdog.report("leaky", "drip")
         sim.watchdog.report("leaky", "drip again")
-    assert sim.metrics.snapshot()["counters"] == {}   # nothing pushed
     counters = _scraped_counters(sim)
     assert counters["watchdog_violations{check=leaky}"] == 2
     assert counters["watchdog_violations_total"] == 2

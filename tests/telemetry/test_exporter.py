@@ -9,7 +9,7 @@ from repro.telemetry.exporter import FIELDNAMES, rows, snapshot_rows
 
 
 def _snapshot():
-    reg = MetricsRegistry(enabled=True)
+    reg = MetricsRegistry()
     reg.counter("drops", host="h00").inc(3)
     reg.gauge("depth").set(7.0)
     reg.histogram("lat", buckets=(1.0,)).observe(0.5)

@@ -75,9 +75,9 @@ def test_by_job_partitions():
     c.records.append(FlowRecord("k", "a", 1, 0.0, 1.0))
     c.records.append(FlowRecord("k", "b", 1, 0.0, 2.0))
     c.records.append(FlowRecord("k", "a", 1, 0.0, 3.0))
-    by = c.by_job("k")
-    assert set(by) == {"a", "b"}
-    assert by["a"].size == 2
+    assert c.fcts("k", job="a").tolist() == [1.0, 3.0]
+    assert c.fcts("k", job="b").tolist() == [2.0]
+    assert c.fcts("k").size == 3
 
 
 def test_install_taps_hosts_attached_later():

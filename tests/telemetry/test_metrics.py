@@ -1,12 +1,11 @@
-"""Tests for the simulation-wide metrics registry (sim.metrics)."""
+"""Tests for the per-run metrics registry and its end-of-run scrape."""
 
 import pytest
 
 from repro.errors import ConfigError
 from repro.experiments import ExperimentConfig, Policy, Scenario
 from repro.experiments.runtime import execute_scenario, materialize
-from repro.sim import Simulator
-from repro.telemetry import Counter, Gauge, Histogram, MetricsRegistry
+from repro.telemetry import Counter, Histogram, MetricsRegistry, scrape_cluster
 
 MICRO = ExperimentConfig.tiny(n_jobs=2, n_workers=2, iterations=3)
 
@@ -23,14 +22,6 @@ def test_counter_increments_and_rejects_decrease():
         c.inc(-1.0)
 
 
-def test_gauge_set_inc_dec():
-    g = Gauge("g", ())
-    g.set(5.0)
-    g.inc(2.0)
-    g.dec()
-    assert g.value == 6.0
-
-
 def test_histogram_observe_and_snapshot_dict():
     h = Histogram("h", (), buckets=(1.0, 10.0))
     for v in (0.5, 5.0, 50.0):
@@ -41,6 +32,18 @@ def test_histogram_observe_and_snapshot_dict():
     assert d["min"] == 0.5 and d["max"] == 50.0
     # buckets are cumulative upper bounds; everything lands in +Inf
     assert d["buckets"] == {"1": 1, "10": 2, "+Inf": 3}
+
+
+def test_histogram_reset_overwrites_observations():
+    h = Histogram("h", (), buckets=(1.0, 10.0))
+    h.observe(50.0)
+    h.reset([0.5, 2.0])
+    fresh = Histogram("h", (), buckets=(1.0, 10.0))
+    fresh.observe(0.5)
+    fresh.observe(2.0)
+    assert h.to_dict() == fresh.to_dict()
+    h.reset()
+    assert h.to_dict() == Histogram("h", (), buckets=(1.0, 10.0)).to_dict()
 
 
 def test_histogram_rejects_unsorted_buckets():
@@ -100,7 +103,7 @@ def test_histogram_percentile_empty_and_bad_q():
 
 
 def test_registry_get_or_create_identity():
-    reg = MetricsRegistry(enabled=True)
+    reg = MetricsRegistry()
     a = reg.counter("tx", host="h00")
     b = reg.counter("tx", host="h00")
     c = reg.counter("tx", host="h01")
@@ -110,14 +113,14 @@ def test_registry_get_or_create_identity():
 
 
 def test_registry_type_conflict_raises():
-    reg = MetricsRegistry(enabled=True)
+    reg = MetricsRegistry()
     reg.counter("tx")
     with pytest.raises(ConfigError, match="already registered"):
         reg.gauge("tx")
 
 
 def test_snapshot_schema_and_label_rendering():
-    reg = MetricsRegistry(enabled=True)
+    reg = MetricsRegistry()
     reg.counter("drops", host="h00", band="2").inc(3)
     reg.gauge("depth").set(7.0)
     reg.histogram("lat", buckets=(1.0,)).observe(0.5)
@@ -129,57 +132,32 @@ def test_snapshot_schema_and_label_rendering():
     assert snap["histograms"]["lat"]["count"] == 1
 
 
-def test_clear_resets_types_too():
-    reg = MetricsRegistry(enabled=True)
-    reg.counter("x")
-    reg.clear()
-    assert len(reg) == 0
-    reg.gauge("x")  # no stale type registration
-
-
-def test_span_observes_simulated_duration():
-    reg = MetricsRegistry(enabled=True)
-    clock = [0.0]
-    reg.bind_clock(lambda: clock[0])
-    with reg.span("op_seconds", stage="setup"):
-        clock[0] = 2.5
-    h = reg.histogram("op_seconds", stage="setup")
-    assert h.count == 1
-    assert h.sum == pytest.approx(2.5)
-
-
-def test_span_disabled_is_a_noop():
-    reg = MetricsRegistry()
-    with reg.span("op_seconds"):
-        pass
-    assert len(reg) == 0
-
-
-def test_simulator_owns_a_disabled_registry():
-    sim = Simulator()
-    assert isinstance(sim.metrics, MetricsRegistry)
-    assert not sim.metrics.enabled
-
-
 # ---------------------------------------------------------------- integration
 
 
 def test_materialize_with_metrics_collects_a_snapshot():
     cfg = MICRO.replace(policy=Policy.TLS_ONE)
-    result = materialize(Scenario(config=cfg), metrics=True).run()
+    rt = materialize(Scenario(config=cfg), metrics=True)
+    result = rt.run()
     snap = result.metrics_snapshot
     assert set(snap) == {"counters", "gauges", "histograms"}
     counters, gauges, hists = (
         snap["counters"], snap["gauges"], snap["histograms"]
     )
-    # Scraped NIC and transport totals, DL barrier spans, and the
-    # TensorLights controller all reported in.
+    # Scraped NIC and transport totals, the tapped message latencies,
+    # the jobs' barrier waits, and the TensorLights controller all
+    # reported in.
     assert any(k.startswith("nic_segments_tx_total{") for k in gauges)
     assert any(k.startswith("transport_messages_delivered_total{") for k in gauges)
     assert any(k.startswith("nic_bytes_tx_total{") for k in gauges)
     assert any(k.startswith("tl_band_reassignments{") for k in counters)
+    assert any(k.startswith("transport_msg_latency_seconds{") for k in hists)
     assert any(k.startswith("dl_barrier_wait_seconds{") for k in hists)
     assert gauges.get("tl_reconfigurations_total", 0) >= 0
+    # A second scrape overwrites what the first read, histograms included.
+    scrape_cluster(rt.metrics, rt.cluster, rt.controller,
+                   [a.metrics for a in rt.apps])
+    assert rt.metrics.snapshot() == snap
 
 
 def test_metrics_do_not_change_the_simulated_result():

@@ -1,13 +1,14 @@
 """Metric snapshots read at run end, pinned scenario by scenario.
 
 Every count in a snapshot is read once, at run end, from the counter of
-the component that owns it (``scrape_cluster``); only the transport's
-message latencies and the DL barrier waits are observed in flight.  Each
-case below runs with the registry on and compares a SHA-256 digest of
-its ``json.dumps(snapshot, sort_keys=True)`` against a pinned value, so
-a count that silently stops being read — or starts being read under a
-different condition — moves a digest.  Each case also runs with the
-registry off and must simulate the same run.
+the component that owns it, and every barrier wait from its job's
+``BarrierSeries`` (``scrape_cluster``); only message latencies are
+observed during the run, by a delivery tap.  Each case below runs with
+metrics on and compares a SHA-256 digest of its
+``json.dumps(snapshot, sort_keys=True)`` against a pinned value, so a
+count that silently stops being read — or starts being read under a
+different condition — moves a digest.  Each case also runs with metrics
+off and must simulate the same run.
 
 The cases cover every family that used to be pushed from the data path:
 switch tail drops, TLs-RR band rotation, netem egress drops, a PS crash
@@ -33,7 +34,8 @@ from repro.net.addressing import FlowKey
 from repro.net.link import Link
 from repro.net.packet import Message, Segment
 from repro.sim import Simulator
-from repro.telemetry.scrape import scrape_cluster
+from repro.telemetry import MetricsRegistry
+from repro.telemetry.scrape import scrape_cluster, tap_message_latency
 
 TINY = ExperimentConfig.tiny()
 MICRO = ExperimentConfig.tiny(n_jobs=2, n_workers=2, iterations=3)
@@ -80,12 +82,16 @@ def _leaked_run(metrics):
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(ConfigError, match="did not finish"):
             rt.run()
-    scrape_cluster(rt.sim.metrics, rt.cluster, rt.controller)
+    snapshot = None
+    if metrics:
+        scrape_cluster(rt.metrics, rt.cluster, rt.controller,
+                       [a.metrics for a in rt.apps])
+        snapshot = rt.metrics.snapshot()
     # Message ids come from a process-wide counter, so compare the
     # violations without them.
     violations = [(v.check, v.t, v.data["host"], v.data["received"])
                   for v in rt.sim.watchdog.violations]
-    return rt.sim.metrics.snapshot(), rt.sim.steps_executed, violations
+    return snapshot, rt.sim.steps_executed, violations
 
 
 def _qdisc_head_drop(metrics):
@@ -94,9 +100,11 @@ def _qdisc_head_drop(metrics):
     from repro.net.qdisc import HTBQdisc, PortFilter
 
     sim = Simulator(seed=1)
-    sim.metrics.enabled = metrics
     cluster = Cluster(sim, n_hosts=2, link=Link(rate=1000.0, latency=0.0),
                       segment_bytes=100, window_segments=8, rto=0.05)
+    registry = MetricsRegistry()
+    if metrics:
+        tap_message_latency(registry, cluster.network)
     filt = PortFilter()
     filt.add_match(1, 10)
     htb = HTBQdisc(filter=filt, default_classid=20)
@@ -112,8 +120,8 @@ def _qdisc_head_drop(metrics):
     sim.schedule(0.5, htb.del_class, (10,))
     sim.run()
     assert [m.size for m in got] == [5000] and htb.drops > 0
-    scrape_cluster(sim.metrics, cluster)
-    return sim.metrics.snapshot(), sim.steps_executed, []
+    scrape_cluster(registry, cluster)
+    return registry.snapshot(), sim.steps_executed, []
 
 
 def _reconcile(metrics):
@@ -124,7 +132,6 @@ def _reconcile(metrics):
     from repro.tensorlights import TensorLights, TLMode
 
     sim = Simulator(seed=1)
-    sim.metrics.enabled = metrics
     sim.watchdog.configure("warn")
     cluster = Cluster(sim, n_hosts=5, link=Link(rate=1.25e9),
                       segment_bytes=64 * 1024)
@@ -148,11 +155,13 @@ def _reconcile(metrics):
         tl._hosts["h00"].tc.remove()
         assert tl.reconcile() == 1
     sim.watchdog.finalize()
-    scrape_cluster(sim.metrics, cluster, tl)
-    snapshot = sim.metrics.snapshot()
-    scrape_cluster(sim.metrics, cluster, tl)        # idempotent
-    assert sim.metrics.snapshot() == snapshot
-    return snapshot, tl.reconfigurations, sim.watchdog.violations_as_dicts()
+    registry = MetricsRegistry()
+    scrape_cluster(registry, cluster, tl)
+    snapshot = registry.snapshot()
+    scrape_cluster(registry, cluster, tl)           # idempotent
+    assert registry.snapshot() == snapshot
+    return (snapshot, tl.reconfigurations,
+            [v.to_dict() for v in sim.watchdog.violations])
 
 
 CASES = {
@@ -192,9 +201,12 @@ CASES = {
 #: ``sha256(json.dumps(snapshot, sort_keys=True))`` per case, captured
 #: while the data path still pushed these counts and with the six
 #: duplicate families removed: reading them at run end kept every row.
+#: ``allreduce`` was re-pinned when barrier waits moved to the scrape:
+#: it gained one ``dl_barrier_wait_seconds`` histogram per ring job,
+#: which the PS-only push never recorded, and nothing else moved.
 DIGESTS = {
     "allreduce":
-        "22413c94ffec8f818b1cc1c501ddce2e90a284f742db1a061cb54a2c398504ef",
+        "f7cbe1bfecf24f53c2ba2400ea8536746c8865021d87bd7f91c27b559f23f93b",
     "async":
         "7aefccecb9efb93a0adc0adf7a92381c419acf914fa80648bd1a60863896c148",
     "fifo-shallow-buffer":
@@ -244,3 +256,17 @@ def test_cases_cover_every_count_read_at_run_end():
     assert {"nic_egress_drops", "nic_qdisc_drops", "tl_band_reassignments",
             "tl_reconcile_actions", "watchdog_violations",
             "watchdog_violations_total"} <= seen
+
+
+@pytest.mark.parametrize("arch", [Architecture.ALLREDUCE, Architecture.MIXED])
+def test_ring_jobs_export_their_barrier_waits(arch):
+    """Every job's recorded waits reach the snapshot, ring jobs included."""
+    result = materialize(Scenario(config=TINY.replace(architecture=arch)),
+                         metrics=True).run()
+    hists = result.metrics_snapshot["histograms"]
+    rings = [f"job{j:02d}" for j in sorted(result.config.allreduce_jobs())]
+    assert rings
+    for job in rings:
+        waits = result.metrics[job].barriers.waits()
+        assert waits
+        assert hists[f"dl_barrier_wait_seconds{{job={job}}}"]["count"] == len(waits)

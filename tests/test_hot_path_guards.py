@@ -1,20 +1,17 @@
-"""Lint: counts are read at run end, never pushed from the data path.
+"""Lint: the data path never sees the metrics registry.
 
 The repo convention (docs/observability.md): every count lives once, as
-a plain attribute of the component that owns the event, and
-``scrape_cluster`` reads it into the registry at run end.  Only two
-observations are pushed in flight, each behind a zero-cost ``.enabled``
-guard: the transport's message-latency histogram and the DL barrier-wait
-histogram.
+a plain attribute of the component that owns the event, every barrier
+wait lives in its job's ``BarrierSeries``, and ``scrape_cluster`` reads
+them into the run's registry at run end.  Message latency, the one
+observation made during the run, comes from a delivery tap that
+``materialize`` installs from outside.
 
-The check walks the AST, so docstrings and comments never count:
-
-* ``net/`` (except that one transport site), ``tensorlights/`` and
-  ``sim/watchdog.py`` contain no access to the registry at all — no
-  ``.metrics`` attribute, no ``repro.telemetry`` import;
-* every registry instrument call in the transport and in
-  ``dl/tasks.py`` is a named histogram observation under an
-  ``if ... .enabled:`` guard.
+The check walks the AST, so docstrings and comments never count.  No
+module under ``net/``, ``dl/``, ``collectives/``, ``tensorlights/`` or
+``sim/`` imports ``repro.telemetry``, names ``MetricsRegistry``, reads a
+simulator's ``.metrics`` (a job's ``JobMetrics`` is the one
+``.metrics`` they own) or calls a registry instrument.
 """
 
 import ast
@@ -24,93 +21,55 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 
-#: files where the data path must not touch the registry at all
-NO_REGISTRY = sorted(
-    [*(SRC / "net").rglob("*.py"), *(SRC / "tensorlights").rglob("*.py"),
-     SRC / "sim" / "watchdog.py"]
+#: the simulated system: none of these may touch a registry
+DATA_PATH = sorted(
+    path
+    for package in ("net", "dl", "collectives", "tensorlights", "sim")
+    for path in (SRC / package).rglob("*.py")
 )
 
-#: (file, function) -> the one histogram each in-flight site observes
-OBSERVATIONS = {
-    ("net/transport.py", "Transport._on_segment_arrival"):
-        "transport_msg_latency_seconds",
-    ("dl/tasks.py", "WorkerTask.run"): "dl_barrier_wait_seconds",
-}
-
-INSTRUMENTS = {"counter", "gauge", "histogram", "span"}
+#: registry instrument accessors
+INSTRUMENTS = {"counter", "gauge", "histogram"}
 
 
 def _rel(path: Path) -> str:
     return path.relative_to(SRC).as_posix()
 
 
-def _with_parents(tree):
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            child._parent = node
-    return tree
-
-
-def _ancestors(node):
-    while hasattr(node, "_parent"):
-        node = node._parent
-        yield node
-
-
-def _function(node) -> str:
-    """Qualified name of the def enclosing ``node`` (``Class.method``)."""
-    names = [a.name for a in _ancestors(node)
-             if isinstance(a, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))]
-    return ".".join(reversed(names)) or "<module>"
-
-
 def _registry_uses(path: Path):
-    """``(function, node)`` for every registry touch in ``path``."""
-    tree = _with_parents(ast.parse(path.read_text()))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr == "metrics":
-            yield _function(node), node
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
+    """``node`` for every registry touch in ``path``."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
             "repro.telemetry"
         ):
-            yield _function(node), node
+            yield node
+        elif isinstance(node, ast.Import) and any(
+            alias.name.startswith("repro.telemetry") for alias in node.names
+        ):
+            yield node
+        elif isinstance(node, ast.Name) and node.id == "MetricsRegistry":
+            yield node
+        elif isinstance(node, ast.Attribute) and node.attr == "metrics":
+            owner = ast.unparse(node.value)
+            if owner == "sim" or owner.endswith(".sim"):
+                yield node
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in INSTRUMENTS):
+            yield node
 
 
-def _instrument_calls(path: Path):
-    """``(function, call, guarded)`` for every ``<x>.metrics`` instrument
-    call, or call on a local alias of it, in ``path``."""
-    tree = _with_parents(ast.parse(path.read_text()))
-    for node in ast.walk(tree):
-        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr in INSTRUMENTS):
-            continue
-        owner = ast.unparse(node.func.value)
-        if owner != "metrics" and not owner.endswith(".metrics"):
-            continue
-        guarded = any(isinstance(a, ast.If) and ".enabled" in ast.unparse(a.test)
-                      for a in _ancestors(node))
-        yield _function(node), node, guarded
-
-
-def test_observability_calls_are_guarded():
-    """Each in-flight observation is one named, guarded histogram."""
-    found = {}
-    for rel in sorted({f for f, _ in OBSERVATIONS}):
-        for func, call, guarded in _instrument_calls(SRC / rel):
-            where = f"{rel}:{call.lineno}"
-            assert guarded, f"{where}: registry call without an `.enabled` guard"
-            assert call.func.attr == "histogram", f"{where}: only histograms are pushed"
-            name = call.args[0].value if call.args else None
-            assert found.setdefault((rel, func), name) == name
-    assert found == OBSERVATIONS
+def test_lint_sees_every_data_path_package():
+    assert {_rel(p).split("/")[0] for p in DATA_PATH} == {
+        "net", "dl", "collectives", "tensorlights", "sim"
+    }
 
 
 def test_no_registry_access_on_the_data_path():
-    touches = []
-    for path in NO_REGISTRY:
-        for func, node in _registry_uses(path):
-            if (_rel(path), func) not in OBSERVATIONS:
-                touches.append(f"{_rel(path)}:{node.lineno} ({func})")
+    touches = [
+        f"{_rel(path)}:{node.lineno}: {ast.unparse(node)}"
+        for path in DATA_PATH
+        for node in _registry_uses(path)
+    ]
     assert not touches, (
         "the data path keeps plain counts; scrape_cluster reads them at "
         "run end:\n  " + "\n  ".join(touches)
