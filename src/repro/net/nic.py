@@ -8,16 +8,16 @@ hook that keeps per-flow windows full).
 
 from __future__ import annotations
 
-from heapq import heappush
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Callable, Optional
 
 from repro.errors import NetworkError
-from repro.net.packet import Segment
+from repro.net._native import segpath
+from repro.net.addressing import FlowKey
+from repro.net.packet import Message, Segment
 from repro.net.qdisc.base import Qdisc
 from repro.net.qdisc.fifo import PFifo
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.kernel import Simulator
+from repro.sim.events import EventQueue
+from repro.sim.kernel import Simulator
 
 #: Guard against zero-progress retry loops in shaped qdiscs.
 _MIN_RETRY_DELAY = 1e-9
@@ -151,104 +151,33 @@ class NIC:
         self.rate = rate
         self.qdisc.set_line_rate(rate)
 
-    def send(self, seg: Segment) -> None:
-        """Hand a segment to the egress qdisc.
+    # ``send``, ``_kick`` and ``_tx_done`` are compiled (``_segpath.c``,
+    # bound below the class); the rare branches they reach stay here.
 
-        Raises :class:`NetworkError` on drop — queue limits are sized so
-        drops never happen in a correctly configured experiment, and a
-        loud failure beats a transport that waits forever.  Robustness
+    def _egress_drop(self, seg: Segment) -> None:
+        """``send``'s rare branch: the qdisc refused ``seg``.
+
+        Raises :class:`NetworkError` — queue limits are sized so drops
+        never happen in a correctly configured experiment, and a loud
+        failure beats a transport that waits forever.  Robustness
         experiments that *want* egress loss (netem) set
         :attr:`loss_tolerant`, which reports the drop to the transport
         (window-slot release + RTO retransmit) instead of raising.
         """
-        if not self.qdisc.enqueue(seg, self.sim.now):
-            if self.loss_tolerant and self.on_segment_dropped is not None:
-                self.egress_drops += 1
-                self.on_segment_dropped(seg)
-                return
-            raise NetworkError(
-                f"qdisc on {self.host_id} dropped {seg!r} "
-                f"(backlog={len(self.qdisc)})"
-            )
-        # While serializing, the in-flight segment's completion handler
-        # starts the next dequeue itself — the kick would be a no-op.
-        if not self._tx_busy:
-            self._kick()
-
-    def _kick(self) -> None:
-        if self._tx_busy:
+        if self.loss_tolerant and self.on_segment_dropped is not None:
+            self.egress_drops += 1
+            self.on_segment_dropped(seg)
             return
-        sim = self.sim
-        now = sim.now
-        seg = self.qdisc.dequeue(now)
-        if seg is None:
-            if len(self.qdisc) > 0:
-                self._arm_retry()
-            return
-        if self._retry_event is not None:
-            sim.cancel(self._retry_event)
-            self._retry_event = None
-        self._tx_busy = True
-        self._busy_since = now
-        # sim.schedule_fire inlined, as in ``_tx_done``.
-        events = sim.events
-        seq = events._seq
-        events._seq = seq + 1
-        heappush(
-            events._heap,
-            (now + seg.size / self.rate, 0, seq, None, self._tx_done, (seg,)),
+        raise NetworkError(
+            f"qdisc on {self.host_id} dropped {seg!r} "
+            f"(backlog={len(self.qdisc)})"
         )
-        events._live += 1
 
-    def _tx_done(self, seg: Segment) -> None:
-        sim = self.sim
-        now = sim.now
-        self.busy_time += now - self._busy_since
-        self.bytes_tx += seg.size
-        self.segments_tx += 1
-        ports = self._fab_ports
-        if ports is not None:
-            # Fast path: route into the egress port now, stamped with the
-            # arrival time the elided ingress event would have carried.
-            try:
-                port = ports[seg.flow.dst_host]
-            except KeyError:
-                raise NetworkError(
-                    f"no fabric port for destination {seg.flow.dst_host!r}"
-                ) from None
-            self._fab_switch.segments_forwarded += 1
-            port.admit(seg, now + self._link_latency)
-        else:
-            if self._deliver is None:
-                raise NetworkError(f"NIC {self.host_id} has no link attached")
-            sim.schedule(self._link_latency, self._deliver, (seg,))
-        on_sent = self.on_segment_sent
-        if on_sent is not None:
-            # Window refill: sends land in the qdisc but skip the kick
-            # (``_tx_busy`` is still True) — the dequeue below starts the
-            # next serialization exactly where the kick would have.
-            on_sent(seg)
-        nxt = self.qdisc.dequeue(now)
-        if nxt is None:
-            self._tx_busy = False
-            if len(self.qdisc) > 0:
-                self._arm_retry()
-            return
-        if self._retry_event is not None:
-            sim.cancel(self._retry_event)
-            self._retry_event = None
-        self._busy_since = now
-        # sim.schedule_fire inlined: this push runs once per serialized
-        # segment and the call frame was measurable.  now + size/rate is
-        # finite (both operands validated positive at configuration).
-        events = sim.events
-        seq = events._seq
-        events._seq = seq + 1
-        heappush(
-            events._heap,
-            (now + nxt.size / self.rate, 0, seq, None, self._tx_done, (nxt,)),
-        )
-        events._live += 1
+    def _link_deliver(self, seg: Segment) -> None:
+        """``_tx_done`` without a fabric port: deliver over the link."""
+        if self._deliver is None:
+            raise NetworkError(f"NIC {self.host_id} has no link attached")
+        self.sim.schedule(self._link_latency, self._deliver, (seg,))
 
     def _handle_qdisc_drop(self, seg: Segment) -> None:
         """A qdisc head drop (HTB ``del_class``): notify the local transport."""
@@ -321,3 +250,15 @@ class NIC:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<NIC {self.host_id} backlog={len(self.qdisc)} busy={self._tx_busy}>"
+
+
+# The per-segment hops, compiled: ``send`` hands a segment to the qdisc
+# (reaching ``_egress_drop`` when it refuses), ``_kick`` starts an idle
+# serializer and ``_tx_done`` completes one segment — routing it into its
+# fabric port, refilling the sender's window through ``on_segment_sent``
+# and starting the next.  An empty dequeue from the exact ``PFifo`` type
+# ends the busy period (an empty PFifo dequeue means an empty queue);
+# other qdiscs arm a retry while backlogged.
+NIC.send, NIC._kick, NIC._tx_done = segpath.bind_nic(
+    NIC, PFifo, Segment, Message, FlowKey, EventQueue, Simulator, NetworkError
+)

@@ -16,7 +16,14 @@ from repro.net.qdisc.base import Qdisc
 
 
 class PFifo(Qdisc):
-    """A bounded FIFO queue (packet-count limit, like ``pfifo``)."""
+    """A bounded FIFO queue (packet-count limit, like ``pfifo``).
+
+    Slotted: the compiled NIC path (``repro.net._segpath``) enqueues and
+    dequeues an exact ``PFifo`` through these slots, without calling the
+    two methods below; every other qdisc is called through its methods.
+    """
+
+    __slots__ = ("limit", "_queue", "_bytes", "drops")
 
     work_conserving = True
 

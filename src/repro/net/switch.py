@@ -31,10 +31,10 @@ Two port granularities share one behaviour, and the fabric's structure
 from __future__ import annotations
 
 from collections import deque
-from heapq import heappush
 from typing import Callable, Deque, Dict, Optional, TYPE_CHECKING
 
 from repro.errors import NetworkError
+from repro.net._native import segpath
 from repro.net.link import Link
 from repro.net.packet import Segment
 
@@ -209,129 +209,15 @@ class VirtualOutputPort(OutputPort):
         #: ``NIC.receive`` (one call frame per delivered segment)
         self._rx_nic = None
 
-    def enqueue(self, seg: Segment) -> None:
-        """Event-time admission (no lookahead): used when the caller is
-        itself running inside the segment's real ingress event."""
-        self.admit(seg, self.sim.now, elided_ingress=False)
-
-    def admit(self, seg: Segment, arrival: float,
-              elided_ingress: bool = True) -> None:
-        """Admit a segment that will reach this port at ``arrival``.
-
-        ``elided_ingress`` says whether the caller skipped the ingress
-        event packet granularity would have executed (the star topology
-        admits straight from the sender NIC, one link latency ahead).
-        """
-        sim = self.sim
-        size = seg.size
-        lat = self._lat
-        # Purge entries whose service has started by this arrival — the
-        # analytic analogue of the pops the serializer's events performed.
-        wait = self._wait
-        queued = self._queued_bytes
-        popleft = wait.popleft
-        while wait:
-            entry = wait[0]
-            start = entry[0]
-            if start < arrival:
-                popleft()
-                queued -= entry[1]
-            elif start == arrival and (entry[2] or entry[3] <= arrival - lat):
-                popleft()
-                queued -= entry[1]
-            else:
-                break
-        buf = self.buffer_bytes
-        if buf is not None and queued + size > buf:
-            self._queued_bytes = queued
-            if not elided_ingress:
-                self._record_drop(seg)
-                return
-            # Count now (cumulative counters, read at settle points and
-            # at run end); the sender's notification fires at its exact
-            # packet time, where packet granularity ran the ingress event.
-            self.drops += 1
-            self.dropped_bytes += size
-            on_drop = self.on_drop
-            if on_drop is not None:
-                sim.schedule_at_fire(arrival, on_drop, (seg,))
-            else:
-                # Packet mode would still have run the ingress event.
-                sim._steps += 1
-                sim._elided += 1
-            return
-        free_at = self._free_at
-        idle = free_at < arrival
-        start = arrival if idle else free_at
-        wait.append((start, size, idle, self._last_start))
-        queued += size
-        self._queued_bytes = queued
-        if len(wait) > self.max_backlog:
-            self.max_backlog = len(wait)
-        self._last_start = start
-        # Same float expressions as the event-driven serializer.
-        done = start + size / self._rate
-        self._free_at = done
-        delivery = done + lat
-        self._pending.append((delivery, seg, size, done - start))
-        acc = self._acc
-        msg = seg.message
-        mid = msg.msg_id
-        got = acc.get(mid, 0) + size
-        # Packet granularity would execute ingress (if elided) + one
-        # serialization-done + one delivery event for this segment; we
-        # execute at most the completion event.  Credit the difference.
-        credit = 3 if elided_ingress else 2
-        if got >= msg.size:
-            # pop, not del: a duplicated segment (spurious retransmit)
-            # can cross msg.size a second time with no accumulator entry
-            # — mirroring the transport's reassembly, which also byte-
-            # counts without dedup and completes the message again.
-            acc.pop(mid, None)
-            # sim.schedule_at_fire inlined (one push per message):
-            # delivery >= arrival >= now, so the past-time guard holds.
-            events = sim.events
-            seq = events._seq
-            events._seq = seq + 1
-            heappush(events._heap, (delivery, 0, seq, None, self.settle, ()))
-            events._live += 1
-            credit -= 1
-        else:
-            acc[mid] = got
-        sim._steps += credit
-        sim._elided += credit
-
-    def settle(self) -> None:
-        """Deliver every pending segment whose delivery time has matured.
-
-        Runs as each message's completion event, and on demand from
-        mid-run counter readers (samplers, invariants, scrape).
-        """
-        now = self.sim.now
-        pending = self._pending
-        if not pending or pending[0][0] > now:
-            return
-        nic = self._rx_nic
-        popleft = pending.popleft
-        if nic is not None:
-            # NIC.receive inlined: counter bumps + the transport callback.
-            on_receive = nic.on_receive
-            while pending and pending[0][0] <= now:
-                entry = popleft()
-                size = entry[2]
-                self.bytes_tx += size
-                self.busy_time += entry[3]
-                nic.bytes_rx += size
-                nic.segments_rx += 1
-                if on_receive is not None:
-                    on_receive(entry[1])
-            return
-        deliver = self.deliver
-        while pending and pending[0][0] <= now:
-            entry = popleft()
-            self.bytes_tx += entry[2]
-            self.busy_time += entry[3]
-            deliver(entry[1])
+    # ``enqueue``, ``admit`` and ``settle`` are compiled (``_segpath.c``,
+    # bound below ``Switch``).  ``admit`` purges the wait entries whose
+    # service has started by the arrival; on a full buffer it counts the
+    # drop and schedules ``on_drop`` at the arrival (an ingress that ran
+    # as a real event drops through ``_record_drop``), and otherwise
+    # computes the service start and end, the delivery time and the
+    # elided-event credit with the same float expressions as the
+    # event-driven serializer.  ``settle`` delivers the matured pending
+    # segments.
 
     @property
     def backlog(self) -> int:
@@ -349,6 +235,9 @@ class VirtualOutputPort(OutputPort):
 
 class Switch:
     """Routes segments to the egress port of their destination host."""
+
+    __slots__ = ("sim", "name", "buffer_bytes", "on_drop", "_ports",
+                 "segments_forwarded")
 
     def __init__(
         self,
@@ -421,3 +310,8 @@ class Switch:
     @property
     def n_ports(self) -> int:
         return len(self._ports)
+
+
+VirtualOutputPort.admit, VirtualOutputPort.enqueue, VirtualOutputPort.settle = (
+    segpath.bind_port(VirtualOutputPort, Switch)
+)

@@ -17,6 +17,7 @@ from collections import deque
 from typing import Callable, Deque, Dict, Optional, TYPE_CHECKING
 
 from repro.errors import NetworkError
+from repro.net._native import segpath
 from repro.net.addressing import FlowKey
 from repro.net.nic import NIC
 from repro.net.packet import Message, Segment, segment_message
@@ -256,43 +257,11 @@ class Transport:
         if state.in_flight == 0 and not pending:
             del self._send_states[flow]
 
-    def _on_segment_serialized(self, seg: Segment) -> None:
-        flow = seg.flow
-        try:
-            state = self._send_states[flow]
-        except KeyError:
-            return  # flow already drained (last segment)
-        n = state.in_flight - 1
-        state.in_flight = n
-        # _SendState.on_progress inlined (hottest transport call site).
-        w = state.window
-        bw = state.base_window
-        if w < bw:
-            if w < state.ssthresh:
-                w += 1.0
-            else:
-                w += 1.0 / w
-            state.window = w if w < bw else bw
-        # _refill inlined for the common (not loss-tolerant) NIC: this
-        # runs once per serialized segment, and the extra frame showed
-        # up in profiles.  Semantics identical to ``self._refill``.
-        nic = self.nic
-        if nic.loss_tolerant:
-            self._refill(flow, state)
-            return
-        pending = state.pending
-        if pending:
-            limit = int(state.window)
-            send = nic.send
-            while n < limit:
-                seg2 = pending.popleft()
-                n += 1
-                state.in_flight = n
-                send(seg2)
-                if not pending:
-                    break
-        if n == 0 and not pending:
-            del self._send_states[flow]
+    # ``_on_segment_serialized`` is compiled (``_segpath.c``, bound below
+    # the class): it frees the segment's window slot, grows the window
+    # (``_SendState.on_progress`` inlined) and refills it from the
+    # flow's pending segments, as ``_refill`` does for a NIC that is not
+    # loss tolerant (a loss-tolerant NIC goes through ``_refill``).
 
     # -- loss recovery -----------------------------------------------------
 
@@ -344,37 +313,19 @@ class Transport:
     def unlisten(self, port: int) -> None:
         self._listeners.pop(port, None)
 
-    def _on_segment_arrival(self, seg: Segment) -> None:
-        msg = seg.message
-        if seg.size < msg.size:
-            # One segment of several: reassemble.  A one-segment message
-            # completes on arrival and never gets a receive state.
-            states = self._recv_states
-            mid = msg.msg_id
-            state = states.get(mid)
-            if state is None:
-                state = states[mid] = _RecvState(msg)
-            state.received += seg.size
-            if state.received < msg.size:
-                return
-            del states[mid]
-        msg.delivered_at = self.sim.now
-        self.messages_delivered += 1
-        if self.on_deliver is not None:
-            self.on_deliver(msg)
-        listener = self._listeners.get(msg.flow.dst_port)
-        if listener is None:
-            if self.tolerate_unrouted:
-                self.messages_unrouted += 1
-                return
-            raise NetworkError(
-                f"no listener on {self.nic.host_id}:{msg.flow.dst_port} "
-                f"for {msg.kind} message"
-            )
-        listener(msg)
+    # ``_on_segment_arrival`` is compiled too: a segment of a multi-
+    # segment message is counted into its ``_RecvState``; a complete
+    # message is stamped ``delivered_at``, shown to ``on_deliver`` and
+    # handed to its port's listener (counted under ``tolerate_unrouted``
+    # when there is none, else a ``NetworkError``).
 
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"<Transport {self.nic.host_id} flows={len(self._send_states)} "
             f"sent={self.messages_sent} delivered={self.messages_delivered}>"
         )
+
+
+Transport._on_segment_serialized, Transport._on_segment_arrival = (
+    segpath.bind_transport(Transport, _SendState, _RecvState)
+)

@@ -30,7 +30,13 @@ class Simulator:
         sim = Simulator(seed=42)
         sim.spawn(my_process(sim), name="worker-0")
         sim.run(until=100.0)
+
+    Slotted: the compiled segment path (``repro.net._segpath``) reads
+    the clock, the event queue and the step counters by slot offset.
     """
+
+    __slots__ = ("now", "events", "rng", "watchdog", "processes",
+                 "_running", "_steps", "_elided")
 
     def __init__(self, seed: int = 0) -> None:
         self.now: float = 0.0

@@ -1,7 +1,7 @@
 """Call budgets: Python frames per simulated run stay where they are.
 
-Every simulated message crosses the same Python hops (task -> transport
--> NIC -> fabric port -> transport -> mailbox -> process resume), and the
+Every simulated message crosses the same hops (task -> transport ->
+NIC -> fabric port -> transport -> mailbox -> process resume), and the
 pinned result hashes fix how many messages and events a scenario has.
 So the number of Python ``call`` events a fixed scenario makes is a
 deterministic measure of per-hop overhead, free of wall-clock noise.
@@ -9,13 +9,21 @@ These budgets are upper bounds set at the measured counts: a change
 that adds a frame to the message path fails here; one that removes
 frames lowers the budget in the same change.
 
+The per-segment hops — ``NIC.send``/``_kick``/``_tx_done``,
+``VirtualOutputPort.admit``/``enqueue``/``settle``, the exact-type
+``PFifo`` enqueue and dequeue, and ``Transport._on_segment_serialized``/
+``_on_segment_arrival`` — are compiled (``repro.net._segpath``) and make
+no ``call`` events; what is counted is the Python left on the message
+path: ``send_message`` and segmenting, the loss-recovery and retry
+branches, the delivery listeners and the processes they resume.
+
 Counted with ``sys.setprofile`` around ``Runtime.run`` only (launch,
 event loop, result collection), after one untimed run of the same
 scenario so that first-use work (lazy imports, caches) is not counted,
 and with the collector off so no ``gc.callbacks`` hook is counted.
 Before the message path was cut to one frame per hop the same counts
-were 12,522 (ring) and 12,296 (PS FIFO); a first run in a fresh process
-adds about 850 to the ring count.
+were 12,522 (ring) and 12,296 (PS FIFO); with one Python frame per hop
+they were 9,031 and 10,495.
 
 Counts are interpreter-specific (3.12 reports profile events through
 ``sys.monitoring``), so each CPython version has its own measured
@@ -45,7 +53,7 @@ SCENARIOS = {
 
 #: measured ``call`` events per scenario, by CPython (major, minor)
 BUDGETS = {
-    (3, 11): {"ring": 9031, "ps-fifo": 10495},
+    (3, 11): {"ring": 4837, "ps-fifo": 4843},
 }
 
 
