@@ -214,10 +214,8 @@ def _emit_utilization(args: argparse.Namespace, report: table2.Table2Result) -> 
 def _study_emitter(table: str) -> Callable[[argparse.Namespace, Any], None]:
     def emit(args: argparse.Namespace, report: Any) -> None:
         print(report.render())
-        profiled = (f"{report.fingerprint_misses} shapes profiled, "
-                    if hasattr(report, "fingerprint_misses") else "")
         print(f"({report.executed} executed, {report.cache_hits} cached, "
-              f"{profiled}{report.wall_seconds:.1f}s)")
+              f"{report.wall_seconds:.1f}s)")
         if args.csv:
             Path(args.csv).write_text(report.to_csv())
             print(f"wrote {table} to {args.csv}")

@@ -13,7 +13,7 @@ core-time is accumulated for the vmstat-style utilization telemetry.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Optional, TYPE_CHECKING
+from typing import Dict, TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.sim.primitives import _Suspend
@@ -66,10 +66,6 @@ class ProcessorSharingCPU:
         self._jobs[job.jid] = job
         self._reschedule()
         return token
-
-    @property
-    def active_jobs(self) -> int:
-        return len(self._jobs)
 
     @property
     def rate_per_job(self) -> float:

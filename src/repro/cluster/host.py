@@ -7,7 +7,7 @@ a 10 Gbps NIC.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import List, Optional, TYPE_CHECKING
 
 from repro.cluster.cpu import ProcessorSharingCPU
 from repro.errors import PlacementError
@@ -72,10 +72,6 @@ class Host:
             raise PlacementError(
                 f"task {task!r} is not resident on host {self.host_id}"
             ) from None
-
-    @property
-    def n_tasks(self) -> int:
-        return len(self.tasks)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Host {self.host_id} tasks={len(self.tasks)}>"

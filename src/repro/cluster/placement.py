@@ -9,7 +9,7 @@ host (paper §III, Task placement).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Tuple
 
 from repro.errors import PlacementError
 
@@ -68,13 +68,6 @@ class PlacementSpec:
             if job_index < cum:
                 return host_idx
         raise AssertionError("unreachable")
-
-    def jobs_on_host(self, host_idx: int) -> List[int]:
-        """Job indices whose PS is on host ``host_idx``."""
-        if not 0 <= host_idx < len(self.groups):
-            return []
-        start = sum(self.groups[:host_idx])
-        return list(range(start, start + self.groups[host_idx]))
 
     def describe(self) -> str:
         """Table I notation, e.g. ``"5, 16"`` or ``"1, ..., 1"``."""

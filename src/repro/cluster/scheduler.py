@@ -9,7 +9,6 @@ otherwise a policy picks each PS host online:
 
 * ``random`` — place each PS on a uniformly random host (what an
   oblivious scheduler effectively does);
-* ``pack`` — fill hosts in order (bin-packing by request count);
 * ``spread`` — least-loaded host first (the default);
 * ``ps_aware`` — the paper's §VII future-work extension: like ``spread``
   but counts only *PS* tasks when balancing, guaranteeing minimal PS
@@ -31,7 +30,6 @@ class SchedulingPolicy(str, enum.Enum):
     """How the cluster scheduler picks a PS host (see module docstring)."""
 
     RANDOM = "random"
-    PACK = "pack"
     SPREAD = "spread"
     PS_AWARE = "ps_aware"
 
@@ -87,11 +85,6 @@ class ClusterScheduler:
                 raise PlacementError("random policy requires an rng")
             idx = int(self.rng.stream("scheduler").integers(0, len(self.host_ids)))
             host = self.host_ids[idx]
-        elif self.policy == SchedulingPolicy.PACK:
-            host = self.host_ids[0]
-            # first host that is the current minimum insertion point: fill
-            # in id order, moving on only grows load unboundedly — pack
-            # simply always picks the first host.
         elif self.policy == SchedulingPolicy.SPREAD:
             host = min(self.host_ids,
                        key=lambda h: (self.task_load[h], self._rank[h]))

@@ -435,18 +435,3 @@ def unseal_entry(raw: bytes) -> Optional[Dict[str, Any]]:
     if start != len(body):
         raise ValueError("cache entry has bytes after its blocks")
     return data
-
-
-def from_json(text: str) -> List[Dict[str, Any]]:
-    """Parse a JSON export back into dicts (with schema check)."""
-    data = json.loads(text)
-    if not isinstance(data, list):
-        raise ConfigError("export must be a JSON array of runs")
-    for run in data:
-        version = run.get("schema_version")
-        if version != SCHEMA_VERSION:
-            raise ConfigError(
-                f"unsupported schema version {version!r} "
-                f"(this build reads {SCHEMA_VERSION})"
-            )
-    return data

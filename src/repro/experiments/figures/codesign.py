@@ -79,9 +79,6 @@ class CodesignReport:
     cache_hits: int = 0
     executed: int = 0
     wall_seconds: float = 0.0
-    #: shapes the generating process profiled (observability only —
-    #: worker processes profile into their own stores)
-    fingerprint_misses: int = 0
 
     def jcts(self, placement: str, policy: Policy) -> List[float]:
         """Per-seed average JCTs of one cell (seed-sweep order)."""
@@ -278,12 +275,8 @@ def generate(
         confidence: CI level for the bootstrap speedups.
         kwargs: the study's axes and configuration, as for :func:`_spec`.
     """
-    from repro.placement.store import FingerprintStore
-
     spec = _spec(**kwargs)
     grid = spec.expand()
-    store = FingerprintStore.default()
-    misses0 = store.misses
     camp = campaign if campaign is not None else Campaign()
     outcome = camp.run([point.scenario for point in grid])
 
@@ -305,5 +298,4 @@ def generate(
         cache_hits=outcome.cache_hits,
         executed=outcome.executed,
         wall_seconds=outcome.wall_seconds,
-        fingerprint_misses=store.misses - misses0,
     )

@@ -95,11 +95,6 @@ def get_build_hook(name: str) -> BuildHook:
     return hook
 
 
-def registered_hooks() -> Dict[str, BuildHook]:
-    """A snapshot of the registry (name -> hook)."""
-    return dict(_REGISTRY)
-
-
 # -- builtin: tl_controller -------------------------------------------------
 
 

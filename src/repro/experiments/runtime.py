@@ -25,7 +25,6 @@ handlers are read at delivery time.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 import zlib
@@ -47,6 +46,7 @@ from repro.faults import FaultInjector
 from repro.net.link import Link
 from repro.net.qdisc.netem import NetemQdisc
 from repro.sim import Simulator
+from repro.sim.watchdog import Watchdog
 from repro.telemetry import ActiveWindow, HostSampler, window_mean
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.sampler import SampleSeries
@@ -186,6 +186,9 @@ class Runtime:
     #: the run's metrics registry (``materialize(metrics=True)``), filled
     #: at the end of :meth:`run`; ``None`` when metrics are off
     metrics: Optional[MetricsRegistry] = None
+    #: the run's invariant watchdog (``materialize(watchdog="warn"|"raise")``),
+    #: finalized by :meth:`run`; ``None`` when the watchdog is off
+    watchdog: Optional[Watchdog] = None
 
     def run(self) -> ExperimentResult:
         """Launch every job, drive the simulation dry, collect results."""
@@ -220,9 +223,10 @@ class Runtime:
         # Quiescence invariants run BEFORE the unfinished-jobs check: a
         # raise-mode watchdog should blame the leak/stall that *caused*
         # jobs to hang, not be masked by the generic hang error.
-        watchdog_violations = [
-            v.to_dict() for v in sim.watchdog.finalize()
-        ]
+        watchdog_violations = (
+            [v.to_dict() for v in self.watchdog.finalize()]
+            if self.watchdog is not None else []
+        )
 
         unfinished = [a.spec.job_id for a in apps if not a.metrics.finished]
         if unfinished:
@@ -235,7 +239,7 @@ class Runtime:
         metrics_snapshot: Dict[str, Any] = {}
         if self.metrics is not None:
             scrape_cluster(self.metrics, self.cluster, self.controller,
-                           [a.metrics for a in apps])
+                           [a.metrics for a in apps], watchdog=self.watchdog)
             metrics_snapshot = self.metrics.snapshot()
 
         return ExperimentResult(
@@ -348,12 +352,13 @@ def materialize(
             in-process switch, not part of Scenario identity — it cannot
             change simulated results.
         watchdog: runtime invariant watchdog mode — ``None``/``"off"``
-            (default), ``"warn"`` or ``"raise"``.  Enables
-            ``sim.watchdog`` with the byte-conservation, qdisc, port-leak,
-            TensorLights-drift and stall checks registered for this run's
-            cluster/apps/controller.  Same contract as ``metrics``: an
-            observation switch whose heartbeat self-compensates the step
-            counter, so result content hashes are unchanged.
+            (default), ``"warn"`` or ``"raise"``.  Builds the run's
+            :attr:`Runtime.watchdog` with the byte-conservation, qdisc,
+            port-leak, TensorLights-drift and stall checks registered for
+            this run's cluster/apps/controller.  Same contract as
+            ``metrics``: an observation switch whose heartbeat
+            self-compensates the step counter, so result content hashes
+            are unchanged.
     """
     config = scenario.config
 
@@ -514,17 +519,18 @@ def materialize(
         registry = MetricsRegistry()
         tap_message_latency(registry, cluster.network)
 
+    watcher: Optional[Watchdog] = None
     if watchdog is not None and watchdog != "off":
         from repro.dl.invariants import register_dl_checks
         from repro.net.invariants import register_net_checks
         from repro.tensorlights.invariants import register_tensorlights_checks
 
-        sim.watchdog.configure(watchdog)
-        register_net_checks(sim.watchdog, cluster)
-        register_dl_checks(sim.watchdog, cluster, apps)
+        watcher = Watchdog(sim, watchdog)
+        register_net_checks(watcher, cluster)
+        register_dl_checks(watcher, cluster, apps)
         if controller is not None:
-            register_tensorlights_checks(sim.watchdog, controller)
-        sim.watchdog.start()
+            register_tensorlights_checks(watcher, controller)
+        watcher.start()
 
     runtime = Runtime(
         scenario=scenario,
@@ -538,6 +544,7 @@ def materialize(
         _wall_start=wall_start,
         injector=injector,
         metrics=registry,
+        watchdog=watcher,
     )
     for hook, params in resolved_hooks:
         if hook.post_build is not None:

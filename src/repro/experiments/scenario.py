@@ -193,13 +193,6 @@ class Scenario:
         entry = (name, tuple(params.items()))
         return dataclasses.replace(self, hooks=self.hooks + (entry,))
 
-    def hook_params(self, name: str) -> Optional[Dict[str, Any]]:
-        """The parameters of hook ``name`` as a dict, or ``None`` if absent."""
-        for hook_name, params in self.hooks:
-            if hook_name == name:
-                return dict(params)
-        return None
-
     @property
     def label(self) -> str:
         """A short human-readable identity for progress displays."""

@@ -68,10 +68,6 @@ class StudyPoint:
     seed: int
     is_baseline: bool = False
 
-    def override_dict(self) -> Dict[str, Any]:
-        """The axis values as a dict (axis name -> raw value)."""
-        return dict(self.overrides)
-
 
 @dataclass(frozen=True)
 class StudySpec:

@@ -1,4 +1,4 @@
-"""Atomic file writes shared by the on-disk result and fingerprint caches."""
+"""Atomic file writes for the on-disk result cache."""
 
 from __future__ import annotations
 

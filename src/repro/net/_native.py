@@ -11,7 +11,9 @@ name derived from the SHA-256 of the source, the flags and the
 interpreter's ``EXT_SUFFIX``, so a changed source or flag builds a new
 file and a fresh interpreter only hashes the source and loads the cached
 one.  The build writes a temporary file and renames it into place, so
-processes importing at the same time each load a complete module.
+processes importing at the same time each load a complete module; it
+then removes the outdated objects this interpreter built (same
+``EXT_SUFFIX``, another key) and keeps other interpreters' objects.
 Without a working compiler the import fails with an :class:`ImportError`
 naming the command it ran; there is no pure-Python fallback.
 """
@@ -53,9 +55,13 @@ def command(source: Path, output: Path, flags: Sequence[str] = FLAGS) -> list:
     return cmd
 
 
+def _suffix() -> str:
+    return sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+
+
 def cache_path(source: bytes, flags: Sequence[str], cache_dir: Path) -> Path:
     """Where the object built from ``source`` with ``flags`` is cached."""
-    suffix = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
+    suffix = _suffix()
     key = hashlib.sha256(source)
     key.update("\0".join(flags).encode())
     key.update(suffix.encode())
@@ -90,7 +96,19 @@ def build(source: Path = SOURCE, flags: Sequence[str] = FLAGS,
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    _remove_outdated(target)
     return target
+
+
+def _remove_outdated(target: Path) -> None:
+    """Unlink every cached object beside ``target`` with its suffix and
+    another key.  Another process may have removed one already."""
+    for path in target.parent.glob(f"_segpath.*{_suffix()}"):
+        if path != target and len(path.name) == len(target.name):
+            try:
+                path.unlink()
+            except OSError:
+                pass
 
 
 def load(path: Path) -> ModuleType:

@@ -1,8 +1,8 @@
 """Net-layer invariant checks for the runtime watchdog.
 
 Every check here is *read-only* over counters the data path already
-maintains — registering them costs nothing on the hot path (the
-zero-cost-guard contract of :mod:`repro.sim.watchdog`).
+maintains — registering them costs nothing on the hot path, and a run
+without a :class:`~repro.sim.watchdog.Watchdog` registers none.
 
 Checks:
 

@@ -25,7 +25,3 @@ class Link:
             raise NetworkError(f"link rate must be positive, got {self.rate}")
         if self.latency < 0:
             raise NetworkError(f"link latency must be >= 0, got {self.latency}")
-
-    def tx_time(self, size: int) -> float:
-        """Serialization time for ``size`` bytes."""
-        return size / self.rate

@@ -123,9 +123,13 @@ class NIC:
     def set_qdisc(self, qdisc: Qdisc) -> None:
         """``tc qdisc replace``: swap the egress qdisc.
 
-        Divergence from Linux (documented in DESIGN.md): the backlog of the
+        Divergence from Linux (docs/tc-mapping.md): the backlog of the
         old qdisc is migrated into the new one instead of dropped, so a
-        reconfiguration mid-experiment never silently loses traffic.
+        reconfiguration mid-experiment never silently loses traffic.  A
+        segment the new qdisc refuses (a lossy netem qdisc's draw) takes
+        the ordinary egress-drop path, :meth:`_egress_drop`: a
+        loss-tolerant NIC counts it and the transport retransmits it
+        after the RTO; any other NIC raises :class:`NetworkError`.
         """
         now = self.sim.now
         pending = self.qdisc.drain_all(now)
@@ -134,7 +138,7 @@ class NIC:
         qdisc.set_line_rate(self.rate)
         for seg in pending:
             if not qdisc.enqueue(seg, now):
-                raise NetworkError("new qdisc dropped migrated backlog")
+                self._egress_drop(seg)
         self._cancel_retry()
         self._kick()
 
@@ -231,10 +235,6 @@ class NIC:
             settle()
 
     # -- monitoring ---------------------------------------------------------
-
-    @property
-    def tx_backlog(self) -> int:
-        return len(self.qdisc)
 
     def utilization_snapshot(self) -> dict:
         """Cumulative counters for ifstat-style differencing."""

@@ -64,7 +64,3 @@ class PortFilter(FlowFilter):
             if lo <= sport <= hi:
                 return range_class
         return self.default_class
-
-    @property
-    def n_matches(self) -> int:
-        return len(self._by_src) + len(self._src_ranges)

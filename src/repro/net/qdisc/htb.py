@@ -609,9 +609,6 @@ class HTBQdisc(Qdisc):
     def backlog_bytes(self) -> int:
         return self._bytes
 
-    def class_backlog(self, classid: int) -> int:
-        return len(self._get(classid).queue)
-
     def __repr__(self) -> str:  # pragma: no cover
         leaves = {c.classid: len(c.queue) for c in self._leaves}
         return f"HTBQdisc(leaves={leaves})"

@@ -307,10 +307,6 @@ class Switch:
     def port(self, host_id: str) -> Optional[OutputPort]:
         return self._ports.get(host_id)
 
-    @property
-    def n_ports(self) -> int:
-        return len(self._ports)
-
 
 VirtualOutputPort.admit, VirtualOutputPort.enqueue, VirtualOutputPort.settle = (
     segpath.bind_port(VirtualOutputPort, Switch)

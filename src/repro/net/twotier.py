@@ -220,9 +220,6 @@ class TwoTierNetwork:
         except KeyError:
             raise NetworkError(f"unknown host {host_id!r}") from None
 
-    def same_leaf(self, a: str, b: str) -> bool:
-        return self.leaf_of_host[a] == self.leaf_of_host[b]
-
     @property
     def host_ids(self) -> List[str]:
         return list(self.nics)

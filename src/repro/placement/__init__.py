@@ -18,11 +18,9 @@ See ``docs/placement.md`` for semantics and how to add a policy.
 """
 
 from repro.placement.fingerprint import (
-    FINGERPRINT_SCHEMA,
     PROFILE_ITERATIONS,
     PROFILE_SEED,
     JobFingerprint,
-    fingerprint_from_dict,
     profile_config,
     profile_job_shape,
     shape_key,
@@ -40,11 +38,9 @@ from repro.placement.policies import (
     get_placement_policy,
     register_placement_policy,
 )
-from repro.placement.store import FINGERPRINT_DIR_ENV, FingerprintStore
+from repro.placement.store import FingerprintStore
 
 __all__ = [
-    "FINGERPRINT_DIR_ENV",
-    "FINGERPRINT_SCHEMA",
     "FingerprintStore",
     "GreedyPackPolicy",
     "JobFingerprint",
@@ -58,7 +54,6 @@ __all__ = [
     "PlacementJob",
     "PlacementPolicy",
     "all_placement_policies",
-    "fingerprint_from_dict",
     "get_placement_policy",
     "profile_config",
     "profile_job_shape",

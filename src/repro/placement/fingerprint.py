@@ -21,9 +21,9 @@ job shape — running the profile twice (or in two different campaign
 worker processes) produces identical numbers, which is what lets
 placement policies live inside cached scenarios.
 
-Everything here is plain picklable data with a JSON round-trip, so
-fingerprints cross process boundaries and persist in an on-disk
-:class:`~repro.placement.store.FingerprintStore`.
+Everything here is plain picklable data, so fingerprints cross process
+boundaries; :class:`~repro.placement.store.FingerprintStore` memoizes
+one per shape per process.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
 
@@ -48,9 +48,6 @@ PROFILE_ITERATIONS = 6
 #: Seed of the profiling run.  Fixed for the same reason: the fingerprint
 #: describes the job shape, not one seeded instance of it.
 PROFILE_SEED = 1729
-
-#: Schema version of the fingerprint JSON round-trip.
-FINGERPRINT_SCHEMA = 1
 
 
 @dataclass(frozen=True)
@@ -105,40 +102,6 @@ class JobFingerprint:
         placement aligns across colocated jobs.
         """
         return (arrival_time + self.phase_offset) % self.iteration_period
-
-    # -- round-trip --------------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        """A JSON-safe dict (round-trips via :func:`fingerprint_from_dict`)."""
-        return {
-            "schema": FINGERPRINT_SCHEMA,
-            "shape_key": self.shape_key,
-            "iteration_period": self.iteration_period,
-            "comm_duty_cycle": self.comm_duty_cycle,
-            "bytes_per_iteration": self.bytes_per_iteration,
-            "phase_offset": self.phase_offset,
-            "barrier_wait_p50": self.barrier_wait_p50,
-            "profile_iterations": self.profile_iterations,
-        }
-
-
-def fingerprint_from_dict(data: Mapping[str, Any]) -> JobFingerprint:
-    """Rebuild a :class:`JobFingerprint` from :meth:`JobFingerprint.to_dict`."""
-    schema = data.get("schema")
-    if schema != FINGERPRINT_SCHEMA:
-        raise ConfigError(
-            f"unsupported fingerprint schema {schema!r} (this build reads "
-            f"{FINGERPRINT_SCHEMA})"
-        )
-    return JobFingerprint(
-        shape_key=str(data["shape_key"]),
-        iteration_period=float(data["iteration_period"]),
-        comm_duty_cycle=float(data["comm_duty_cycle"]),
-        bytes_per_iteration=float(data["bytes_per_iteration"]),
-        phase_offset=float(data["phase_offset"]),
-        barrier_wait_p50=float(data["barrier_wait_p50"]),
-        profile_iterations=int(data["profile_iterations"]),
-    )
 
 
 def profile_config(config: "ExperimentConfig") -> "ExperimentConfig":

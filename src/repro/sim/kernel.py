@@ -10,7 +10,6 @@ from repro.errors import SimulationError
 from repro.sim.events import PRIORITY_NORMAL, Event, EventQueue
 from repro.sim.process import Process, ProcessGen
 from repro.sim.rng import RandomStreams
-from repro.sim.watchdog import Watchdog
 
 
 class Simulator:
@@ -21,9 +20,10 @@ class Simulator:
     * the virtual clock (:attr:`now`, seconds),
     * the event queue,
     * the process table,
-    * deterministic random streams (:attr:`rng`),
-    * a :class:`~repro.sim.watchdog.Watchdog` (mode ``"off"`` by default;
-      enable with ``sim.watchdog.configure(mode=...)`` + ``start()``).
+    * deterministic random streams (:attr:`rng`).
+
+    Observers (a :class:`~repro.sim.watchdog.Watchdog`, a metrics
+    registry) belong to the run that builds them, not to the simulator.
 
     Typical usage::
 
@@ -35,14 +35,13 @@ class Simulator:
     the clock, the event queue and the step counters by slot offset.
     """
 
-    __slots__ = ("now", "events", "rng", "watchdog", "processes",
+    __slots__ = ("now", "events", "rng", "processes",
                  "_running", "_steps", "_elided")
 
     def __init__(self, seed: int = 0) -> None:
         self.now: float = 0.0
         self.events = EventQueue()
         self.rng = RandomStreams(seed)
-        self.watchdog = Watchdog(self)
         self.processes: list[Process] = []
         self._running = False
         self._steps = 0

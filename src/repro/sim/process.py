@@ -160,13 +160,6 @@ class Process:
         if self.alive:
             self._finish(None, None)
 
-    def on_exit(self, signal) -> None:
-        """Fire ``signal`` (a :class:`repro.sim.primitives.Signal`) when done."""
-        if self.alive:
-            self._watchers.append(signal)
-        else:
-            signal.fire(self.result)
-
     def __repr__(self) -> str:  # pragma: no cover
         state = "alive" if self.alive else "done"
         return f"<Process {self.name} {state}>"

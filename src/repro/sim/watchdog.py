@@ -1,10 +1,11 @@
 """Runtime invariant watchdog: self-checks for a live simulation.
 
-A :class:`Watchdog` hangs off every :class:`~repro.sim.kernel.Simulator`
-(``sim.watchdog``), disabled by default.  When enabled it runs a set of
-registered *checks* (read-only predicates over existing counters and
-data structures) from a low-priority heartbeat event and once more at
-:meth:`finalize`, converting silent corruption —
+A :class:`Watchdog` belongs to one run, not to its
+:class:`~repro.sim.kernel.Simulator`: ``materialize(watchdog=...)``
+builds one only when asked and keeps it as ``Runtime.watchdog``.  It
+runs a set of registered *checks* (read-only predicates over existing
+counters and data structures) from a low-priority heartbeat event and
+once more at :meth:`finalize`, converting silent corruption —
 leaked bytes, stuck qdiscs, port leaks, tc drift, livelocks — into
 structured :class:`WatchdogViolation` reports, which the metrics scrape
 counts at run end.
@@ -15,7 +16,6 @@ watchdog itself only knows about the event heap and the heartbeat.
 
 Modes:
 
-* ``off``   — nothing runs, nothing is scheduled (the default).
 * ``warn``  — violations are recorded (and surfaced as
   :class:`RuntimeWarning`, capped) but the run continues; production
   sweeps degrade gracefully.
@@ -41,8 +41,8 @@ from repro.sim.events import PRIORITY_LOW, _MIN_COMPACT
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
 
-#: Valid watchdog modes.
-MODES = ("off", "warn", "raise")
+#: Valid watchdog modes (a run without a watchdog simply builds none).
+MODES = ("warn", "raise")
 
 #: One check: returns an iterable of ``(detail, data)`` violation pairs
 #: (empty / ``None`` when the invariant holds).
@@ -89,22 +89,39 @@ class Watchdog:
 
     Usage (the experiment runtime does all of this)::
 
-        sim.watchdog.configure(mode="warn")
-        sim.watchdog.register("my_invariant", check_fn)
-        sim.watchdog.start()          # schedules the heartbeat
+        watchdog = Watchdog(sim, "warn")
+        watchdog.register("my_invariant", check_fn)
+        watchdog.start()              # schedules the heartbeat
         sim.run()
-        violations = sim.watchdog.finalize()
+        violations = watchdog.finalize()
+
+    Args:
+        mode: ``"warn"`` or ``"raise"``.
+        interval: heartbeat period in simulated seconds.
+        stall_time: stall deadline: this much simulated time with zero
+            progress ...
+        stall_events: ... AND this many executed events with zero progress.
     """
 
-    def __init__(self, sim: "Simulator") -> None:
+    def __init__(
+        self,
+        sim: "Simulator",
+        mode: str,
+        interval: float = 1.0,
+        stall_time: float = 60.0,
+        stall_events: int = 50_000,
+    ) -> None:
+        if mode not in MODES:
+            raise WatchdogError(
+                f"watchdog mode must be one of {MODES}, got {mode!r}"
+            )
+        if interval <= 0:
+            raise WatchdogError(f"interval must be positive, got {interval}")
         self.sim = sim
-        self.mode = "off"
-        #: heartbeat period in simulated seconds
-        self.interval = 1.0
-        #: stall deadline: this much simulated time with zero progress ...
-        self.stall_time = 60.0
-        #: ... AND this many executed events with zero progress
-        self.stall_events = 50_000
+        self.mode = mode
+        self.interval = interval
+        self.stall_time = stall_time
+        self.stall_events = stall_events
         #: cap on RuntimeWarnings emitted in ``warn`` mode (reports are
         #: always recorded; the cap only limits console noise)
         self.max_warnings = 20
@@ -126,33 +143,6 @@ class Watchdog:
 
     # -- configuration ------------------------------------------------------
 
-    @property
-    def enabled(self) -> bool:
-        return self.mode != "off"
-
-    def configure(
-        self,
-        mode: str,
-        interval: Optional[float] = None,
-        stall_time: Optional[float] = None,
-        stall_events: Optional[int] = None,
-    ) -> "Watchdog":
-        """Set the mode (and optionally the heartbeat/stall parameters)."""
-        if mode not in MODES:
-            raise WatchdogError(
-                f"watchdog mode must be one of {MODES}, got {mode!r}"
-            )
-        self.mode = mode
-        if interval is not None:
-            if interval <= 0:
-                raise WatchdogError(f"interval must be positive, got {interval}")
-            self.interval = interval
-        if stall_time is not None:
-            self.stall_time = stall_time
-        if stall_events is not None:
-            self.stall_events = stall_events
-        return self
-
     def register(self, name: str, fn: CheckFn, final_only: bool = False) -> None:
         """Add a check.  ``final_only`` checks run only at :meth:`finalize`
         (quiescence invariants that legitimately fail mid-run)."""
@@ -170,8 +160,6 @@ class Watchdog:
 
     def report(self, check: str, detail: str, **data: Any) -> None:
         """Record one violation; raise it in ``raise`` mode."""
-        if not self.enabled:
-            return
         violation = WatchdogViolation(
             check=check, detail=detail, t=self.sim.now, data=data
         )
@@ -191,8 +179,8 @@ class Watchdog:
     # -- the heartbeat -------------------------------------------------------
 
     def start(self) -> None:
-        """Schedule the periodic heartbeat (no-op when off/already beating)."""
-        if not self.enabled or self._beating:
+        """Schedule the periodic heartbeat (no-op when already beating)."""
+        if self._beating:
             return
         self._beating = True
         self.sim.schedule(self.interval, self._heartbeat, priority=PRIORITY_LOW)
@@ -292,7 +280,7 @@ class Watchdog:
 
         Idempotent; returns all violations recorded over the run.
         """
-        if self.enabled and not self._finalized:
+        if not self._finalized:
             self._finalized = True
             self._run_checks(final=True)
         return list(self.violations)

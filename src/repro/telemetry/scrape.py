@@ -24,6 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
     from repro.dl.metrics import JobMetrics
     from repro.net.packet import Message
+    from repro.sim.watchdog import Watchdog
     from repro.tensorlights.controller import TensorLights
 
 
@@ -52,15 +53,16 @@ def scrape_cluster(
     cluster: "Cluster",
     controller: Optional["TensorLights"] = None,
     jobs: Iterable["JobMetrics"] = (),
+    watchdog: Optional["Watchdog"] = None,
 ) -> None:
-    """Read every component's counts and every job's barrier waits into
-    ``registry``.
+    """Read every component's counts, every job's barrier waits and the
+    run's watchdog violations into ``registry``.
 
     Cumulative totals become gauges.  Event counts that only a run with
     the event produces (drops, band reassignments, reconcile actions,
     violations) become counters, created only when non-zero, except
-    ``watchdog_violations_total``, which exists whenever the watchdog is
-    on.  A job with at least one recorded wait gets a
+    ``watchdog_violations_total``, which exists whenever the run has a
+    watchdog.  A job with at least one recorded wait gets a
     ``dl_barrier_wait_seconds`` histogram, PS and all-reduce jobs alike.
     Safe on any topology — the single-switch gauges are skipped for
     fabrics without a ``switch`` attribute (e.g. the two-tier network).
@@ -145,8 +147,7 @@ def scrape_cluster(
                 "dl_barrier_wait_seconds", job=job.job_id
             ).reset(waits)
 
-    watchdog = cluster.sim.watchdog
-    if watchdog.enabled:
+    if watchdog is not None:
         checks = Counter(violation.check for violation in watchdog.violations)
         for check, n in checks.items():
             count("watchdog_violations", n, check=check)

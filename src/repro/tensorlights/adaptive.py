@@ -113,6 +113,3 @@ class AdaptiveTensorLights(TensorLights):
                     self.disengage_events += 1
                     self._reconfigure(state)  # reverts to FIFO
         self._monitor_running = False
-
-    def is_engaged(self, host_id: str) -> bool:
-        return self._engaged.get(host_id, False)

@@ -31,6 +31,7 @@ from repro.tensorlights.tc import Tc
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
     from repro.dl.application import Application
+    from repro.sim.watchdog import Watchdog
 
 
 class TLMode(str, enum.Enum):
@@ -98,6 +99,10 @@ class TensorLights:
         self.band_reassignments: Dict[str, int] = {}
         #: hosts touched by :meth:`reconcile`, summed over every pass
         self.reconcile_actions = 0
+        #: the run's watchdog, handed over by
+        #: :func:`~repro.tensorlights.invariants.register_tensorlights_checks`;
+        #: :meth:`reconcile` reports its repairs to it
+        self.watchdog: Optional["Watchdog"] = None
 
     # -- job lifecycle ------------------------------------------------------
 
@@ -214,12 +219,12 @@ class TensorLights:
         HTB on recovered hosts whose desired state says it should exist.
         Returns the number of hosts whose configuration was touched.
 
-        With the runtime watchdog enabled, every repair is also reported
-        as a ``tl_reconcile`` violation — drift the reconciler had to fix
-        is drift some earlier path failed to prevent.
+        When the run has a watchdog, every repair is also reported as a
+        ``tl_reconcile`` violation — drift the reconciler had to fix is
+        drift some earlier path failed to prevent.
         """
         touched = 0
-        watchdog = getattr(self.cluster.sim, "watchdog", None)
+        watchdog = self.watchdog
         for state in self._hosts.values():
             stale = [a for a in state.apps
                      if a.done.fired or getattr(a, "failed", False)]
@@ -231,7 +236,7 @@ class TensorLights:
             if stale:
                 self._reconfigure(state)
                 touched += 1
-                if watchdog is not None and watchdog.enabled:
+                if watchdog is not None:
                     watchdog.report(
                         "tl_reconcile",
                         f"reconcile dropped stale jobs on {state.host_id}: "
@@ -246,7 +251,7 @@ class TensorLights:
             if needs_tc != state.tc.installed:
                 self._reconfigure(state)
                 touched += 1
-                if watchdog is not None and watchdog.enabled:
+                if watchdog is not None:
                     watchdog.report(
                         "tl_reconcile",
                         f"reconcile fixed tc drift on {state.host_id} "
@@ -310,10 +315,6 @@ class TensorLights:
         if state is None or not state.tc.installed or host_id not in ranges:
             return None
         return state.tc.band_of_port(ranges[host_id][0][0])
-
-    def contended_hosts(self) -> List[str]:
-        """Hosts currently under TensorLights control (>= 2 PSes)."""
-        return sorted(h for h, s in self._hosts.items() if len(s.apps) >= 2)
 
     def render_commands(self) -> List[str]:
         """All equivalent real-``tc`` command lines, per configured host."""

@@ -11,7 +11,7 @@ the installed tc state (HTB + band filters) must agree at every instant:
 * every attached job's filters exist with one consistent band per job.
 
 :meth:`TensorLights.reconcile` is the *repair* path for exactly this
-drift; with the watchdog enabled its silent repairs are additionally
+drift; when the run has a watchdog its silent repairs are additionally
 reported (check ``tl_reconcile``), so a run that needed anti-entropy
 says so instead of quietly fixing itself.
 """
@@ -70,5 +70,7 @@ def check_band_drift(controller: "TensorLights") -> Violations:
 def register_tensorlights_checks(
     watchdog: "Watchdog", controller: "TensorLights"
 ) -> None:
-    """Wire the controller drift invariant into a watchdog."""
+    """Wire the controller drift invariant into a watchdog, and hand the
+    controller the watchdog its reconcile repairs are reported to."""
     watchdog.register("tl_drift", lambda: check_band_drift(controller))
+    controller.watchdog = watchdog

@@ -133,10 +133,6 @@ class Tc:
                 return range_band
         return None
 
-    @property
-    def port_bands(self) -> Dict[int, int]:
-        return dict(self._port_to_band)
-
     # -- filters: source-port range -> band (ring all-reduce jobs) ----------
 
     def set_range_band(self, lo: int, hi: int, band: int) -> None:
@@ -162,10 +158,6 @@ class Tc:
         assert self._filter is not None
         self._filter.remove_range_match(lo, hi)
         self._range_to_band.pop((lo, hi), None)
-
-    @property
-    def range_bands(self) -> Dict[Tuple[int, int], int]:
-        return dict(self._range_to_band)
 
     # -- class tweaks --------------------------------------------------------
 

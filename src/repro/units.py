@@ -126,12 +126,3 @@ def parse_size(text: str) -> int:
             f"(expected one of {sorted(_SIZE_UNITS)})"
         )
     return int(round(value * scale))
-
-
-def fmt_time(seconds: float) -> str:
-    """Human-readable duration (``1.23 s``, ``4.56 ms``)."""
-    if seconds >= 1.0:
-        return f"{seconds:.2f} s"
-    if seconds >= 1e-3:
-        return f"{seconds * 1e3:.2f} ms"
-    return f"{seconds * 1e6:.1f} us"

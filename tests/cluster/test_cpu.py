@@ -145,7 +145,7 @@ def test_rate_per_job():
     assert cpu.rate_per_job == 0.0
     sim.spawn((lambda: (yield cpu.run(10.0)))())
     sim.run(until=0.1)
-    assert cpu.active_jobs == 1
+    assert len(cpu._jobs) == 1
     assert cpu.rate_per_job == 1.0
 
 
@@ -174,7 +174,7 @@ def test_utilization_snapshot_mid_run_partial_progress():
     sim.spawn((lambda: (yield cpu.run(4.0)))())
     sim.run(until=1.5)
     assert cpu.utilization_snapshot() == pytest.approx(1.5)
-    assert cpu.active_jobs == 1
+    assert len(cpu._jobs) == 1
 
 
 def test_many_tiny_jobs_complete_in_bounded_steps():

@@ -51,13 +51,6 @@ def test_ps_host_of_job():
         spec.ps_host_of_job(-1)
 
 
-def test_jobs_on_host():
-    spec = PlacementSpec((2, 3))
-    assert spec.jobs_on_host(0) == [0, 1]
-    assert spec.jobs_on_host(1) == [2, 3, 4]
-    assert spec.jobs_on_host(2) == []
-
-
 def test_describe():
     assert PlacementSpec((5, 16)).describe() == "5, 16"
     assert "1, ..., 1" in PlacementSpec((1,) * 21).describe()
@@ -93,10 +86,11 @@ def test_placement_rescale_too_small():
 def test_property_rescaled_placement_is_consistent(index, n_jobs):
     spec = placement_by_index(index, n_jobs=n_jobs)
     assert spec.n_jobs == n_jobs
-    # every job maps to a host consistent with jobs_on_host
+    # every job maps to the host whose group holds its index
     for j in range(n_jobs):
         h = spec.ps_host_of_job(j)
-        assert j in spec.jobs_on_host(h)
+        start = sum(spec.groups[:h])
+        assert start <= j < start + spec.groups[h]
     # shape preserved: same group count as Table I (for scalable indexes)
     if index not in (1, 8):
         assert len(spec.groups) == len(TABLE1_PLACEMENTS[index])

@@ -14,6 +14,11 @@ from repro.tensorlights import TensorLights, TLMode
 FAST_MODEL = ModelSpec("tiny", n_params=50_000, per_sample_compute=0.005)
 
 
+def contended_hosts(tl):
+    """Hosts under TensorLights control: two or more attached jobs."""
+    return sorted(h for h, s in tl._hosts.items() if len(s.apps) >= 2)
+
+
 def ring_app(cluster, job_id, hosts, iterations=3, channels=1):
     spec = JobSpec(job_id, FAST_MODEL, n_workers=len(hosts),
                    target_global_steps=iterations * len(hosts),
@@ -37,7 +42,7 @@ def setup(n_rings=2, n_hosts=4, mode=TLMode.ONE, channels=1):
 def test_single_ring_leaves_hosts_at_fifo():
     sim, cluster, tl, apps = setup(n_rings=1)
     # one job per host: no contention anywhere, the paper's policy applies
-    assert tl.contended_hosts() == []
+    assert contended_hosts(tl) == []
     for hid in cluster.host_ids:
         assert isinstance(cluster.host(hid).nic.qdisc, PFifo)
 
@@ -45,7 +50,7 @@ def test_single_ring_leaves_hosts_at_fifo():
 def test_contending_rings_banded_on_every_member_host():
     sim, cluster, tl, apps = setup(n_rings=2)
     # rings overlap on all hosts -> every member host is controlled
-    assert tl.contended_hosts() == cluster.host_ids
+    assert contended_hosts(tl) == cluster.host_ids
     for hid in cluster.host_ids:
         assert isinstance(cluster.host(hid).nic.qdisc, HTBQdisc)
         bands = [tl.band_of(a, host_id=hid) for a in apps]
@@ -63,7 +68,7 @@ def test_range_filters_cover_all_channels():
         # every port of the member's range resolves to the job's band
         for port in ep.ports:
             assert state.tc.band_of_port(port) == band
-        assert (ep.port_lo, ep.port_hi) in state.tc.range_bands
+        assert (ep.port_lo, ep.port_hi) in state.tc._range_to_band
 
 
 def test_render_commands_emit_flower_range_filters():
@@ -81,7 +86,7 @@ def test_detach_on_completion_removes_ranges():
         app.launch()
     sim.run()
     assert all(a.done.fired for a in apps)
-    assert tl.contended_hosts() == []
+    assert contended_hosts(tl) == []
     assert all(not s.ranges for s in tl._hosts.values())
     for hid in cluster.host_ids:
         assert isinstance(cluster.host(hid).nic.qdisc, PFifo)
@@ -101,7 +106,7 @@ def test_mixed_ps_and_ring_share_a_host_and_get_distinct_bands():
     tl.attach(ps_app)
     # both jobs send from host 0 (PS port + ring member range)
     shared = cluster.host_ids[0]
-    assert tl.contended_hosts() == [shared]
+    assert contended_hosts(tl) == [shared]
     ring_band = tl.band_of(ring, host_id=shared)
     ps_band = tl.band_of(ps_app, host_id=shared)
     assert ring_band is not None and ps_band is not None

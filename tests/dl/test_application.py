@@ -145,7 +145,7 @@ def test_ports_are_released_after_completion():
     for ep in app.worker_endpoints:
         ep.host.transport.listen(ep.port, lambda m: None)
     # tasks removed from hosts
-    assert cluster.host("h00").n_tasks == 0
+    assert cluster.host("h00").tasks == []
 
 
 def test_jct_scales_with_iterations():

@@ -82,7 +82,7 @@ def test_done_leaves_no_listener_task_or_process(architecture):
     assert not app.failed
     for host in cluster.hosts.values():
         assert host.transport._listeners == {}
-        assert host.n_tasks == 0
+        assert host.tasks == []
     assert not any(proc.alive for proc in app.procs)
     assert check_port_leaks(cluster, [app]) == []
 

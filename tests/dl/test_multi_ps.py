@@ -118,7 +118,7 @@ def test_ports_released_for_all_shards():
     sim.run()
     for ep in app.ps_endpoints:
         ep.host.transport.listen(ep.port, lambda m: None)  # rebindable
-    assert cluster.host("h00").n_tasks == 0
+    assert cluster.host("h00").tasks == []
 
 
 def test_tensorlights_bands_all_shard_ports():

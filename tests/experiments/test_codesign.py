@@ -112,7 +112,18 @@ def test_smart_placement_is_deterministic():
 # ------------------------------------------------------------------ the study
 
 
-def test_codesign_quick_study_runs_as_one_cached_campaign(tmp_path):
+def test_codesign_quick_study_runs_as_one_cached_campaign(tmp_path, monkeypatch):
+    from repro.placement import store
+
+    profiled = []
+    profile = store.profile_job_shape
+
+    def counting_profile(config):
+        profiled.append(config)
+        return profile(config)
+
+    monkeypatch.setattr(store, "profile_job_shape", counting_profile)
+    monkeypatch.setattr(store.FingerprintStore, "_default", None)
     campaign = Campaign(cache=ResultCache(tmp_path))
     report = codesign.generate(quick=True, campaign=campaign)
     cells = len(report.placements) * len(report.policies)
@@ -125,8 +136,8 @@ def test_codesign_quick_study_runs_as_one_cached_campaign(tmp_path):
     ci = report.speedup("oblivious", Policy.FIFO)
     assert ci.estimate == pytest.approx(1.0)
     assert 0.0 < report.fairness("oblivious", Policy.FIFO) <= 1.0
-    # one job shape in the quick matrix: at most one profiling run here
-    assert report.fingerprint_misses <= 1
+    # one job shape in the quick matrix: one profiling run in this process
+    assert len(profiled) == 1
     # a second generate over the same cache re-executes nothing
     warm = codesign.generate(
         quick=True, campaign=Campaign(cache=ResultCache(tmp_path))

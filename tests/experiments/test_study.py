@@ -85,7 +85,7 @@ def test_rate_control_component_forces_its_config_overrides():
     scn = rc.apply(Scenario(config=TINY.replace(policy=Policy.TLS_RR)), 0.8)
     assert scn.config.policy == Policy.FIFO
     assert scn.config.switch_buffer_bytes is None
-    assert scn.hook_params("rate_control") == {"accuracy": 0.8}
+    assert scn.hooks == (("rate_control", (("accuracy", 0.8),)),)
 
 
 # -- grid expansion -----------------------------------------------------------
@@ -129,12 +129,12 @@ def test_hook_axis_order_independence():
     assert set(fwd.keys()) == set(rev.keys())
     # The non-default/non-default corner carries one merged hook.
     corner = [p for p in fwd.expand()
-              if p.override_dict() == {"htb_borrowing": False,
+              if dict(p.overrides) == {"htb_borrowing": False,
                                        "adaptive": "adaptive"}]
     [point] = corner
-    assert point.scenario.hook_params("tl_controller") == {
-        "variant": "adaptive", "work_conserving": False,
-    }
+    [(hook, params)] = point.scenario.hooks
+    assert hook == "tl_controller"
+    assert dict(params) == {"variant": "adaptive", "work_conserving": False}
 
 
 def test_oat_design_size_and_baseline():

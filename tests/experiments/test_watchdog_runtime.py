@@ -18,6 +18,7 @@ from repro.experiments.runtime import (
     materialize,
 )
 from repro.net.packet import Segment
+from repro.sim import Watchdog
 
 MICRO = ExperimentConfig.tiny(n_jobs=2, n_workers=2, iterations=3)
 
@@ -76,7 +77,7 @@ def test_seeded_leak_recorded_in_warn_mode():
     with pytest.warns(RuntimeWarning, match="leaked"):
         with pytest.raises(ConfigError, match="did not finish"):
             runtime.run()
-    leaks = [v for v in runtime.sim.watchdog.violations
+    leaks = [v for v in runtime.watchdog.violations
              if v.check == "flow_leak"]
     assert leaks
     assert leaks[0].data["host"] == "h00"         # structured blame
@@ -87,8 +88,9 @@ def test_seeded_stall_raises_in_raise_mode():
     """A flat progress probe + live event queue is a livelock: the stall
     detector must kill the run instead of spinning forever."""
     runtime = materialize(Scenario(config=MICRO))
-    watchdog = runtime.sim.watchdog.configure(
-        "raise", interval=0.05, stall_time=0.2, stall_events=5
+    assert runtime.watchdog is None
+    watchdog = runtime.watchdog = Watchdog(
+        runtime.sim, "raise", interval=0.05, stall_time=0.2, stall_events=5
     )
     watchdog.set_progress_probe(lambda: 0.0)      # flat: never any progress
     watchdog.start()
@@ -110,5 +112,7 @@ def test_campaign_aggregates_watchdog_counters(tmp_path):
 
 
 def test_watchdog_off_string_means_off():
+    for mode in (None, "off"):
+        assert materialize(Scenario(config=MICRO), watchdog=mode).watchdog is None
     result = execute_scenario(Scenario(config=MICRO), watchdog="off")
     assert result.watchdog_violations == []

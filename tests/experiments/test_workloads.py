@@ -150,8 +150,10 @@ def test_dynamic_run_ps_aware_minimizes_colocation():
 
 def test_dynamic_run_with_tensorlights():
     jobs = small_jobs(n_jobs=8)
-    result = run_dynamic_cluster(jobs, n_hosts=6,
-                                 scheduler_policy=SchedulingPolicy.PACK,
+    # Five hosts hold one PS plus four workers each, so spread placement
+    # colocates PSes of overlapping jobs.
+    result = run_dynamic_cluster(jobs, n_hosts=5,
+                                 scheduler_policy=SchedulingPolicy.SPREAD,
                                  tensorlights=TLMode.ONE, seed=1)
     assert result.tc_reconfigurations > 0
     assert set(result.jcts) == {j.job_id for j in jobs}

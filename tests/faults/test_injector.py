@@ -11,7 +11,7 @@ from repro.experiments import (
     Scenario,
     SerialExecutor,
 )
-from repro.experiments.runtime import execute_scenario
+from repro.experiments.runtime import execute_scenario, materialize
 from repro.faults import (
     BurstLoss,
     FaultPlan,
@@ -126,3 +126,23 @@ def test_unknown_targets_rejected(plan):
 def test_faults_need_single_sync_ps(config):
     with pytest.raises(ConfigError):
         execute_scenario(_faulted(config=config))
+
+
+def test_burst_loss_refusing_migrated_backlog_retransmits():
+    """A burst-loss netem qdisc replacing a backlogged FIFO can draw a
+    loss for a migrated segment: the loss-tolerant NIC counts it as an
+    egress drop and the transport retransmits it, instead of the run
+    dying in ``set_qdisc``."""
+    config = ExperimentConfig.tiny(
+        iterations=2, placement_index=4, link_gbps=1.0, window_segments=2,
+        switch_buffer_bytes=None, seed=0,
+    )
+    plan = FaultPlan(
+        faults=(BurstLoss(at=0.1, host="h02", duration=0.3, loss=0.1),),
+        recovery=RecoverySpec(barrier_mode="proceed"),
+    )
+    runtime = materialize(_faulted(plan=plan, config=config))
+    result = runtime.run()
+    assert set(result.jcts) == {f"job{j:02d}" for j in range(config.n_jobs)}
+    assert runtime.cluster.host("h02").nic.egress_drops > 0
+    assert result.sim_events == 2390

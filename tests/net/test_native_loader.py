@@ -1,6 +1,7 @@
 """The loader of the compiled segment path (``repro.net._native``).
 
-A changed source or flag set builds a new cache file; processes that
+A changed source or flag set builds a new cache file and removes the
+outdated one, keeping other interpreters' objects; processes that
 import at the same time each load one complete module; a missing
 compiler is an ``ImportError`` that names the command; and the shipped
 source compiles without a warning under ``-Wall -Wextra -Werror``, so
@@ -51,9 +52,21 @@ def test_changed_source_or_flags_build_a_new_cache_file(source, tmp_path):
     source.write_text(source.read_text() + "\n/* changed */\n")
     changed = _native.build(source, QUICK, cache)
     assert len({first, flagged, changed}) == 3
-    assert sorted(p.name for p in cache.iterdir()) == sorted(
-        p.name for p in (first, flagged, changed))
+    assert [p.name for p in cache.iterdir()] == [changed.name]
     assert hasattr(_native.load(changed), "bind_nic")
+
+
+def test_rebuild_removes_the_outdated_object_and_keeps_foreign_ones(
+        source, tmp_path):
+    cache = tmp_path / "cache"
+    old = _native.build(source, QUICK, cache)
+    # an object another interpreter built: same key shape, other suffix
+    foreign = cache / (old.name[:len("_segpath.") + 16] + ".cpython-0-other.so")
+    foreign.write_bytes(b"")
+    new = _native.build(source, QUICK + ("-Wall", "-Wextra", "-Werror"), cache)
+    assert new != old and not old.exists()
+    assert sorted(p.name for p in cache.iterdir()) == sorted(
+        [new.name, foreign.name])
 
 
 def test_concurrent_first_imports_load_one_valid_module(source, tmp_path):

@@ -138,7 +138,7 @@ def test_nic_idle_when_empty():
     sim.run()
     assert delivered == []
     assert nic.busy_time == 0.0
-    assert nic.tx_backlog == 0
+    assert len(nic.qdisc) == 0
 
 
 def test_set_qdisc_rewires_drop_callback():
@@ -171,4 +171,4 @@ def test_nic_counters_after_mixed_traffic():
     assert nic.bytes_tx == 600
     assert nic.segments_tx == 3
     assert len(delivered) == 3
-    assert nic.tx_backlog == 0
+    assert len(nic.qdisc) == 0

@@ -85,8 +85,8 @@ def test_port_filter_src_match():
 def test_port_filter_remove_match():
     f = PortFilter(default_class=0)
     f.add_match(5000, 1)
-    assert f.n_matches == 1
+    assert len(f._by_src) == 1
     f.remove_match(5000)
     assert f.classify(seg(sport=5000)) == 0
-    assert f.n_matches == 0
+    assert len(f._by_src) == 0
     f.remove_match(5000)  # idempotent

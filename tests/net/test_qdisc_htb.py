@@ -108,7 +108,7 @@ def test_cannot_attach_child_to_backlogged_leaf():
 def test_unmatched_traffic_goes_to_default_class():
     htb, _ = tls_style_htb(bands=3)
     assert htb.enqueue(seg(100, sport=9999), 0.0)
-    assert htb.class_backlog(102) == 1  # default = last band
+    assert len(htb._get(102).queue) == 1  # default = last band
 
 
 def test_no_default_no_match_drops():
@@ -122,7 +122,7 @@ def test_classify_to_non_leaf_falls_back_to_default():
     htb, f = tls_style_htb()
     f.add_match(7000, 1)  # class 1 is the root (non-leaf)
     assert htb.enqueue(seg(100, sport=7000), 0.0)
-    assert htb.class_backlog(102) == 1
+    assert len(htb._get(102).queue) == 1
 
 
 # ---------------------------------------------------------------- scheduling

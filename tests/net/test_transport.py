@@ -73,11 +73,11 @@ def test_window_limits_qdisc_occupancy():
     net.transport("b").listen(6000, lambda m: None)
     net.transport("a").send_message(Message(flow=FlowKey("a", 5000, "b", 6000), size=1000))
     # Right after send: window segments admitted (1 serializing, 1 queued).
-    assert net.nic("a").tx_backlog <= 2
+    assert len(net.nic("a").qdisc) <= 2
     max_seen = []
 
     def sample():
-        max_seen.append(net.nic("a").tx_backlog)
+        max_seen.append(len(net.nic("a").qdisc))
         if sim.events:
             sim.schedule(0.01, sample)
 

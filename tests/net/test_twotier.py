@@ -34,9 +34,10 @@ def test_validation():
 
 def test_hosts_distributed_round_robin():
     sim, net = build(n_hosts=6, n_leaves=2)
-    assert net.same_leaf("h0", "h2")
-    assert net.same_leaf("h1", "h3")
-    assert not net.same_leaf("h0", "h1")
+    leaf = net.leaf_of_host
+    assert leaf["h0"] == leaf["h2"]
+    assert leaf["h1"] == leaf["h3"]
+    assert leaf["h0"] != leaf["h1"]
 
 
 def test_same_leaf_delivery():

@@ -146,26 +146,6 @@ def test_signal_double_fire_raises():
         sig.fire()
 
 
-def test_process_on_exit_signal():
-    sim = Simulator()
-    sig = Signal()
-
-    def work():
-        yield Timeout(2.0)
-        return "res"
-
-    p = sim.spawn(work())
-    p.on_exit(sig)
-    got = []
-
-    def waiter():
-        got.append(((yield sig), sim.now))
-
-    sim.spawn(waiter())
-    sim.run()
-    assert got == [("res", 2.0)]
-
-
 def test_all_of_waits_for_every_signal():
     sim = Simulator()
     sigs = [Signal() for _ in range(3)]

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.errors import ProcessError, SimulationError
-from repro.sim import Mailbox, Signal, Simulator, Timeout
+from repro.errors import ProcessError
+from repro.sim import Mailbox, Simulator, Timeout
 
 
 def test_throw_into_process_handled():
@@ -86,43 +86,6 @@ def test_nested_spawn_from_within_process():
     sim.spawn(parent())
     sim.run()
     assert order == ["parent-start", "child0", "child1", "child2", "parent-end"]
-
-
-def test_process_return_value_via_on_exit_chain():
-    sim = Simulator()
-    results = []
-
-    def stage1():
-        yield Timeout(1.0)
-        return "s1"
-
-    def stage2(prev_signal):
-        prev = yield prev_signal
-        results.append(prev)
-        yield Timeout(1.0)
-        return prev + "+s2"
-
-    s1_done = Signal()
-    p1 = sim.spawn(stage1())
-    p1.on_exit(s1_done)
-    p2 = sim.spawn(stage2(s1_done))
-    sim.run()
-    assert results == ["s1"]
-    assert p2.result == "s1+s2"
-
-
-def test_on_exit_after_completion_fires_immediately():
-    sim = Simulator()
-
-    def quick():
-        return 7
-        yield  # pragma: no cover
-
-    p = sim.spawn(quick())
-    sim.run()
-    sig = Signal()
-    p.on_exit(sig)
-    assert sig.fired and sig.value == 7
 
 
 def test_mailbox_get_across_kill_does_not_leak():

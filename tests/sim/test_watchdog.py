@@ -1,4 +1,4 @@
-"""Unit tests for the runtime invariant watchdog (``sim.watchdog``)."""
+"""Unit tests for the runtime invariant watchdog (``Watchdog(sim, mode)``)."""
 
 import pytest
 
@@ -7,29 +7,27 @@ from repro.sim import Simulator, Watchdog, WatchdogViolation
 from repro.sim.events import _MIN_COMPACT
 
 
-def test_default_mode_is_off_and_zero_cost():
+def test_simulator_owns_no_watchdog():
+    """A bare simulator carries no observer: the run builds one."""
     sim = Simulator()
-    assert sim.watchdog.mode == "off"
-    assert not sim.watchdog.enabled
-    # Off-mode report is a no-op: nothing recorded, nothing raised.
-    sim.watchdog.report("anything", "should vanish")
-    assert sim.watchdog.violations == []
-    # start() schedules nothing when off — the sim stays empty.
-    sim.watchdog.start()
+    assert not hasattr(sim, "watchdog")
+    # Building a watchdog schedules nothing until start().
+    Watchdog(sim, "warn")
     assert len(sim.events) == 0
 
 
-def test_configure_rejects_bad_mode_and_interval():
+def test_constructor_rejects_bad_mode_and_interval():
     sim = Simulator()
-    with pytest.raises(WatchdogError, match="mode"):
-        sim.watchdog.configure("loud")
+    for mode in ("off", "loud"):
+        with pytest.raises(WatchdogError, match="mode"):
+            Watchdog(sim, mode)
     with pytest.raises(WatchdogError, match="interval"):
-        sim.watchdog.configure("warn", interval=0.0)
+        Watchdog(sim, "warn", interval=0.0)
 
 
 def test_warn_mode_records_and_warns_with_cap():
     sim = Simulator()
-    watchdog = sim.watchdog.configure("warn")
+    watchdog = Watchdog(sim, "warn")
     watchdog.max_warnings = 2
     with pytest.warns(RuntimeWarning, match="custom_check"):
         for i in range(5):
@@ -44,10 +42,9 @@ def test_warn_mode_records_and_warns_with_cap():
 
 
 def test_raise_mode_raises_on_first_report():
-    sim = Simulator()
-    sim.watchdog.configure("raise")
+    watchdog = Watchdog(Simulator(), "raise")
     with pytest.raises(WatchdogError, match="boom") as info:
-        sim.watchdog.report("custom_check", "boom", n=1)
+        watchdog.report("custom_check", "boom", n=1)
     assert info.value.violation.check == "custom_check"
     assert info.value.violations[0].data == {"n": 1}
 
@@ -66,8 +63,7 @@ def test_heartbeat_compensates_step_counter():
 
         sim.schedule(0.1, tick)
         if mode is not None:
-            sim.watchdog.configure(mode, interval=0.5)
-            sim.watchdog.start()
+            Watchdog(sim, mode, interval=0.5).start()
         sim.run()
         return sim._steps, n["fired"]
 
@@ -77,8 +73,7 @@ def test_heartbeat_compensates_step_counter():
 def test_heartbeat_stops_when_queue_drains():
     """The heartbeat never keeps an otherwise-finished sim alive."""
     sim = Simulator()
-    sim.watchdog.configure("warn", interval=0.25)
-    sim.watchdog.start()
+    Watchdog(sim, "warn", interval=0.25).start()
     sim.schedule(1.0, lambda: None)
     end = sim.run()
     # One more beat after the last real event notices the empty queue
@@ -89,7 +84,7 @@ def test_heartbeat_stops_when_queue_drains():
 
 def test_custom_check_runs_from_heartbeat():
     sim = Simulator()
-    watchdog = sim.watchdog.configure("warn", interval=0.5)
+    watchdog = Watchdog(sim, "warn", interval=0.5)
     watchdog.register("always_sad", lambda: [("unhappy", {"k": 1})])
     watchdog.start()
     sim.schedule(2.0, lambda: None)
@@ -100,7 +95,7 @@ def test_custom_check_runs_from_heartbeat():
 
 def test_final_only_check_runs_at_finalize_only():
     sim = Simulator()
-    watchdog = sim.watchdog.configure("warn", interval=0.5)
+    watchdog = Watchdog(sim, "warn", interval=0.5)
     calls = {"n": 0}
 
     def final_check():
@@ -120,8 +115,8 @@ def test_final_only_check_runs_at_finalize_only():
 
 def test_stall_detection_fires_on_flat_probe():
     sim = Simulator()
-    watchdog = sim.watchdog.configure(
-        "warn", interval=0.5, stall_time=2.0, stall_events=10
+    watchdog = Watchdog(
+        sim, "warn", interval=0.5, stall_time=2.0, stall_events=10
     )
     watchdog.set_progress_probe(lambda: 0.0)      # never any progress
     watchdog.start()
@@ -145,8 +140,8 @@ def test_stall_detection_fires_on_flat_probe():
 def test_stall_detection_resets_on_progress():
     sim = Simulator()
     progress = {"v": 0.0}
-    watchdog = sim.watchdog.configure(
-        "warn", interval=0.5, stall_time=2.0, stall_events=10
+    watchdog = Watchdog(
+        sim, "warn", interval=0.5, stall_time=2.0, stall_events=10
     )
     watchdog.set_progress_probe(lambda: progress["v"])
     watchdog.start()
@@ -166,42 +161,43 @@ def test_stall_detection_resets_on_progress():
 
 def test_event_heap_check_catches_bookkeeping_skew():
     sim = Simulator()
-    sim.watchdog.configure("warn")
+    watchdog = Watchdog(sim, "warn")
     sim.schedule(1.0, lambda: None)
     sim.events._tombstones += _MIN_COMPACT + 5    # seeded corruption
     with pytest.warns(RuntimeWarning, match="bookkeeping skew"):
-        violations = sim.watchdog.finalize()
+        violations = watchdog.finalize()
     assert any(v.check == "event_heap" for v in violations)
 
 
-def _scraped_counters(sim):
-    """The registry counters a run-end scrape reads off ``sim``."""
+def _scraped_counters(watchdog):
+    """The registry counters a run-end scrape reads off ``watchdog``."""
     from repro.cluster import Cluster
     from repro.telemetry import MetricsRegistry
     from repro.telemetry.scrape import scrape_cluster
 
     registry = MetricsRegistry()
-    scrape_cluster(registry, Cluster(sim, n_hosts=2))
+    scrape_cluster(registry, Cluster(watchdog.sim, n_hosts=2),
+                   watchdog=watchdog)
     return registry.snapshot()["counters"]
 
 
 def test_finalize_materializes_metrics_zero():
-    sim = Simulator()
-    sim.watchdog.configure("warn")
-    sim.watchdog.finalize()
-    assert _scraped_counters(sim)["watchdog_violations_total"] == 0
+    watchdog = Watchdog(Simulator(), "warn")
+    watchdog.finalize()
+    assert _scraped_counters(watchdog)["watchdog_violations_total"] == 0
 
 
 def test_violation_counter_increments_per_check():
-    sim = Simulator()
-    sim.watchdog.configure("warn")
+    watchdog = Watchdog(Simulator(), "warn")
     with pytest.warns(RuntimeWarning):
-        sim.watchdog.report("leaky", "drip")
-        sim.watchdog.report("leaky", "drip again")
-    counters = _scraped_counters(sim)
+        watchdog.report("leaky", "drip")
+        watchdog.report("leaky", "drip again")
+    counters = _scraped_counters(watchdog)
     assert counters["watchdog_violations{check=leaky}"] == 2
     assert counters["watchdog_violations_total"] == 2
 
 
 def test_watchdog_reexported_from_sim_package():
-    assert Watchdog is Simulator(seed=1).watchdog.__class__
+    from repro.sim import watchdog
+
+    assert Watchdog is watchdog.Watchdog

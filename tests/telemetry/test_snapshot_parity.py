@@ -33,7 +33,7 @@ from repro.faults import FaultPlan, HostCrash, PSCrash, RecoverySpec
 from repro.net.addressing import FlowKey
 from repro.net.link import Link
 from repro.net.packet import Message, Segment
-from repro.sim import Simulator
+from repro.sim import Simulator, Watchdog
 from repro.telemetry import MetricsRegistry
 from repro.telemetry.scrape import scrape_cluster, tap_message_latency
 
@@ -85,12 +85,12 @@ def _leaked_run(metrics):
     snapshot = None
     if metrics:
         scrape_cluster(rt.metrics, rt.cluster, rt.controller,
-                       [a.metrics for a in rt.apps])
+                       [a.metrics for a in rt.apps], watchdog=rt.watchdog)
         snapshot = rt.metrics.snapshot()
     # Message ids come from a process-wide counter, so compare the
     # violations without them.
     violations = [(v.check, v.t, v.data["host"], v.data["received"])
-                  for v in rt.sim.watchdog.violations]
+                  for v in rt.watchdog.violations]
     return snapshot, rt.sim.steps_executed, violations
 
 
@@ -130,12 +130,14 @@ def _reconcile(metrics):
     from repro.dl import DLApplication, JobSpec
     from repro.dl.model_zoo import ModelSpec
     from repro.tensorlights import TensorLights, TLMode
+    from repro.tensorlights.invariants import register_tensorlights_checks
 
     sim = Simulator(seed=1)
-    sim.watchdog.configure("warn")
+    watchdog = Watchdog(sim, "warn")
     cluster = Cluster(sim, n_hosts=5, link=Link(rate=1.25e9),
                       segment_bytes=64 * 1024)
     tl = TensorLights(cluster, mode=TLMode.ONE, interval=1.0)
+    register_tensorlights_checks(watchdog, tl)
     model = ModelSpec("tiny", n_params=50_000, per_sample_compute=0.01)
     apps = []
     for j in range(3):
@@ -154,14 +156,14 @@ def _reconcile(metrics):
         assert tl.reconcile() == 1
         tl._hosts["h00"].tc.remove()
         assert tl.reconcile() == 1
-    sim.watchdog.finalize()
+    watchdog.finalize()
     registry = MetricsRegistry()
-    scrape_cluster(registry, cluster, tl)
+    scrape_cluster(registry, cluster, tl, watchdog=watchdog)
     snapshot = registry.snapshot()
-    scrape_cluster(registry, cluster, tl)           # idempotent
+    scrape_cluster(registry, cluster, tl, watchdog=watchdog)  # idempotent
     assert registry.snapshot() == snapshot
     return (snapshot, tl.reconfigurations,
-            [v.to_dict() for v in sim.watchdog.violations])
+            [v.to_dict() for v in watchdog.violations])
 
 
 CASES = {

@@ -46,7 +46,7 @@ def test_starts_at_fifo_despite_colocation():
     sim, cluster, tl, apps = build(HEAVY_MODEL)
     # Colocated but not yet congested: FIFO stays.
     assert isinstance(cluster.host("h00").nic.qdisc, PFifo)
-    assert not tl.is_engaged("h00")
+    assert not tl._engaged.get("h00", False)
 
 
 def test_engages_under_contention():
@@ -61,7 +61,7 @@ def test_engages_under_contention():
         while any(not a.metrics.finished for a in apps):
             yield Timeout(0.2)
             engaged_qdiscs.append(
-                (tl.is_engaged("h00"),
+                (tl._engaged.get("h00", False),
                  type(cluster.host("h00").nic.qdisc).__name__)
             )
 

@@ -14,6 +14,11 @@ from repro.tensorlights import TensorLights, TLMode
 FAST_MODEL = ModelSpec("tiny", n_params=50_000, per_sample_compute=0.01)
 
 
+def contended_hosts(tl):
+    """Hosts under TensorLights control: two or more attached jobs."""
+    return sorted(h for h, s in tl._hosts.items() if len(s.apps) >= 2)
+
+
 def setup(n_jobs=3, n_hosts=5, ps_host="h00", mode=TLMode.ONE, interval=1.0,
           max_bands=6, steps=30, launch=True):
     sim = Simulator(seed=1)
@@ -45,14 +50,14 @@ def test_invalid_config():
 def test_single_job_host_left_at_fifo():
     sim, cluster, tl, apps = setup(n_jobs=1, launch=False)
     assert isinstance(cluster.host("h00").nic.qdisc, PFifo)
-    assert tl.contended_hosts() == []
+    assert contended_hosts(tl) == []
     assert tl.band_of(apps[0]) is None
 
 
 def test_contended_host_gets_htb():
     sim, cluster, tl, apps = setup(n_jobs=3, launch=False)
     assert isinstance(cluster.host("h00").nic.qdisc, HTBQdisc)
-    assert tl.contended_hosts() == ["h00"]
+    assert contended_hosts(tl) == ["h00"]
 
 
 def test_distinct_bands_when_jobs_fit():
@@ -85,7 +90,7 @@ def test_detach_on_completion_reverts_to_fifo():
         assert app.metrics.finished
     # both jobs done -> detached -> host back to FIFO
     assert isinstance(cluster.host("h00").nic.qdisc, PFifo)
-    assert tl.contended_hosts() == []
+    assert contended_hosts(tl) == []
 
 
 def test_departure_rebands_remaining_jobs():
@@ -142,7 +147,7 @@ def test_independent_hosts_configured_independently():
     for j, ps in enumerate(["h00", "h00", "h01"]):
         spec = JobSpec(f"j{j}", FAST_MODEL, n_workers=4, target_global_steps=40)
         tl.attach(DLApplication(spec, cluster, ps_host=ps, worker_hosts=workers))
-    assert tl.contended_hosts() == ["h00"]
+    assert contended_hosts(tl) == ["h00"]
     assert isinstance(cluster.host("h01").nic.qdisc, PFifo)
 
 

@@ -44,12 +44,12 @@ def test_port_band_mapping_routes_traffic():
     tc.set_port_band(5001, 2)
     assert tc.band_of_port(5000) == 0
     assert tc.band_of_port(5001) == 2
-    assert tc.port_bands == {5000: 0, 5001: 2}
+    assert tc._port_to_band == {5000: 0, 5001: 2}
     q: HTBQdisc = nic.qdisc
     q.enqueue(seg(100, sport=5000), 0.0)
     q.enqueue(seg(100, sport=5001), 0.0)
-    assert q.class_backlog(BAND_CLASSID_BASE + 0) == 1
-    assert q.class_backlog(BAND_CLASSID_BASE + 2) == 1
+    assert len(q._get(BAND_CLASSID_BASE + 0).queue) == 1
+    assert len(q._get(BAND_CLASSID_BASE + 2).queue) == 1
 
 
 def test_unmatched_port_goes_to_last_band():
@@ -58,7 +58,7 @@ def test_unmatched_port_goes_to_last_band():
     tc.install_tensorlights_htb(3)
     q: HTBQdisc = nic.qdisc
     q.enqueue(seg(100, sport=9999), 0.0)
-    assert q.class_backlog(BAND_CLASSID_BASE + 2) == 1
+    assert len(q._get(BAND_CLASSID_BASE + 2).queue) == 1
 
 
 def test_set_port_band_remaps():

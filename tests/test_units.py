@@ -76,8 +76,3 @@ def test_parse_size_rejects_junk():
     with pytest.raises(ConfigError):
         units.parse_size("4 floppies")
 
-
-def test_fmt_time():
-    assert units.fmt_time(1.5) == "1.50 s"
-    assert units.fmt_time(0.0015) == "1.50 ms"
-    assert units.fmt_time(2e-6) == "2.0 us"
