@@ -44,7 +44,7 @@ from repro.experiments import (
 from repro.sim import Simulator
 from repro.tensorlights import TensorLights, TLMode
 
-__version__ = "1.16.0"
+__version__ = "1.17.0"
 
 __all__ = [
     "Campaign",

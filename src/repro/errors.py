@@ -20,6 +20,10 @@ class ProcessError(SimulationError):
     """A simulated process failed; wraps the original traceback."""
 
 
+class DeadlineExceeded(SimulationError):
+    """A run passed its wall-clock deadline (``Simulator.run(deadline=)``)."""
+
+
 class ConfigError(ReproError):
     """An experiment / component configuration is invalid."""
 

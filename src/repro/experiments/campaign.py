@@ -15,6 +15,13 @@ simulation itself is deterministic in the scenario, which is also what
 makes parallel execution and caching sound: the same scenario key always
 denotes the same result.
 
+A scenario's wall-clock budget (``scenario_timeout``, carried to each
+executor as :attr:`RunRequest.timeout`) is enforced by the simulator
+itself: its loop reads ``time.monotonic()`` once every
+``DEADLINE_STRIDE`` (1024) dispatched events and stops the run between
+two callbacks, and :func:`materialize` is checked once when it returns.
+A single callback or set-up step that never returns is not bounded.
+
 Example::
 
     scenarios = [Scenario(cfg.replace(placement_index=i)) for i in (1, 4, 8)]
@@ -26,7 +33,6 @@ Example::
 from __future__ import annotations
 
 import os
-import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -44,7 +50,7 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import CampaignError, ConfigError
+from repro.errors import CampaignError, ConfigError, DeadlineExceeded
 from repro.experiments.export import (
     result_content_hash,
     result_from_full_dict,
@@ -57,7 +63,12 @@ from repro.experiments.journal import (
     CampaignJournal,
     default_journal_dir,
 )
-from repro.experiments.runtime import ExperimentResult, execute_scenario
+from repro.experiments.runtime import (
+    WATCHDOG_ENV,
+    ExperimentResult,
+    execute_scenario,
+    materialize,
+)
 from repro.experiments.scenario import Scenario
 from repro.fileio import atomic_write_bytes
 from repro.telemetry.metrics import MetricsRegistry
@@ -214,26 +225,6 @@ class ExecutionOutcome:
     pid: Optional[int] = None
 
 
-class _ScenarioTimeout(Exception):
-    """Internal: injected into a guarded run when its wall budget expires."""
-
-
-def _find_timeout(exc: Optional[BaseException]) -> Optional[_ScenarioTimeout]:
-    """The :class:`_ScenarioTimeout` in ``exc``'s cause chain, if any.
-
-    The timer can fire while the simulator is stepping a process
-    generator, in which case the kernel re-raises it wrapped in a
-    ``ProcessError`` — still a timeout, not a simulation bug.
-    """
-    seen: set = set()
-    while exc is not None and id(exc) not in seen:
-        if isinstance(exc, _ScenarioTimeout):
-            return exc
-        seen.add(id(exc))
-        exc = exc.__cause__ or exc.__context__
-    return None
-
-
 @dataclass(frozen=True)
 class RunRequest:
     """How an executor runs each scenario of one campaign run.
@@ -251,74 +242,26 @@ class RunRequest:
     max_attempts: int = 1
 
     def execute(self, scenario: Scenario) -> ExperimentResult:
-        return execute_scenario(
-            scenario, metrics=self.metrics, watchdog=self.watchdog
+        """Run one scenario; past its ``timeout``, raise
+        :class:`~repro.errors.DeadlineExceeded`.
+
+        The budget starts before :func:`materialize` and is checked once
+        when it returns, then every ``DEADLINE_STRIDE`` (1024) events by
+        :meth:`Simulator.run`.  A set-up step or callback that never
+        returns is not bounded.
+        """
+        if self.timeout is None:
+            return execute_scenario(
+                scenario, metrics=self.metrics, watchdog=self.watchdog
+            )
+        deadline = time.monotonic() + self.timeout
+        runtime = materialize(
+            scenario, metrics=self.metrics,
+            watchdog=self.watchdog or os.environ.get(WATCHDOG_ENV) or None,
         )
-
-
-def _land_pending_raise() -> None:
-    """Does nothing: entering it is a bytecode boundary, where a pending
-    injected raise lands (see :func:`_run_with_wall_timeout`)."""
-
-
-def _run_with_wall_timeout(
-    scenario: Scenario, request: RunRequest
-) -> ExperimentResult:
-    """Run one scenario under the request's wall-clock budget.
-
-    A daemon ``threading.Timer`` injects :class:`_ScenarioTimeout` into
-    the running thread via ``PyThreadState_SetAsyncExc``, so the guard
-    holds on any thread (pool worker, serial caller, or a thread of its
-    own) and on every platform CPython supports.  Delivery lands at the
-    next bytecode boundary, which the pure-Python simulator crosses
-    constantly.  A lock plus done-flag closes the finish-line race, and
-    a fired-but-undelivered injection is made to land (and is dropped)
-    on the way out.  An injection that surfaces wrapped in the kernel's
-    ``ProcessError`` is unwrapped (:func:`_find_timeout`), so a timeout
-    always leaves as one bare :class:`_ScenarioTimeout`.
-    """
-    import ctypes
-
-    set_async_exc = ctypes.pythonapi.PyThreadState_SetAsyncExc
-    tid = ctypes.c_ulong(threading.get_ident())
-    lock = threading.Lock()
-    state = {"done": False, "fired": False}
-
-    def on_timer() -> None:
-        with lock:
-            if state["done"]:
-                return
-            state["fired"] = True
-            set_async_exc(tid, ctypes.py_object(_ScenarioTimeout))
-
-    timer = threading.Timer(request.timeout, on_timer)
-    timer.daemon = True
-    timer.start()
-    try:
-        result = request.execute(scenario)
-    except Exception as exc:
-        if _find_timeout(exc) is None:
-            raise
-        raise _ScenarioTimeout(
-            f"exceeded {request.timeout:g}s wall-clock budget"
-        ) from None
-    finally:
-        with lock:
-            already_done = state["done"]
-            state["done"] = True
-        if state["fired"] and not already_done:
-            # A raise that fired at the finish line may still be pending:
-            # a Python call lands it here.  Clearing it with
-            # SetAsyncExc(NULL) instead leaves CPython's async-exception
-            # eval-breaker bit set for the rest of the process, and every
-            # later function entry under a trace or profile function
-            # (hypothesis explaining a failure, a profiler) spins forever.
-            try:
-                _land_pending_raise()
-            except _ScenarioTimeout:
-                pass
-        timer.cancel()
-    return result
+        if time.monotonic() >= deadline:
+            raise DeadlineExceeded("wall-clock deadline passed in materialize")
+        return runtime.run(deadline=deadline)
 
 
 #: set by the pool initializer so the chaos hook only ever fires in a
@@ -379,12 +322,13 @@ def _guarded_execute(
     _maybe_chaos_kill(scenario)
     pid = os.getpid()
     try:
-        if request.timeout is not None:
-            result = _run_with_wall_timeout(scenario, request)
-        else:
-            result = request.execute(scenario)
-    except _ScenarioTimeout as exc:
-        return ExecutionOutcome(status="timeout", detail=str(exc), pid=pid)
+        result = request.execute(scenario)
+    except DeadlineExceeded:
+        return ExecutionOutcome(
+            status="timeout",
+            detail=f"exceeded {request.timeout:g}s wall-clock budget",
+            pid=pid,
+        )
     except Exception as exc:  # noqa: BLE001 - the whole point is containment
         return ExecutionOutcome(
             status="error",

@@ -190,8 +190,12 @@ class Runtime:
     #: finalized by :meth:`run`; ``None`` when the watchdog is off
     watchdog: Optional[Watchdog] = None
 
-    def run(self) -> ExperimentResult:
-        """Launch every job, drive the simulation dry, collect results."""
+    def run(self, deadline: Optional[float] = None) -> ExperimentResult:
+        """Launch every job, drive the simulation dry, collect results.
+
+        ``deadline`` (a :func:`time.monotonic` value) bounds the
+        simulation's wall time: see :meth:`Simulator.run`.
+        """
         sim, apps, samplers = self.sim, self.apps, self.samplers
         config = self.scenario.config
 
@@ -218,7 +222,10 @@ class Runtime:
 
             sim.spawn(stop_sampling(), name="stop-sampling")
 
-        sim.run()
+        if deadline is None:
+            sim.run()  # bench/ledger.py swaps in a copy that takes no deadline
+        else:
+            sim.run(deadline=deadline)
 
         # Quiescence invariants run BEFORE the unfinished-jobs check: a
         # raise-mode watchdog should blame the leak/stall that *caused*

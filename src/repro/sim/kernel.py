@@ -4,12 +4,17 @@ from __future__ import annotations
 
 import gc
 from heapq import heappop, heappush
+from time import monotonic
 from typing import Any, Callable, Optional
 
-from repro.errors import SimulationError
+from repro.errors import DeadlineExceeded, SimulationError
 from repro.sim.events import PRIORITY_NORMAL, Event, EventQueue
 from repro.sim.process import Process, ProcessGen
 from repro.sim.rng import RandomStreams
+
+#: A deadline-bound :meth:`Simulator.run` reads the wall clock once
+#: every this many dispatched events (a power of two).
+DEADLINE_STRIDE = 1 << 10
 
 
 class Simulator:
@@ -125,11 +130,24 @@ class Simulator:
 
     # -- the loop ------------------------------------------------------------
 
-    def run(self, until: Optional[float] = None, max_steps: Optional[int] = None) -> float:
+    def run(
+        self,
+        until: Optional[float] = None,
+        max_steps: Optional[int] = None,
+        deadline: Optional[float] = None,
+    ) -> float:
         """Run until the queue drains, ``until`` is reached, or ``max_steps``.
 
         Returns the final clock value.  When stopping at ``until`` the clock
         is advanced to exactly ``until`` (pending events stay queued).
+
+        ``deadline`` is a :func:`time.monotonic` value: the loop reads
+        the wall clock once every :data:`DEADLINE_STRIDE` dispatched
+        events and raises :class:`~repro.errors.DeadlineExceeded` once
+        it has passed.  The raise comes from the loop, between two
+        callbacks, so it is never wrapped in a ``ProcessError`` and the
+        simulator is left as after any stopped run.  A deadline cannot
+        bound a single callback that never returns.
 
         The loop pops heap entries directly — one event dispatch is a
         handful of C-level operations plus the callback itself.
@@ -151,7 +169,7 @@ class Simulator:
             events = self.events
             heap = events._heap
             pop = heappop
-            if until is None and max_steps is None:
+            if until is None and max_steps is None and deadline is None:
                 # Tight loop: heap pops are nondecreasing by construction
                 # (every schedule entry point rejects past times), raw
                 # entries carry no Event to bookkeep, and there is no
@@ -175,6 +193,7 @@ class Simulator:
                         ev.fn(*ev.args)
                 return self.now
             steps = 0
+            next_check = DEADLINE_STRIDE if deadline is not None else -1  # -1: never
             while heap:
                 entry = heap[0]
                 ev = entry[3]
@@ -203,6 +222,13 @@ class Simulator:
                     raise SimulationError(
                         f"simulation exceeded max_steps={max_steps} (livelock?)"
                     )
+                if steps == next_check:
+                    if monotonic() >= deadline:
+                        raise DeadlineExceeded(
+                            f"wall-clock deadline passed at t={self.now!r} "
+                            f"after {steps} events"
+                        )
+                    next_check += DEADLINE_STRIDE
             if until is not None and until > self.now:
                 self.now = until
             return self.now

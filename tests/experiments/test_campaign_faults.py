@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import CampaignError, ConfigError
+from repro.errors import CampaignError, ConfigError, DeadlineExceeded
 from repro.experiments import (
     Campaign,
     ExperimentConfig,
@@ -24,7 +24,8 @@ from repro.experiments import (
     ResultCache,
     Scenario,
 )
-from repro.experiments.campaign import CHAOS_KILL_ENV, RunRequest
+from repro.experiments import campaign as campaign_mod
+from repro.experiments.campaign import CHAOS_KILL_ENV, RunRequest, _guarded_execute
 from repro.experiments.export import (
     FULL_SCHEMA_VERSION,
     result_content_hash,
@@ -415,53 +416,74 @@ def test_corrupt_packed_block_is_quarantined_miss(tmp_path, corrupt):
     assert result_content_hash(rerun.results[0]) == result_content_hash(first.results[0])
 
 
-# -- the threading.Timer wall-clock guard -------------------------------------
+# -- the kernel's wall-clock deadline -----------------------------------------
 
 
-def test_timer_timeout_cuts_glacial_scenario():
-    """The ``threading.Timer`` guard cuts a run that exceeds its budget."""
-    from repro.experiments.campaign import (
-        _ScenarioTimeout,
-        _run_with_wall_timeout,
-    )
-
+def test_deadline_cuts_glacial_scenario():
+    """A run that exceeds its budget stops with one bare
+    ``DeadlineExceeded`` (raised from the loop, never wrapped in a
+    ``ProcessError``), and the guard reports it as a timeout naming the
+    budget."""
     start = time.monotonic()
-    # The injected exception may land bare or wrapped in the kernel's
-    # ProcessError, depending on which bytecode boundary it hits; the
-    # guard unwinds both into one bare, budget-naming _ScenarioTimeout.
-    with pytest.raises(_ScenarioTimeout, match="wall-clock budget"):
-        _run_with_wall_timeout(Scenario(config=GLACIAL), RunRequest(timeout=1.0))
+    with pytest.raises(DeadlineExceeded) as info:
+        RunRequest(timeout=1.0).execute(Scenario(config=GLACIAL))
+    assert type(info.value) is DeadlineExceeded
+    assert info.value.__cause__ is None and info.value.__context__ is None
     assert time.monotonic() - start < 30.0
 
+    outcome = _guarded_execute(Scenario(config=GLACIAL), RunRequest(timeout=1.0))
+    assert outcome.status == "timeout"
+    assert outcome.detail == "exceeded 1s wall-clock budget"
+    assert outcome.result is None
 
-def test_timer_timeout_returns_result_when_fast_enough():
-    from repro.experiments.campaign import _run_with_wall_timeout
 
-    result = _run_with_wall_timeout(Scenario(config=MICRO), RunRequest(timeout=60.0))
-    assert result.makespan > 0
+def test_deadline_run_returns_the_untimed_result_when_fast_enough():
+    """A run that finishes inside its budget is the untimed run: same
+    content hash, same event count."""
+    scenario = Scenario(config=MICRO)
+    timed = RunRequest(timeout=60.0).execute(scenario)
+    untimed = execute_scenario(scenario)
+    assert timed.makespan > 0
+    assert timed.sim_events == untimed.sim_events
+    assert result_content_hash(timed) == result_content_hash(untimed)
+
+
+def test_budget_spent_in_materialize_dispatches_nothing(monkeypatch):
+    """A budget already spent when ``materialize`` returns is a timeout
+    before the simulator dispatches a single event."""
+    built, materialize = [], campaign_mod.materialize
+
+    def spy(*args, **kwargs):
+        built.append(materialize(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(campaign_mod, "materialize", spy)
+    outcome = _guarded_execute(Scenario(config=MICRO), RunRequest(timeout=1e-9))
+    assert outcome.status == "timeout"
+    assert outcome.detail == "exceeded 1e-09s wall-clock budget"
+    [runtime] = built
+    assert runtime.sim.steps_executed == 0
 
 
 def test_cut_run_leaves_traced_calls_working():
-    """After the guard cuts a run, a function called under a profile
-    function still returns.  Clearing the injection with
-    ``PyThreadState_SetAsyncExc(tid, NULL)`` left CPython's
-    async-exception eval-breaker bit set, so every later function entry
-    under a trace or profile function spun forever (a failing hypothesis
-    example hung in its explain phase).  Run in a child process, which
-    the timeout kills if it spins."""
+    """After the deadline cuts a run, a function called under a profile
+    function still returns.  An exception injected from another thread
+    and cleared with ``PyThreadState_SetAsyncExc(tid, NULL)`` once left
+    CPython's async-exception eval-breaker bit set, so every later
+    function entry under a trace or profile function spun forever (a
+    failing hypothesis example hung in its explain phase).  Run in a
+    child process, which the timeout kills if it spins."""
     code = textwrap.dedent("""
         import sys
+        from repro.errors import DeadlineExceeded
         from repro.experiments import ExperimentConfig, Scenario
-        from repro.experiments.campaign import (
-            RunRequest, _ScenarioTimeout, _run_with_wall_timeout,
-        )
+        from repro.experiments.campaign import RunRequest
 
         glacial = ExperimentConfig.tiny(
             n_jobs=2, n_workers=2, iterations=200_000, seed=11)
         try:
-            _run_with_wall_timeout(Scenario(config=glacial),
-                                   RunRequest(timeout=0.5))
-        except _ScenarioTimeout:
+            RunRequest(timeout=0.5).execute(Scenario(config=glacial))
+        except DeadlineExceeded:
             pass
 
         def probe():
@@ -479,18 +501,13 @@ def test_cut_run_leaves_traced_calls_working():
     assert proc.stdout.strip() == "returned"
 
 
-def test_wall_timeout_off_main_thread_uses_timer_fallback():
+def test_deadline_holds_off_the_main_thread():
     """The guard holds off the main thread too."""
-    from repro.experiments.campaign import (
-        _ScenarioTimeout,
-        _run_with_wall_timeout,
-    )
-
     box = {}
 
     def worker():
         try:
-            _run_with_wall_timeout(Scenario(config=GLACIAL), RunRequest(timeout=1.0))
+            RunRequest(timeout=1.0).execute(Scenario(config=GLACIAL))
         except BaseException as exc:  # noqa: BLE001 - capturing for assert
             box["exc"] = exc
 
@@ -498,7 +515,7 @@ def test_wall_timeout_off_main_thread_uses_timer_fallback():
     t.start()
     t.join(timeout=60.0)
     assert not t.is_alive()
-    assert isinstance(box["exc"], _ScenarioTimeout)
+    assert type(box["exc"]) is DeadlineExceeded
 
 
 # -- retry backoff -------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Unit tests for the Simulator event loop and process spawning."""
 
+import gc
+import time
+
 import pytest
 
-from repro.errors import ProcessError, SimulationError
+from repro.errors import DeadlineExceeded, ProcessError, SimulationError
 from repro.sim import Simulator, Timeout
+from repro.sim.kernel import DEADLINE_STRIDE
 
 
 def test_clock_starts_at_zero():
@@ -73,6 +77,83 @@ def test_max_steps_guard():
     sim.schedule(0.0, rearm)
     with pytest.raises(SimulationError, match="max_steps"):
         sim.run(max_steps=100)
+
+
+def test_deadline_stops_a_same_instant_livelock():
+    """A callback that reschedules itself at delay 0 never moves the
+    clock, so no sim-time heartbeat would fire; the deadline still stops
+    it inside its budget, and the simulator is left usable."""
+    sim = Simulator()
+
+    def rearm():
+        sim.schedule(0.0, rearm)
+
+    sim.schedule(0.0, rearm)
+    start = time.monotonic()
+    with pytest.raises(DeadlineExceeded):
+        # max_steps only turns a missed deadline into a failure, not a hang
+        sim.run(max_steps=10_000_000, deadline=start + 0.5)
+    assert 0.5 <= time.monotonic() - start < 5.0
+    assert sim.now == 0.0
+    assert gc.isenabled()
+    with pytest.raises(SimulationError, match="max_steps"):
+        sim.run(max_steps=10)  # not left marked as running
+
+
+def test_deadline_reads_the_clock_every_stride():
+    """The wall clock is read once every ``DEADLINE_STRIDE`` dispatched
+    events: a run shorter than that finishes even past its deadline, a
+    longer one stops right at the stride."""
+    sim = Simulator()
+    for _ in range(DEADLINE_STRIDE - 1):
+        sim.schedule(1.0, lambda: None)
+    assert sim.run(deadline=time.monotonic() - 1.0) == 1.0
+    assert sim.steps_executed == DEADLINE_STRIDE - 1
+
+    sim = Simulator()
+    for _ in range(2 * DEADLINE_STRIDE):
+        sim.schedule(1.0, lambda: None)
+    with pytest.raises(DeadlineExceeded):
+        sim.run(deadline=time.monotonic() - 1.0)
+    assert sim.steps_executed == DEADLINE_STRIDE
+    sim.run()
+    assert sim.steps_executed == 2 * DEADLINE_STRIDE
+
+
+def test_deadline_is_not_wrapped_by_a_process():
+    """The raise comes from the loop, not from inside a generator."""
+    sim = Simulator()
+
+    def spin():
+        while True:
+            yield Timeout(0.0)
+
+    sim.spawn(spin())
+    with pytest.raises(DeadlineExceeded) as info:
+        sim.run(deadline=time.monotonic() + 0.2)
+    assert type(info.value) is DeadlineExceeded
+
+
+def test_until_and_max_steps_unchanged_under_a_deadline():
+    far = time.monotonic() + 3600.0
+    sim = Simulator()
+    out = []
+    sim.schedule(1.0, out.append, ("a",))
+    sim.schedule(5.0, out.append, ("b",))
+    assert sim.run(until=2.0, deadline=far) == 2.0
+    assert out == ["a"]
+    assert sim.run(deadline=far) == 5.0
+    assert out == ["a", "b"]
+    assert sim.run(until=10.0, deadline=far) == 10.0
+
+    def rearm():
+        sim.schedule(0.0, rearm)
+
+    sim.schedule(0.0, rearm)
+    with pytest.raises(SimulationError, match="max_steps=100 ") as info:
+        sim.run(max_steps=100, deadline=far)
+    assert type(info.value) is SimulationError
+    assert sim.steps_executed == 2 + 100
 
 
 def test_steps_executed_counts():

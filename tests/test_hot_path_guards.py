@@ -19,6 +19,12 @@ module under ``net/``, ``dl/``, ``collectives/`` or ``tensorlights/``,
 nor ``sim/kernel.py``, reads a simulator's ``.watchdog`` or looks one up
 with ``getattr(..., "watchdog")``, and the kernel does not import
 ``repro.sim.watchdog``.
+
+The wall-clock budget is the kernel's too: ``Simulator.run(deadline=)``
+stops the loop between two callbacks.  No module under ``src/repro``
+imports ``ctypes`` or ``threading`` or names
+``PyThreadState_SetAsyncExc``, so no thread injects an exception into a
+running simulation.
 """
 
 import ast
@@ -90,6 +96,28 @@ def _watchdog_lookups(path: Path):
             yield node
 
 
+#: modules whose import would let a thread interrupt a running simulation
+THREAD_INJECTION_MODULES = {"ctypes", "threading"}
+ASYNC_EXC = "PyThreadState_SetAsyncExc"
+
+
+def _thread_injection_uses(path: Path):
+    """``node`` for every ``ctypes``/``threading`` import in ``path`` and
+    every name, attribute or string that is ``PyThreadState_SetAsyncExc``."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            if ASYNC_EXC in (getattr(node, "id", None), getattr(node, "attr", None),
+                             getattr(node, "value", None)):
+                yield node
+            continue
+        if any(m.split(".")[0] in THREAD_INJECTION_MODULES for m in modules):
+            yield node
+
+
 def test_lint_sees_every_data_path_package():
     assert {_rel(p).split("/")[0] for p in DATA_PATH} == {
         "net", "dl", "collectives", "tensorlights", "sim"
@@ -128,4 +156,17 @@ def test_no_watchdog_lookup_on_the_data_path():
     assert not lookups, (
         "the watchdog is the run's: materialize builds it and hands it to "
         "whoever reports into it:\n  " + "\n  ".join(lookups)
+    )
+
+
+def test_no_thread_injects_into_a_run():
+    uses = [
+        f"{_rel(path)}:{node.lineno}: {ast.unparse(node)}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in _thread_injection_uses(path)
+    ]
+    assert not uses, (
+        "the kernel enforces the wall-clock budget (Simulator.run(deadline=)); "
+        "nothing may inject an exception from another thread:\n  "
+        + "\n  ".join(uses)
     )
